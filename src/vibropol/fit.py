@@ -20,7 +20,6 @@ import re
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.optimize
 
 from .errors import DomainError, FitError
 from .materials import ConstantMedium, DrudeLorentzMetal, LorentzMedium
@@ -270,6 +269,8 @@ def solve(problem, n_starts=1, seed=0, max_nfev=2000):
     starts = [x0_template]
     for _ in range(n_starts - 1):
         starts.append(rng.uniform(0.0, 1.0, size=len(problem.free)))
+
+    import scipy.optimize
 
     best = None
     start_losses = []

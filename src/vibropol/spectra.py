@@ -12,8 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.optimize
-import scipy.signal
 
 from .constants import cm1_to_mev
 from .errors import DomainError, FitError, PeakCountError
@@ -92,20 +90,96 @@ def _half_crossing(k, y, i_peak, half, direction):
     return None
 
 
+def _prominences(x, peaks):
+    """Height of each peak above the higher of its two bounding minima.
+
+    A bounding minimum is the lowest sample between the peak and the
+    first strictly higher sample on that side (or the end of x).  All
+    peaks walk outwards together by binary lifting over power-of-two
+    blocks: row j of the tables holds the max / min of x[i : i + 2**j],
+    with inf wherever the block runs past the end of x.
+    """
+    n = x.size
+    levels = n.bit_length()
+    hi_t = np.full((levels, n + 1), np.inf)
+    lo_t = np.full((levels, n + 1), np.inf)
+    hi_t[0, :n] = lo_t[0, :n] = x
+    for j in range(1, levels):
+        w = 1 << (j - 1)
+        hi_t[j, : n + 1 - w] = np.maximum(hi_t[j - 1, : n + 1 - w], hi_t[j - 1, w:])
+        lo_t[j, : n + 1 - w] = np.minimum(lo_t[j - 1, : n + 1 - w], lo_t[j - 1, w:])
+    h = x[peaks]
+    first, last = peaks.copy(), peaks.copy()  # x[first : last + 1] <= h
+    left_min, right_min = h.copy(), h.copy()
+    for j in range(levels - 1, -1, -1):
+        w = 1 << j
+        i = np.maximum(first - w, 0)
+        ok = (first >= w) & (hi_t[j, i] <= h)
+        left_min = np.where(ok, np.minimum(left_min, lo_t[j, i]), left_min)
+        first = np.where(ok, i, first)
+        ok = hi_t[j, last + 1] <= h
+        right_min = np.where(ok, np.minimum(right_min, lo_t[j, last + 1]), right_min)
+        last = np.where(ok, last + w, last)
+    return h - np.maximum(left_min, right_min)
+
+
+def _prominent_peaks(x, min_prominence):
+    """Indices and prominences of the interior local maxima of x whose
+    prominence is >= min_prominence, in index order.
+
+    A run of equal samples is a maximum when the runs on both sides are
+    lower; it is reported at its midpoint (left + right) // 2, and a run
+    touching either end of x never is one.  Prominences are taken over the
+    turning points only (local maxima, local minima and the two end runs):
+    the runs in between lie on monotone stretches, and dropping them
+    leaves every bounding minimum unchanged.
+    """
+    if x.size < 3:
+        return np.empty(0, dtype=np.intp), np.empty(0)
+    start = np.flatnonzero(np.r_[True, x[1:] != x[:-1]])
+    end = np.r_[start[1:], x.size] - 1
+    v = x[start]
+    rise = v[1:] > v[:-1]  # rise[r]: run r + 1 is above run r
+    is_max = np.zeros(v.size, dtype=bool)
+    is_max[1:-1] = rise[:-1] & ~rise[1:]
+    turn = np.ones(v.size, dtype=bool)
+    turn[1:-1] = rise[:-1] != rise[1:]
+    peaks = (start[is_max] + end[is_max]) // 2
+    prom = _prominences(v[turn], np.flatnonzero(is_max[turn]))
+    keep = prom >= min_prominence
+    return peaks[keep], prom[keep]
+
+
 def find_peaks(k, values, min_prominence=None, window=None):
     """Peaks of `values` over `k`, sorted by center.
 
-    min_prominence is absolute; when None it defaults to 5% of the
-    dynamic range inside the window.  window is an optional (lo, hi)
-    wavenumber pair restricting the search.
+    A peak is an interior local maximum: a sample, or a plateau of equal
+    samples, whose neighbours on both sides are strictly lower.  A plateau
+    counts once, at its midpoint sample (left + right) // 2; samples at
+    either end of the window are never peaks.  The prominence of a peak is
+    its height minus the higher of its two bounding minima, where each
+    bounding minimum is the lowest sample between the peak and the first
+    strictly higher sample on that side, or the end of the window.  These
+    are the definitions of ``scipy.signal.find_peaks`` and
+    ``scipy.signal.peak_prominences`` (Virtanen et al., Nat. Methods 17,
+    261 (2020)), and the indices and prominences agree with them exactly.
+
+    Peaks with prominence >= min_prominence are kept.  min_prominence is
+    absolute; when None it defaults to 5% of the dynamic range inside the
+    window.  window is an optional (lo, hi) wavenumber pair restricting
+    the search.  Raises DomainError when the window holds a NaN or
+    infinite sample.
     """
     k, values = _windowed(k, values, window)
+    n_bad = int(np.count_nonzero(~np.isfinite(values)))
+    if n_bad:
+        raise DomainError(f"{n_bad} non-finite sample(s) in the peak search window")
     if min_prominence is None:
         span = float(values.max() - values.min())
         min_prominence = 0.05 * span if span > 0.0 else np.inf
-    idx, props = scipy.signal.find_peaks(values, prominence=min_prominence)
+    idx, prominences = _prominent_peaks(values, min_prominence)
     peaks = []
-    for n, i in enumerate(idx):
+    for i, prominence in zip(idx, prominences):
         center, height = _parabolic_vertex(k, values, i)
         half = height / 2.0
         left = _half_crossing(k, values, i, half, -1)
@@ -113,7 +187,7 @@ def find_peaks(k, values, min_prominence=None, window=None):
         fwhm = (right - left) if (left is not None and right is not None) else None
         peaks.append(
             Peak(center=float(center), height=float(height),
-                 prominence=float(props["prominences"][n]), fwhm=fwhm)
+                 prominence=float(prominence), fwhm=fwhm)
         )
     return peaks
 
@@ -207,6 +281,8 @@ def fit_lorentzian_band(k, values, window=None, p0=None, max_nfev=2000):
     p0 = np.asarray(p0, dtype=float)
     if p0.shape != (4,):
         raise DomainError("p0 must be (f, k0, gamma, baseline)")
+
+    import scipy.optimize
 
     lower = [0.0, k[0], 1e-12, -np.inf]
     upper = [np.inf, k[-1], np.inf, np.inf]
@@ -309,6 +385,8 @@ def fit_coupled_model(table, order=1, n_ambient=1.0, x0=None, max_nfev=2000):
         omega_v, n_eff, d, split = p
         mu, ml = _coupled_branches(angles, omega_v, n_eff, d, split, order, n_ambient)
         return np.concatenate([mu - up, ml - lp])
+
+    import scipy.optimize
 
     lo = [x0[0] * 0.5, 1.0, x0[2] * 0.2, 0.0]
     hi = [x0[0] * 1.5, 5.0, x0[2] * 5.0, x0[3] * 5.0 + 10.0]

@@ -1,7 +1,11 @@
 """Peak finding, splittings, dispersion tables and model fits."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from vibropol import (
     DomainError,
@@ -15,11 +19,14 @@ from vibropol import (
     fit_coupled_model,
     fit_lorentzian_band,
     fp_mode_estimate,
+    load_config,
     load_measured,
     coupled_frequencies,
     spectrum_scan,
 )
-from vibropol.spectra import DispersionRow, DispersionTable
+from vibropol.spectra import DispersionRow, DispersionTable, _prominent_peaks
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def lorentz_band(k, f, k0, gamma, baseline=0.0):
@@ -69,6 +76,63 @@ class TestFindPeaks:
             find_peaks(np.arange(3.0), np.arange(4.0))
         with pytest.raises(DomainError):
             find_peaks(np.arange(10.0), np.arange(10.0), window=(5.0, 2.0))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_sample_raises(self, bad):
+        k = np.arange(1500.0, 2000.0, 0.25)
+        y = lorentz_band(k, 5.0e4, 1739.0, 13.0)
+        y[100] = bad
+        with pytest.raises(DomainError, match="^1 non-finite sample"):
+            find_peaks(k, y)
+        y[200:203] = np.nan
+        with pytest.raises(DomainError, match="^4 non-finite sample"):
+            find_peaks(k, y)
+
+    def test_non_finite_sample_outside_window_is_ignored(self):
+        k = np.arange(1500.0, 2000.0, 0.25)
+        y = lorentz_band(k, 5.0e4, 1739.0, 13.0)
+        y[0] = np.nan
+        peaks = find_peaks(k, y, window=(1600.0, 1900.0))
+        assert len(peaks) == 1
+        assert peaks[0].center == pytest.approx(1739.0, abs=0.25)
+
+
+def assert_same_as_scipy(values, prominence):
+    import scipy.signal
+
+    idx, prom = _prominent_peaks(values, prominence)
+    ref_idx, ref = scipy.signal.find_peaks(values, prominence=prominence)
+    np.testing.assert_array_equal(idx, ref_idx)
+    np.testing.assert_array_equal(prom, ref["prominences"])
+
+
+class TestPeakFinderOracle:
+    """The in-house finder returns scipy.signal.find_peaks' indices and
+    prominences bit for bit on finite data."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        values=st.one_of(
+            arrays(np.float64, st.integers(0, 80), elements=st.floats(-1e6, 1e6)),
+            # small integers: plateaus, ties and equal bounding minima
+            arrays(np.float64, st.integers(0, 80), elements=st.integers(-3, 3).map(float)),
+        ),
+        prominence=st.one_of(st.integers(0, 6).map(float), st.floats(0.0, 2e6)),
+    )
+    def test_matches_scipy_on_drawn_arrays(self, values, prominence):
+        assert_same_as_scipy(values, prominence)
+
+    @pytest.mark.parametrize("channel", ["T", "1-R", "A"])
+    def test_matches_scipy_on_acceptance_spectra(self, channel):
+        cfg = load_config(CONFIGS / "cavity_coupled.yaml")
+        sp = spectrum_scan(cfg.require_stack(), cfg.grid, cfg.scan.angle, cfg.scan.polarization)
+        values = 1.0 - sp.channel("R") if channel == "1-R" else sp.channel(channel)
+        lo, hi = cfg.scan.window
+        values = values[(sp.k >= lo) & (sp.k <= hi)]
+        default = 0.05 * float(values.max() - values.min())
+        for prominence in (0.0, default):
+            assert_same_as_scipy(values, prominence)
+        assert len(_prominent_peaks(values, default)[0]) == 2
 
 
 class TestExtractSplitting:
