@@ -53,8 +53,3 @@ def cm1_to_joule(k_cm1):
 def cm1_to_rad_s(k_cm1):
     """Wavenumber in cm^-1 to angular frequency in rad/s."""
     return 2.0 * math.pi * C_M_S * 100.0 * k_cm1
-
-
-def cm1_to_lambda_nm(k_cm1):
-    """Wavenumber in cm^-1 to vacuum wavelength in nm."""
-    return 1e7 / k_cm1

@@ -1,28 +1,30 @@
 """Intra-cavity field reconstruction.
 
-The tangential pair (U, V) used by the transfer matrices is marched
-through the stack: U is E_y for s polarization and H_y for p, with the
-incident wave normalized to unit electric-field amplitude.  Within each
-layer the pair splits into forward/backward waves
+The tangential pair (U, V) of `tmm` is rebuilt inside every medium from
+the forward and backward wave amplitudes that the stack recursion
+(`tmm._rouard`) returns: U is E_y for s polarization and H_y for p, with
+the incident wave normalized to unit electric-field amplitude.  A layer
+spanning [z0, z1] holds
 
-    u+ = (U + V/q)/2,   u- = (U - V/q)/2,
+    U(z) = u+ e^{i kz (z - z0)} + u- e^{i kz (z1 - z)},
+    V(z) = q (u+ e^{i kz (z - z0)} - u- e^{i kz (z1 - z)}),
 
-so U(s) = u+ e^{i kz s} + u- e^{-i kz s} at depth s, and the intensity
-|E(z)|^2 / |E_inc|^2 follows directly (for p polarization from
-E_x = V and E_z = -kx U / (k0 eps)).  z = 0 is the front face of the
-first layer and grows toward the substrate.
+with u+ stored at the entry face and u- at the exit face, so both
+exponentials decay into the layer and thick lossy layers stay finite.
+The intensity |E(z)|^2 / |E_inc|^2 follows directly (for p polarization
+from E_x = V and E_z = -kx U / (k0 eps)).  z = 0 is the front face of
+the first layer and grows toward the substrate.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError
-from .tmm import SpectralGrid, _admittance, _check_angle, _kz, _K_TO_RAD_NM, _thread_count
+from .tmm import SpectralGrid, _check_angle, _media, _rouard, _wavevectors
 
 __all__ = ["FieldProfile", "FieldMap", "field_profile", "field_map"]
 
@@ -52,123 +54,78 @@ class FieldMap:
     boundaries: tuple[float, ...]
 
 
-def _march(stack, k, angle, polarization):
-    """Per-layer forward/backward amplitudes for one scalar wavenumber.
+def _fields(stack, k, z, angle, polarization, flux=True):
+    """Intensity and normalized Poynting flux (None unless `flux`) at
+    every (k, z), shape (nk, nz); unpolarized averages s and p.
 
-    Returns (regions, q_amb, kx/k0, amp); each region is a dict with its
-    z extent, kz, q, eps and the (u+, u-) pair at its entry face."""
-    k0 = _K_TO_RAD_NM * k
-    kx = k0 * stack.n_ambient * math.sin(math.radians(angle))
-    amp = 1.0 if polarization == "s" else stack.n_ambient
-
-    def props(eps):
-        kz = complex(_kz(np.asarray(eps), k0, kx))
-        q = complex(_admittance(eps, kz, k0, polarization))
-        return kz, q
-
-    eps_amb = complex(stack.n_ambient**2)
-    kz_amb, q_amb = props(eps_amb)
-
-    layers = []
-    for layer in stack.layers:
-        eps = complex(stack.epsilon_of(layer.material, np.asarray([k]))[0])
-        kz, q = props(eps)
-        layers.append((layer.thickness, eps, kz, q))
-    eps_sub = complex(stack.epsilon_of(stack.substrate, np.asarray([k]))[0])
-    kz_sub, q_sub = props(eps_sub)
-
-    # reflection coefficient from the full matrix product
-    m = np.eye(2, dtype=complex)
-    for d, eps, kz, q in layers:
-        delta = kz * d
-        mj = np.array(
-            [
-                [np.cos(delta), -1j * np.sin(delta) / q],
-                [-1j * q * np.sin(delta), np.cos(delta)],
-            ]
-        )
-        m = m @ mj
-    denom = q_amb * m[0, 0] + q_amb * q_sub * m[0, 1] + m[1, 0] + q_sub * m[1, 1]
-    r = (q_amb * m[0, 0] + q_amb * q_sub * m[0, 1] - m[1, 0] - q_sub * m[1, 1]) / denom
-
-    regions = []
-    # ambient: entry face at z = 0 looking backward; store amplitudes of
-    # e^{i kz z} and e^{-i kz z} with z measured from the front face
-    regions.append(
-        {"z0": -math.inf, "z1": 0.0, "eps": eps_amb, "kz": kz_amb, "q": q_amb,
-         "up": amp + 0j, "um": amp * r}
-    )
-    U = amp * (1.0 + r)
-    V = amp * q_amb * (1.0 - r)
-    z0 = 0.0
-    for d, eps, kz, q in layers:
-        up = 0.5 * (U + V / q)
-        um = 0.5 * (U - V / q)
-        regions.append({"z0": z0, "z1": z0 + d, "eps": eps, "kz": kz, "q": q, "up": up, "um": um})
-        phase_p = np.exp(1j * kz * d)
-        phase_m = np.exp(-1j * kz * d)
-        U = up * phase_p + um * phase_m
-        V = q * (up * phase_p - um * phase_m)
-        z0 += d
-    regions.append(
-        {"z0": z0, "z1": math.inf, "eps": eps_sub, "kz": kz_sub, "q": q_sub,
-         "up": U + 0j, "um": 0.0 + 0j}
-    )
-    return regions, q_amb, kx / k0, amp
-
-
-def _evaluate(regions, q_amb, sin_amb, amp, z, polarization):
-    z = np.asarray(z, dtype=float)
-    intensity = np.empty_like(z)
-    poynting = np.empty_like(z)
-    for reg in regions:
-        mask = (z >= reg["z0"]) & (z < reg["z1"])
-        if not np.any(mask):
-            continue
-        s = z[mask] - (reg["z0"] if math.isfinite(reg["z0"]) else 0.0)
-        phase_p = np.exp(1j * reg["kz"] * s)
-        phase_m = np.exp(-1j * reg["kz"] * s)
-        U = reg["up"] * phase_p + reg["um"] * phase_m
-        V = reg["q"] * (reg["up"] * phase_p - reg["um"] * phase_m)
-        if polarization == "s":
-            intensity[mask] = np.abs(U) ** 2 / amp**2
-        else:
-            # E_x = V, E_z = -(kx/k0) U / eps, already per unit E_inc
-            ez = sin_amb * U / reg["eps"]
-            intensity[mask] = np.abs(V) ** 2 + np.abs(ez) ** 2
-        poynting[mask] = np.real(U * np.conj(V)) / (np.real(q_amb) * amp**2)
-    return intensity, poynting
-
-
-def field_profile(stack, k, z, angle=0.0, polarization="s"):
-    """Field intensity profile at one wavenumber (cm^-1) on a z grid (nm).
-
-    Unpolarized input averages the s and p intensities and fluxes."""
+    One recursion over all of k per polarization, then each medium is
+    evaluated on the z samples it contains."""
     _check_angle(angle)
-    if not (np.isscalar(k) or np.asarray(k).ndim == 0):
-        raise DomainError("field_profile takes a scalar wavenumber")
-    k = float(k)
-    if not (math.isfinite(k) and k > 0.0):
-        raise DomainError("wavenumber must be positive")
-    z = np.asarray(z, dtype=float)
-    bounds = _boundaries(stack)
     if polarization == "unpolarized":
         pols = ("s", "p")
     elif polarization in ("s", "p"):
         pols = (polarization,)
     else:
         raise DomainError("polarization must be 's', 'p' or 'unpolarized'")
-    acc_i = np.zeros_like(z)
-    acc_s = np.zeros_like(z)
+    if not np.all(np.isfinite(z)):
+        raise DomainError("z samples must be finite (nm)")
+    eps = _media(stack, k)
+    k0_rad, kx_rad = _wavevectors(stack, k, angle)
+    sin_amb = stack.n_ambient * math.sin(math.radians(angle))
+    edges = _boundaries(stack)
+    # entry and exit face of each medium; the ambient's waves are both
+    # referred to z = 0, and the substrate has no backward wave
+    faces = [(0.0, 0.0)] + list(zip(edges[:-1], edges[1:])) + [(edges[-1], None)]
+    spans = [(-math.inf, 0.0)] + list(zip(edges[:-1], edges[1:])) + [(edges[-1], math.inf)]
+    columns = [np.flatnonzero((z >= lo) & (z < hi)) for lo, hi in spans]
+
+    intensity = np.zeros((k.size, z.size))
+    poynting = np.zeros((k.size, z.size)) if flux else None
+    thickness = [ly.thickness for ly in stack.layers]
     for pol in pols:
-        regions, q_amb, sin_amb, amp = _march(stack, k, angle, pol)
-        inten, poyn = _evaluate(regions, q_amb, sin_amb, amp, z, pol)
-        acc_i += inten
-        acc_s += poyn
+        _, _, kz, q, fwd, bwd = _rouard(eps, thickness, k0_rad, kx_rad, pol)
+        amp = 1.0 if pol == "s" else stack.n_ambient
+        for j, cols in enumerate(columns):
+            if cols.size == 0:
+                continue
+            zj = z[cols]
+            kzj, qj = kz[j][:, None], q[j][:, None]
+            z_entry, z_exit = faces[j]
+            wave_p = (amp * fwd[j])[:, None] * np.exp(1j * kzj * (zj - z_entry))
+            if z_exit is None:
+                U = wave_p
+                V = qj * wave_p
+            else:
+                wave_m = (amp * bwd[j])[:, None] * np.exp(1j * kzj * (z_exit - zj))
+                U = wave_p + wave_m
+                V = qj * (wave_p - wave_m)
+            if pol == "s":
+                intensity[:, cols] += np.abs(U) ** 2
+            else:
+                # E_x = V, E_z = -(kx/k0) U / eps, already per unit E_inc
+                ez = sin_amb * U / eps[j][:, None]
+                intensity[:, cols] += np.abs(V) ** 2 + np.abs(ez) ** 2
+            if flux:
+                poynting[:, cols] += np.real(U * np.conj(V)) / (np.real(q[0])[:, None] * amp**2)
     n = len(pols)
+    return intensity / n, (poynting / n if flux else None)
+
+
+def field_profile(stack, k, z, angle=0.0, polarization="s"):
+    """Field intensity profile at one wavenumber (cm^-1) on a z grid (nm).
+
+    Unpolarized input averages the s and p intensities and fluxes.  This
+    is the one-row case of `field_map`."""
+    if not (np.isscalar(k) or np.asarray(k).ndim == 0):
+        raise DomainError("field_profile takes a scalar wavenumber")
+    k = float(k)
+    if not (math.isfinite(k) and k > 0.0):
+        raise DomainError("wavenumber must be positive")
+    z = np.asarray(z, dtype=float)
+    intensity, poynting = _fields(stack, np.array([k]), z.ravel(), angle, polarization)
     return FieldProfile(
-        z=z, intensity=acc_i / n, poynting=acc_s / n, k=k,
-        angle=angle, polarization=polarization, boundaries=bounds,
+        z=z, intensity=intensity[0].reshape(z.shape), poynting=poynting[0].reshape(z.shape),
+        k=k, angle=angle, polarization=polarization, boundaries=_boundaries(stack),
     )
 
 
@@ -191,20 +148,13 @@ def default_z_grid(stack, z_step=10.0, margin_ambient=200.0, margin_substrate=20
 def field_map(stack, grid, z=None, angle=0.0, polarization="s"):
     """|E(z, k)|^2 over a wavenumber grid; rows follow the grid order.
 
-    Worker threads are capped by VIBROPOL_THREADS (default 1)."""
+    The whole grid goes through one stack recursion per polarization, so
+    each row equals `field_profile` at that wavenumber."""
     k = grid.points if isinstance(grid, SpectralGrid) else np.asarray(grid, dtype=float)
     z = default_z_grid(stack) if z is None else np.asarray(z, dtype=float)
-
-    def row(ki):
-        return field_profile(stack, ki, z, angle, polarization).intensity
-
-    workers = min(_thread_count(), max(1, k.size))
-    if workers == 1:
-        rows = [row(ki) for ki in k]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(row, k))
+    k = np.atleast_1d(k)
+    intensity, _ = _fields(stack, k, z.ravel(), angle, polarization, flux=False)
     return FieldMap(
-        k=k, z=z, intensity=np.vstack(rows), angle=angle,
+        k=k, z=z, intensity=intensity, angle=angle,
         polarization=polarization, boundaries=_boundaries(stack),
     )

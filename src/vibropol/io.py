@@ -73,16 +73,23 @@ def read_spectrum_csv(path):
 
 
 def write_field_map_csv(path, fmap):
-    lines = [
+    """Long format, one row per (k, z) cell; each k and z value is
+    formatted once and the file is written one k block at a time."""
+    header = [
         f"# angle_deg = {_fmt(fmap.angle)}",
         f"# polarization = {fmap.polarization}",
         f"# layer_boundaries_nm = {' '.join(_fmt(b) for b in fmap.boundaries)}",
         "k_cm1,z_nm,intensity",
     ]
-    for i, k in enumerate(fmap.k):
-        for j, z in enumerate(fmap.z):
-            lines.append(f"{_fmt(k)},{_fmt(z)},{_fmt(fmap.intensity[i, j])}")
-    _write_text(path, "\n".join(lines) + "\n")
+    z_cols = [f",{_fmt(z)}," for z in fmap.z]
+    with _open_text(path) as fh:
+        fh.write("\n".join(header) + "\n")
+        for k, row in zip(fmap.k, fmap.intensity):
+            k_col = _fmt(k)
+            fh.write("".join(
+                f"{k_col}{z_col}{value!r}\n"
+                for z_col, value in zip(z_cols, np.asarray(row, dtype=float).tolist())
+            ))
 
 
 def write_dispersion_csv(path, table):
@@ -98,7 +105,11 @@ def write_json(path, payload):
     _write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _write_text(path, text):
+def _open_text(path):
     os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    return open(path, "w", encoding="utf-8", newline="\n")
+
+
+def _write_text(path, text):
+    with _open_text(path) as fh:
         fh.write(text)

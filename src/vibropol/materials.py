@@ -169,10 +169,6 @@ def gold(damping_multiplier: float = 2.5) -> DrudeLorentzMetal:
     return DrudeLorentzMetal(damping_multiplier=damping_multiplier)
 
 
-# Any object with an epsilon(k) method; the concrete models above.
-DielectricModel = LorentzMedium | ConstantMedium | DrudeLorentzMetal
-
-
 def evaluate_epsilon(model, k):
     """eps(k) for any dielectric model on a cm^-1 grid."""
     return model.epsilon(k)

@@ -49,15 +49,16 @@ def _windowed(k, values, window):
     values = np.asarray(values, dtype=float)
     if k.shape != values.shape or k.ndim != 1:
         raise DomainError("k and values must be 1-D arrays of equal length")
-    if window is None:
-        return k, values
-    lo, hi = window
-    if not lo < hi:
-        raise DomainError("window must satisfy lo < hi")
-    mask = (k >= lo) & (k <= hi)
-    if mask.sum() < 3:
-        raise DomainError("window contains fewer than 3 samples")
-    return k[mask], values[mask]
+    if window is not None:
+        lo, hi = window
+        if not lo < hi:
+            raise DomainError("window must satisfy lo < hi")
+        mask = (k >= lo) & (k <= hi)
+        k, values = k[mask], values[mask]
+    if k.size < 3:
+        where = "window" if window is not None else "spectrum"
+        raise DomainError(f"{where} contains fewer than 3 samples")
+    return k, values
 
 
 def _parabolic_vertex(k, y, i):
@@ -167,7 +168,8 @@ def find_peaks(k, values, min_prominence=None, window=None):
     Peaks with prominence >= min_prominence are kept.  min_prominence is
     absolute; when None it defaults to 5% of the dynamic range inside the
     window.  window is an optional (lo, hi) wavenumber pair restricting
-    the search.  Raises DomainError when the window holds a NaN or
+    the search.  Raises DomainError when the window (the whole spectrum
+    when window is None) holds fewer than 3 samples, or a NaN or
     infinite sample.
     """
     k, values = _windowed(k, values, window)

@@ -1,24 +1,33 @@
 """Transfer-matrix optics for planar multilayer stacks.
 
-Each layer contributes a 2x2 characteristic matrix relating the tangential
-field pair (U, V) on its two faces,
+The tangential field pair (U, V) is continuous across every interface;
+U is E_y for s polarization and H_y for p, and V = q (u+ - u-) with the
+polarization admittance q = kz/k0 (s) or q = kz/(k0 eps) (p).  The
+out-of-plane wavevector kz = sqrt(k0^2 eps - kx^2) is taken on the
+branch Im(kz) >= 0 (decay into the layer), with Re(kz) >= 0 when
+Im(kz) = 0, and the in-plane kx = k0 n_ambient sin(angle) is conserved
+across the stack.  Conventions follow exp(-i omega t).
+
+Stacks are solved with Rouard's interface recursion (compared with the
+scattering-matrix form in Li, JOSA A 13, 1024 (1996)): starting at the
+substrate, the reflection coefficient seen from each medium is carried
+back through one layer by the decaying factor exp(2i kz d) and across
+one interface by r = (q - q_next)/(q + q_next).  Only phase factors of
+modulus <= 1 are ever multiplied, so thick lossy or evanescent layers
+underflow to zero transmission instead of overflowing.  The same pass
+returns the forward and backward wave amplitudes of every medium, which
+the field reconstruction in `fields` uses (bookkeeping as in Byrnes,
+arXiv:1603.02720).  `layer_matrix` gives the characteristic matrix
 
     M = [[cos(delta), -i sin(delta)/q], [-i q sin(delta), cos(delta)]],
 
-with delta = kz d and the polarization admittance q = kz/k0 (s) or
-q = kz/(k0 eps) (p).  det(M) = 1 for every layer.  The out-of-plane
-wavevector kz = sqrt(k0^2 eps - kx^2) is taken on the branch
-Im(kz) >= 0 (decay into the layer), with Re(kz) >= 0 when Im(kz) = 0,
-and the in-plane kx = k0 n_ambient sin(angle) is conserved across the
-stack.  Conventions follow exp(-i omega t).
+delta = kz d, det(M) = 1, of a single layer.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from collections.abc import Mapping
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from types import MappingProxyType
 
@@ -43,16 +52,6 @@ POLARIZATIONS = ("s", "p", "unpolarized")
 
 # cm^-1 -> rad/nm
 _K_TO_RAD_NM = 2.0e-7 * math.pi
-
-
-def _thread_count():
-    raw = os.environ.get("VIBROPOL_THREADS", "").strip()
-    if not raw:
-        return 1
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 @dataclass(frozen=True)
@@ -165,9 +164,10 @@ class Spectrum:
 
 
 def _kz(eps, k0_rad, kx_rad):
+    # the principal root already has Re(kz) >= 0; flip the roots that
+    # grow into the layer
     kz = np.sqrt(k0_rad**2 * eps - kx_rad**2 + 0j)
-    kz = np.where(kz.imag < 0.0, -kz, kz)
-    kz = np.where((kz.imag == 0.0) & (kz.real < 0.0), -kz, kz)
+    np.negative(kz, out=kz, where=kz.imag < 0.0)
     return kz
 
 
@@ -214,31 +214,82 @@ def layer_matrix(model, thickness, k, kx=0.0, polarization="s", n_ambient=1.0):
     return m
 
 
-def _single_pol_response(stack, k, angle, polarization):
-    k = np.atleast_1d(np.asarray(k, dtype=float))
-    k0_rad = _K_TO_RAD_NM * k
+def _media(stack, k):
+    """Permittivities of the ambient, each layer and the substrate on k;
+    every material is evaluated once, however many layers use it."""
+    eps = {}
+    for name in [ly.material for ly in stack.layers] + [stack.substrate]:
+        if name not in eps:
+            eps[name] = stack.epsilon_of(name, k)
+    ambient = np.full(k.shape, stack.n_ambient**2, dtype=complex)
+    return [ambient] + [eps[ly.material] for ly in stack.layers] + [eps[stack.substrate]]
+
+
+def _wavevectors(stack, k, angle):
+    """k0 and kx in rad/nm for wavenumbers k (cm^-1) at one angle."""
     kx_cm1 = k * stack.n_ambient * math.sin(math.radians(angle))
-    kx_rad = _K_TO_RAD_NM * kx_cm1
+    return _K_TO_RAD_NM * k, _K_TO_RAD_NM * kx_cm1
 
-    eps_amb = np.full_like(k, stack.n_ambient**2, dtype=complex)
-    q_amb = _admittance(eps_amb, _kz(eps_amb, k0_rad, kx_rad), k0_rad, polarization)
 
-    eps_sub = stack.epsilon_of(stack.substrate, k)
-    q_sub = _admittance(eps_sub, _kz(eps_sub, k0_rad, kx_rad), k0_rad, polarization)
+def _rouard(eps, thickness, k0, kx, polarization):
+    """Rouard's recursion over the media eps = (ambient, layers...,
+    substrate), broadcast over k0 and kx.
 
-    m = np.zeros(k.shape + (2, 2), dtype=complex)
-    m[..., 0, 0] = 1.0
-    m[..., 1, 1] = 1.0
-    for layer in stack.layers:
-        mj = layer_matrix(
-            stack.materials[layer.material], layer.thickness, k, kx_cm1,
-            polarization, n_ambient=stack.n_ambient,
-        )
-        m = m @ mj
+    Returns (r, t, kz, q, fwd, bwd) for a unit U amplitude incident from
+    the ambient.  r and t are the U-amplitude reflection (at z = 0) and
+    transmission (into the substrate's front face); kz and q list each
+    medium's values.  fwd[j] is the forward amplitude of medium j at its
+    entry face and bwd[j] the backward amplitude at its exit face, both
+    taken at z = 0 for the ambient; the substrate has no backward wave.
+    """
+    kz = [_kz(e, k0, kx) for e in eps]
+    q = [_admittance(e, z, k0, polarization) for e, z in zip(eps, kz)]
+    # r[i], t[i]: interface between media i and i + 1; t = 1 + r, but
+    # 2 qa / (qa + qb) keeps its digits when qb >> qa (p-polarized ENZ)
+    r, t = [], []
+    for qa, qb in zip(q[:-1], q[1:]):
+        qs = qa + qb
+        r.append((qa - qb) / qs)
+        t.append(2.0 * qa / qs)
+    n = len(thickness)
+    phase = [None] + [np.exp(1j * kz[j] * thickness[j - 1]) for j in range(1, n + 1)]
 
-    denom = q_amb * m[..., 0, 0] + q_amb * q_sub * m[..., 0, 1] + m[..., 1, 0] + q_sub * m[..., 1, 1]
-    r = (q_amb * m[..., 0, 0] + q_amb * q_sub * m[..., 0, 1] - m[..., 1, 0] - q_sub * m[..., 1, 1]) / denom
-    t = 2.0 * q_amb / denom
+    # substrate -> ambient: gamma[j] is the reflection coefficient seen
+    # from medium j at its exit face, denom[j] the multiple-reflection
+    # sum at the entry face of layer j
+    gamma = [None] * (n + 1)
+    denom = [None] * (n + 1)
+    g = r[n]
+    for j in range(n, 0, -1):
+        gamma[j] = g
+        g_entry = g * phase[j] ** 2
+        denom[j] = 1.0 + r[j - 1] * g_entry
+        g = (r[j - 1] + g_entry) / denom[j]
+
+    # ambient -> substrate: carry the forward amplitude a across each
+    # interface and through each layer
+    a = np.ones_like(g)
+    fwd, bwd = [a], [g]
+    for j in range(1, n + 1):
+        f = t[j - 1] * a / denom[j]
+        a = f * phase[j]
+        fwd.append(f)
+        bwd.append(gamma[j] * a)
+    fwd.append(t[n] * a)
+    bwd.append(np.zeros_like(a))
+    return g, fwd[-1], kz, q, fwd, bwd
+
+
+def _response(stack, eps, k, angle, polarization):
+    """(T, R) of one or both polarizations from precomputed permittivities."""
+    if polarization == "unpolarized":
+        Ts, Rs = _response(stack, eps, k, angle, "s")
+        Tp, Rp = _response(stack, eps, k, angle, "p")
+        return 0.5 * (Ts + Tp), 0.5 * (Rs + Rp)
+    k0_rad, kx_rad = _wavevectors(stack, k, angle)
+    thickness = [ly.thickness for ly in stack.layers]
+    r, t, _, q, _, _ = _rouard(eps, thickness, k0_rad, kx_rad, polarization)
+    q_amb, q_sub = q[0], q[-1]
 
     R = np.abs(r) ** 2
     T = np.real(q_sub) / np.real(q_amb) * np.abs(t) ** 2
@@ -270,12 +321,8 @@ def stack_response(stack, k, angle=0.0, polarization="s"):
     _check_angle(angle)
     if polarization not in POLARIZATIONS:
         raise DomainError(f"polarization must be one of {POLARIZATIONS}")
-    if polarization == "unpolarized":
-        Ts, Rs = _single_pol_response(stack, k, angle, "s")
-        Tp, Rp = _single_pol_response(stack, k, angle, "p")
-        T, R = 0.5 * (Ts + Tp), 0.5 * (Rs + Rp)
-    else:
-        T, R = _single_pol_response(stack, k, angle, polarization)
+    k = np.atleast_1d(np.asarray(k, dtype=float))
+    T, R = _response(stack, _media(stack, k), k, angle, polarization)
     return T, R, 1.0 - T - R
 
 
@@ -306,37 +353,35 @@ def divergence_nodes(angle, sigma, n_nodes=11):
     return thetas, weights / weights.sum()
 
 
-def _averaged_spectrum(stack, k, angle, polarization, divergence, n_nodes):
-    thetas, weights = divergence_nodes(angle, divergence, n_nodes)
-    T = np.zeros_like(k)
-    R = np.zeros_like(k)
-    for theta, w in zip(thetas, weights):
-        Ti, Ri, _ = stack_response(stack, k, theta, polarization)
-        T += w * Ti
-        R += w * Ri
-    return Spectrum(k=k, T=T, R=R, A=1.0 - T - R, angle=angle, polarization=polarization)
-
-
 def angle_scan(stack, grid, angles, polarization="s", divergence=0.0, n_nodes=11):
     """Spectra over a list of angles, optionally averaged over a Gaussian
     angular spread of half-width `divergence` degrees (one sigma).
 
-    Worker threads are capped by the VIBROPOL_THREADS environment
-    variable (default 1); results are ordered like `angles` either way.
+    The permittivities are evaluated once for the whole scan; each angle,
+    or each divergence node, is then one pass of the stack recursion over
+    the grid.  Results are ordered like `angles`.
     """
     k = grid.points if isinstance(grid, SpectralGrid) else np.asarray(grid, dtype=float)
+    k = np.atleast_1d(k)
     angles = [float(a) for a in angles]
     for a in angles:
         _check_angle(a)
+    if polarization not in POLARIZATIONS:
+        raise DomainError(f"polarization must be one of {POLARIZATIONS}")
+    eps = _media(stack, k)
 
-    def run(angle):
+    scans = []
+    for angle in angles:
         if divergence > 0.0:
-            return _averaged_spectrum(stack, k, angle, polarization, divergence, n_nodes)
-        T, R, A = stack_response(stack, k, angle, polarization)
-        return Spectrum(k=k, T=T, R=R, A=A, angle=angle, polarization=polarization)
-
-    workers = min(_thread_count(), max(1, len(angles)))
-    if workers == 1:
-        return [run(a) for a in angles]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(run, angles))
+            thetas, weights = divergence_nodes(angle, divergence, n_nodes)
+            T = np.zeros_like(k)
+            R = np.zeros_like(k)
+            for theta, w in zip(thetas, weights):
+                Ti, Ri = _response(stack, eps, k, theta, polarization)
+                T += w * Ti
+                R += w * Ri
+        else:
+            T, R = _response(stack, eps, k, angle, polarization)
+        scans.append(Spectrum(k=k, T=T, R=R, A=1.0 - T - R, angle=angle,
+                              polarization=polarization))
+    return scans

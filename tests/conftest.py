@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from vibropol import (
     ConstantMedium,
@@ -121,3 +122,45 @@ def local_maxima(z, intensity, z_lo, z_hi):
     yi = intensity[mask]
     hit = (yi[1:-1] > yi[:-2]) & (yi[1:-1] > yi[2:])
     return zi[1:-1][hit], yi[1:-1][hit]
+
+
+# Hard regimes for the stack solver: micrometre-thick lossy layers,
+# epsilon-near-zero media, low-index layers and substrates under a dense
+# ambient (evanescent waves and total internal reflection) and angles up
+# to 89.9 degrees.
+THICK_GOLD_NM = 20000.0
+
+
+@st.composite
+def hard_media(draw):
+    kind = draw(st.sampled_from(["thick_lossy", "gold", "enz", "low_index", "dielectric"]))
+    if kind == "thick_lossy":
+        eps = ConstantMedium(eps=complex(draw(st.floats(-50.0, 20.0)), draw(st.floats(0.5, 60.0))))
+        return eps, draw(st.floats(2000.0, 100000.0))
+    if kind == "gold":
+        return gold(draw(st.floats(1.0, 4.0))), draw(st.floats(5.0, 50000.0))
+    if kind == "enz":
+        eps = complex(draw(st.floats(-0.02, 0.02)), draw(st.floats(1e-6, 0.02)))
+        return ConstantMedium(eps=eps), draw(st.floats(5.0, 5000.0))
+    if kind == "low_index":
+        return ConstantMedium(eps=draw(st.floats(1.0, 2.0))), draw(st.floats(5.0, 20000.0))
+    return ConstantMedium(eps=draw(st.floats(1.0, 18.0))), draw(st.floats(5.0, 5000.0))
+
+
+@st.composite
+def hard_stacks(draw, coherent=False):
+    """(stack, angle) in the hard regimes; the ambient is lossless."""
+    n_ambient = draw(st.floats(1.0, 4.0))
+    materials = {"sub": ConstantMedium(eps=draw(st.floats(1.0, 20.0)))}
+    layers = []
+    for i in range(draw(st.integers(0, 4))):
+        model, thickness = draw(hard_media())
+        materials[f"m{i}"] = model
+        layers.append(Layer(f"m{i}", thickness))
+    mode = "coherent" if coherent else draw(st.sampled_from(["coherent", "incoherent_to_air"]))
+    stack = LayerStack(
+        materials=materials, layers=tuple(layers), substrate="sub",
+        n_ambient=n_ambient, substrate_mode=mode,
+    )
+    angle = draw(st.one_of(st.floats(-89.9, 89.9), st.floats(85.0, 89.9)))
+    return stack, angle

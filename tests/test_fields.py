@@ -4,9 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from vibropol import (
     ConstantMedium,
+    DomainError,
     Layer,
     LayerStack,
     SpectralGrid,
@@ -14,11 +16,12 @@ from vibropol import (
     field_map,
     field_profile,
     find_peaks,
+    gold,
     spectrum_scan,
     stack_response,
 )
 
-from conftest import local_maxima
+from conftest import THICK_GOLD_NM, hard_stacks, local_maxima
 
 # first two cavity resonances of the uncoupled stack, frozen from the
 # transmission maxima on a 0.25 cm^-1 grid
@@ -157,17 +160,21 @@ def test_default_z_grid_span(coupled_stack):
     assert fine[1] - fine[0] == 2.0
 
 
-def test_field_map_rows_match_profiles(coupled_stack, monkeypatch):
+def test_field_map_rows_match_profiles(coupled_stack):
     grid = SpectralGrid(1700.0, 1760.0, 20.0)
     z = np.linspace(0.0, 1950.0, 60)
     fmap = field_map(coupled_stack, grid, z=z)
     for i, k in enumerate(fmap.k):
         prof = field_profile(coupled_stack, float(k), z=z)
         np.testing.assert_array_equal(fmap.intensity[i], prof.intensity)
-    # threading must not reorder or alter rows
-    monkeypatch.setenv("VIBROPOL_THREADS", "3")
-    threaded = field_map(coupled_stack, grid, z=z)
-    np.testing.assert_array_equal(threaded.intensity, fmap.intensity)
+
+
+def test_non_finite_z_rejected(coupled_stack):
+    for bad in (np.nan, np.inf):
+        with pytest.raises(DomainError, match="z samples must be finite"):
+            field_profile(coupled_stack, 1740.0, z=np.array([0.0, bad]))
+        with pytest.raises(DomainError, match="z samples must be finite"):
+            field_map(coupled_stack, SpectralGrid(1700.0, 1710.0, 5.0), z=np.array([bad]))
 
 
 def test_intensity_non_negative_everywhere(coupled_stack):
@@ -183,3 +190,48 @@ def test_spectrum_peaks_locate_modes(uncoupled_stack):
     centers = [p.center for p in peaks]
     assert min(abs(c - MODE1) for c in centers) < 0.5
     assert min(abs(c - MODE2) for c in centers) < 0.5
+
+
+@pytest.mark.parametrize("pol", ["s", "p", "unpolarized"])
+def test_thick_gold_fields_are_finite(pol):
+    # the scalar matrix march used to overflow to NaN inside 20 um of gold
+    stack = LayerStack(
+        materials={"gold": gold(), "germanium": ConstantMedium(eps=16.0)},
+        layers=(Layer("gold", THICK_GOLD_NM),), substrate="germanium",
+        substrate_mode="coherent",
+    )
+    z = np.concatenate([np.linspace(-300.0, THICK_GOLD_NM + 300.0, 401), [0.0, 5.0, 50.0]])
+    angle = 45.0
+    for k in (500.0, 1740.0, 7000.0):
+        T, R, _ = stack_response(stack, np.array([k]), angle, pol)
+        prof = field_profile(stack, k, z=z, angle=angle, polarization=pol)
+        assert np.all(np.isfinite(prof.intensity)) and np.all(np.isfinite(prof.poynting))
+        assert np.all(prof.intensity >= 0.0)
+        # all flux that is not reflected enters the gold and dies there
+        np.testing.assert_allclose(prof.poynting[z < 0.0], 1.0 - R[0], rtol=1e-6)
+        assert np.all(np.abs(prof.poynting[z > 10000.0]) <= 1e-12)
+        assert abs(T[0]) <= 1e-12
+    fmap = field_map(stack, SpectralGrid(500.0, 7000.0, 500.0), z=z, angle=angle,
+                     polarization=pol)
+    assert np.all(np.isfinite(fmap.intensity)) and np.all(fmap.intensity >= 0.0)
+    for i, k in enumerate(fmap.k):
+        prof = field_profile(stack, float(k), z=z, angle=angle, polarization=pol)
+        np.testing.assert_array_equal(fmap.intensity[i], prof.intensity)
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=hard_stacks(coherent=True), pol=st.sampled_from(["s", "p"]),
+       k=st.floats(400.0, 7400.0))
+def test_hard_regime_flux_matches_spectrum(case, pol, k):
+    # thick lossy layers, TIR, near-grazing and ENZ stacks: the fields stay
+    # finite, and the flux is 1 - R in the ambient and T in the substrate
+    stack, angle = case
+    faces = np.cumsum([0.0] + [ly.thickness for ly in stack.layers])
+    mids = 0.5 * (faces[:-1] + faces[1:])
+    z = np.concatenate([[-150.0, -1.0], mids, faces[-1:] + [0.0, 100.0]])
+    T, R, _ = stack_response(stack, np.array([k]), angle, pol)
+    prof = field_profile(stack, k, z=z, angle=angle, polarization=pol)
+    assert np.all(np.isfinite(prof.intensity)) and np.all(prof.intensity >= 0.0)
+    np.testing.assert_allclose(prof.poynting[:2], 1.0 - R[0], rtol=1e-6, atol=1e-12)
+    np.testing.assert_allclose(prof.poynting[-2:], T[0], rtol=1e-6, atol=1e-12)
+

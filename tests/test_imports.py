@@ -1,4 +1,5 @@
-"""Which modules the package loads: SciPy only once a fit runs."""
+"""Which modules the package loads: SciPy only once a fit runs, and no
+thread pool at all."""
 
 import json
 import os
@@ -20,6 +21,7 @@ def scipy_modules():
     return sorted(m for m in sys.modules if m.startswith("scipy"))
 
 after_import = scipy_modules()
+concurrent = sorted(m for m in sys.modules if m.split(".")[0] == "concurrent")
 stack = LayerStack(
     materials={"film": ConstantMedium(eps=2.25), "sub": ConstantMedium(eps=1.0)},
     layers=(Layer("film", 1000.0),),
@@ -34,7 +36,8 @@ problem = FitProblem(
     k=k, target=target,
 )
 solve(problem)
-print(json.dumps({"after_import": after_import, "after_solve": scipy_modules()}))
+print(json.dumps({"after_import": after_import, "after_solve": scipy_modules(),
+                  "concurrent": concurrent}))
 """
 
 
@@ -48,3 +51,4 @@ def test_cli_import_loads_no_scipy_until_a_fit_runs():
     loaded = json.loads(out.stdout.strip().splitlines()[-1])
     assert loaded["after_import"] == []
     assert "scipy.optimize" in loaded["after_solve"]
+    assert loaded["concurrent"] == []

@@ -77,6 +77,17 @@ class TestFindPeaks:
         with pytest.raises(DomainError):
             find_peaks(np.arange(10.0), np.arange(10.0), window=(5.0, 2.0))
 
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    @pytest.mark.parametrize("min_prominence", [None, 0.1])
+    def test_fewer_than_three_samples_raise(self, n, min_prominence):
+        # the default-prominence path used to reach values.max() on an
+        # empty array, while an explicit prominence returned []
+        k = 1500.0 + np.arange(float(n))
+        with pytest.raises(DomainError, match="fewer than 3 samples"):
+            find_peaks(k, np.ones(n), min_prominence=min_prominence)
+        with pytest.raises(DomainError, match="fewer than 3 samples"):
+            find_peaks(k, np.ones(n), min_prominence=min_prominence, window=(1000.0, 2000.0))
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_sample_raises(self, bad):
         k = np.arange(1500.0, 2000.0, 0.25)
