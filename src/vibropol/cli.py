@@ -20,7 +20,7 @@ from . import io as iomod
 from . import spectra as spectramod
 from .config import load_config, parse_grid_spec
 from .constants import cm1_to_mev
-from .errors import ConfigError, DomainError, FitError, PeakCountError, VibropolError
+from .errors import ConfigError, PeakCountError, VibropolError
 from .fields import default_z_grid, field_map
 from .polariton import estimate_report
 from .tmm import angle_scan, spectrum_scan
@@ -34,11 +34,8 @@ def _translate_errors(fn):
         except ConfigError as err:
             click.echo(f"config error: {err}", err=True)
             sys.exit(2)
-        except (DomainError, PeakCountError, FitError) as err:
-            click.echo(f"physics error: {err}", err=True)
-            sys.exit(3)
         except VibropolError as err:
-            click.echo(f"error: {err}", err=True)
+            click.echo(f"physics error: {err}", err=True)
             sys.exit(3)
 
     return wrapper
@@ -55,39 +52,33 @@ def _peak_dict(peak):
     }
 
 
-def _splitting_dict(report):
+def _splitting_dict(lower, upper):
+    split = upper - lower
     return {
-        "channel": report.channel,
-        "omega_lower_cm1": round(report.omega_lower, 1),
-        "omega_upper_cm1": round(report.omega_upper, 1),
-        "splitting_cm1": round(report.splitting_cm1, 1),
-        "splitting_mev": round(report.splitting_mev, 2),
+        "omega_lower_cm1": round(lower, 1),
+        "omega_upper_cm1": round(upper, 1),
+        "splitting_cm1": round(split, 1),
+        "splitting_mev": round(cm1_to_mev(split), 2),
     }
 
 
 def _channel_analysis(spectrum, channel, window, min_prominence):
-    values = spectrum.channel(channel)
-    shown = values if channel != "R" else 1.0 - values
+    analyzed = channel if channel != "R" else "1-R"
     k = spectrum.k
     # peak search needs >= 3 samples; a sparser run still gets its CSV
     n_in = k.size if window is None else int(((k >= window[0]) & (k <= window[1])).sum())
     if n_in < 3:
-        return {"analyzed": channel if channel != "R" else "1-R", "peaks": [], "splitting": None}
-    peaks = spectramod.find_peaks(
-        spectrum.k, shown, min_prominence=min_prominence, window=window
-    )
-    block = {
-        "analyzed": channel if channel != "R" else "1-R",
-        "peaks": [_peak_dict(p) for p in peaks],
-    }
+        return {"analyzed": analyzed, "peaks": [], "splitting": None}
     try:
         rep = spectramod.extract_splitting(
             spectrum, channel, window=window, min_prominence=min_prominence
         )
-        block["splitting"] = _splitting_dict(rep)
-    except PeakCountError:
-        block["splitting"] = None
-    return block
+    except PeakCountError as err:
+        peaks, splitting = err.peaks, None
+    else:
+        peaks = rep.peaks
+        splitting = {"channel": channel, **_splitting_dict(rep.omega_lower, rep.omega_upper)}
+    return {"analyzed": analyzed, "peaks": [_peak_dict(p) for p in peaks], "splitting": splitting}
 
 
 def _emit_report(payload, out_dir, filename):
@@ -192,7 +183,6 @@ def field_map_cmd(config_path, out_dir, angle):
     cfg = load_config(config_path)
     stack = cfg.require_stack()
     settings = cfg.field_map
-    grid = settings.grid if settings.grid is not None else cfg.grid
     angle = settings.angle if angle is None else angle
     z = default_z_grid(
         stack,
@@ -200,7 +190,7 @@ def field_map_cmd(config_path, out_dir, angle):
         margin_ambient=settings.margin_ambient_nm,
         margin_substrate=settings.margin_substrate_nm,
     )
-    fmap = field_map(stack, grid, z=z, angle=angle, polarization=settings.polarization)
+    fmap = field_map(stack, settings.grid, z=z, angle=angle, polarization=settings.polarization)
     path = os.path.join(out_dir, "field_map.csv")
     iomod.write_field_map_csv(path, fmap)
     click.echo(path)
@@ -251,17 +241,9 @@ def analyze(csv_path, channel, window, min_prominence, out_dir):
     else:
         k, values = spectramod.load_measured(csv_path)
         peaks = spectramod.find_peaks(k, values, min_prominence=min_prominence, window=window)
-        block = {"analyzed": "value", "peaks": [_peak_dict(p) for p in peaks]}
+        block = {"analyzed": "value", "peaks": [_peak_dict(p) for p in peaks], "splitting": None}
         if len(peaks) == 2:
-            split = peaks[1].center - peaks[0].center
-            block["splitting"] = {
-                "omega_lower_cm1": round(peaks[0].center, 1),
-                "omega_upper_cm1": round(peaks[1].center, 1),
-                "splitting_cm1": round(split, 1),
-                "splitting_mev": round(cm1_to_mev(split), 2),
-            }
-        else:
-            block["splitting"] = None
+            block["splitting"] = _splitting_dict(peaks[0].center, peaks[1].center)
         payload["channels"] = {"value": block}
     _emit_report(payload, out_dir, "analysis.json")
 

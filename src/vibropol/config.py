@@ -190,7 +190,7 @@ class ScanSettings:
 
 @dataclass
 class FieldMapSettings:
-    grid: SpectralGrid | None = None
+    grid: SpectralGrid
     angle: float = 0.0
     polarization: str = "s"
     z_step: float = 10.0

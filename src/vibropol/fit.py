@@ -1,12 +1,17 @@
 """Least-squares fitting of stack parameters against measured spectra.
 
-Free parameters address pieces of a LayerStack through dotted paths:
+Free parameters address pieces of a LayerStack through dotted paths,
+and these five forms are the whole grammar:
 
     layers[1].thickness
     materials.pvac.eps_b
     materials.pvac.oscillators[0].f       (also .k0, .gamma)
     materials.gold.damping_multiplier     (also .omega_p, .f0, .gamma0)
     materials.window.eps                  (constant media, real part)
+
+Indices carry no leading zeros.  Properties and container fields, such
+as a metal's gamma_total or bound, are not paths, and a FitProblem
+rejects a path listed twice.
 
 Each path has box bounds; internally every parameter is scaled to [0, 1]
 by its bound width so the optimizer sees O(1) variables.  The model is
@@ -37,63 +42,86 @@ __all__ = [
     "solve",
 ]
 
-_LAYER_RE = re.compile(r"^layers\[(\d+)\]\.thickness$")
+# indices are written without leading zeros, so that equal parameters
+# have equal path strings
+_INDEX = r"\[(0|[1-9]\d*)\]"
+_LAYER_RE = re.compile(rf"^layers{_INDEX}\.thickness$")
 _MAT_FIELD_RE = re.compile(r"^materials\.([A-Za-z_]\w*)\.([A-Za-z_]\w*)$")
-_OSC_RE = re.compile(r"^materials\.([A-Za-z_]\w*)\.oscillators\[(\d+)\]\.(f|k0|gamma)$")
+_OSC_RE = re.compile(rf"^materials\.([A-Za-z_]\w*)\.oscillators{_INDEX}\.(f|k0|gamma)$")
 
-_METAL_FIELDS = ("omega_p", "f0", "gamma0", "damping_multiplier")
+# material fields that dataclasses.replace sets directly
+_FIELDS = {
+    LorentzMedium: ("eps_b",),
+    DrudeLorentzMetal: ("omega_p", "f0", "gamma0", "damping_multiplier"),
+}
 
 
-def _set_material(stack, name, build):
+def _locate(stack, path):
+    """Resolve one parameter path against a stack.
+
+    Returns (value, put): the value behind the path, and put(stack, v),
+    which returns a copy of the stack with that value replaced.  Raises
+    DomainError for a path outside the grammar of the module docstring or
+    one the stack does not hold."""
+    m = _LAYER_RE.match(path)
+    if m:
+        i = int(m.group(1))
+        if i >= len(stack.layers):
+            raise DomainError(f"layer index out of range in {path!r}")
+
+        def put(s, v):
+            layers = list(s.layers)
+            layers[i] = replace(layers[i], thickness=v)
+            return replace(s, layers=tuple(layers))
+
+        return stack.layers[i].thickness, put
+
+    m = _OSC_RE.match(path) or _MAT_FIELD_RE.match(path)
+    if m is None:
+        raise DomainError(f"unrecognized parameter path {path!r}")
+    name, fld = m.group(1), m.groups()[-1]
     if name not in stack.materials:
         raise DomainError(f"unknown material {name!r} in parameter path")
-    mats = dict(stack.materials)
-    mats[name] = build(mats[name])
-    return replace(stack, materials=mats)
+    mat = stack.materials[name]
+    if m.re is _OSC_RE:
+        j = int(m.group(2))
+        if not isinstance(mat, LorentzMedium) or j >= len(mat.oscillators):
+            raise DomainError(f"{path!r} does not address a Lorentz oscillator")
+        value = getattr(mat.oscillators[j], fld)
+
+        def rebuild(mat, v):
+            osc = list(mat.oscillators)
+            osc[j] = replace(osc[j], **{fld: v})
+            return replace(mat, oscillators=tuple(osc))
+
+    elif isinstance(mat, ConstantMedium) and fld == "eps":
+        value = mat.eps.real
+
+        def rebuild(mat, v):
+            return ConstantMedium(complex(v, mat.eps.imag))
+
+    elif fld in _FIELDS.get(type(mat), ()):
+        value = getattr(mat, fld)
+
+        def rebuild(mat, v):
+            return replace(mat, **{fld: v})
+
+    else:
+        raise DomainError(f"{path!r} does not address a fittable field")
+
+    def put(s, v):
+        mats = dict(s.materials)
+        mats[name] = rebuild(mats[name], v)
+        return replace(s, materials=mats)
+
+    return value, put
 
 
 def apply_params(stack, updates):
     """New LayerStack with the path -> value updates applied."""
     for path, value in updates.items():
-        value = float(value)
-        m = _LAYER_RE.match(path)
-        if m:
-            i = int(m.group(1))
-            if i >= len(stack.layers):
-                raise DomainError(f"layer index out of range in {path!r}")
-            layers = list(stack.layers)
-            layers[i] = replace(layers[i], thickness=value)
-            stack = replace(stack, layers=tuple(layers))
-            continue
-        m = _OSC_RE.match(path)
-        if m:
-            name, j, fld = m.group(1), int(m.group(2)), m.group(3)
-
-            def build(mat, j=j, fld=fld, path=path):
-                if not isinstance(mat, LorentzMedium) or j >= len(mat.oscillators):
-                    raise DomainError(f"{path!r} does not address a Lorentz oscillator")
-                osc = list(mat.oscillators)
-                osc[j] = replace(osc[j], **{fld: value})
-                return replace(mat, oscillators=tuple(osc))
-
-            stack = _set_material(stack, name, build)
-            continue
-        m = _MAT_FIELD_RE.match(path)
-        if m:
-            name, fld = m.group(1), m.group(2)
-
-            def build(mat, fld=fld, path=path):
-                if isinstance(mat, LorentzMedium) and fld == "eps_b":
-                    return replace(mat, eps_b=value)
-                if isinstance(mat, ConstantMedium) and fld == "eps":
-                    return ConstantMedium(complex(value, mat.eps.imag))
-                if isinstance(mat, DrudeLorentzMetal) and fld in _METAL_FIELDS:
-                    return replace(mat, **{fld: value})
-                raise DomainError(f"{path!r} does not address a fittable field")
-
-            stack = _set_material(stack, name, build)
-            continue
-        raise DomainError(f"unrecognized parameter path {path!r}")
+        _, put = _locate(stack, path)
+        stack = put(stack, float(value))
     return stack
 
 
@@ -135,8 +163,12 @@ class FitProblem:
             raise DomainError("target wavenumbers must be positive and increasing")
         if self.channel not in ("T", "R", "A"):
             raise DomainError("fit channel must be T, R or A")
-        # apply with the template's own values to validate every path early
-        apply_params(self.stack, {p.path: _read_path(self.stack, p.path) for p in self.free})
+        seen = set()
+        for p in self.free:
+            if p.path in seen:
+                raise DomainError(f"free parameter path {p.path!r} is listed more than once")
+            seen.add(p.path)
+            _locate(self.stack, p.path)
         if self.weights is not None:
             self.weights = np.asarray(self.weights, dtype=float)
             if self.weights.shape != self.k.shape:
@@ -147,35 +179,6 @@ class FitProblem:
         if values.shape != (len(self.free),):
             raise DomainError("expected one value per free parameter")
         return {p.path: float(v) for p, v in zip(self.free, values)}
-
-
-def _read_path(stack, path):
-    """Current value behind a parameter path (used for seeding and path
-    validation)."""
-    m = _LAYER_RE.match(path)
-    if m:
-        i = int(m.group(1))
-        if i >= len(stack.layers):
-            raise DomainError(f"layer index out of range in {path!r}")
-        return stack.layers[i].thickness
-    m = _OSC_RE.match(path)
-    if m:
-        name, j, fld = m.group(1), int(m.group(2)), m.group(3)
-        mat = stack.materials.get(name)
-        if not isinstance(mat, LorentzMedium) or j >= len(mat.oscillators):
-            raise DomainError(f"{path!r} does not address a Lorentz oscillator")
-        return getattr(mat.oscillators[j], fld)
-    m = _MAT_FIELD_RE.match(path)
-    if m:
-        name, fld = m.group(1), m.group(2)
-        mat = stack.materials.get(name)
-        if mat is None:
-            raise DomainError(f"unknown material in {path!r}")
-        if isinstance(mat, ConstantMedium) and fld == "eps":
-            return mat.eps.real
-        if isinstance(mat, (LorentzMedium, DrudeLorentzMetal)) and hasattr(mat, fld):
-            return getattr(mat, fld)
-    raise DomainError(f"unrecognized parameter path {path!r}")
 
 
 def model_values(problem, values):
@@ -258,7 +261,7 @@ def solve(problem, n_starts=1, seed=0, max_nfev=2000):
     def fun(x):
         return residual_vector(problem, to_physical(x))
 
-    template = np.array([_read_path(problem.stack, p.path) for p in problem.free])
+    template = np.array([_locate(problem.stack, p.path)[0] for p in problem.free])
     x0_template = np.clip((template - lower) / width, 0.0, 1.0)
     initial_residuals = fun(x0_template)
     initial_loss = float(initial_residuals @ initial_residuals)

@@ -15,7 +15,7 @@ import numpy as np
 
 from .constants import cm1_to_mev
 from .errors import DomainError, FitError, PeakCountError
-from .polariton import AnticrossingCurve, coupled_frequencies, fp_mode_estimate
+from .polariton import AnticrossingCurve, anticrossing_dispersion
 
 __all__ = [
     "Peak",
@@ -354,16 +354,6 @@ class CoupledFitResult:
     success: bool
 
 
-def _coupled_branches(angles, omega_v, n_eff, thickness_nm, splitting, order, n_ambient):
-    up = np.empty(len(angles))
-    lp = np.empty(len(angles))
-    for i, a in enumerate(angles):
-        wc = fp_mode_estimate(n_eff, thickness_nm, order, a, n_ambient)
-        res = coupled_frequencies(wc, omega_v, splitting, model="rwa")
-        up[i], lp[i] = res.omega_upper, res.omega_lower
-    return up, lp
-
-
 def fit_coupled_model(table, order=1, n_ambient=1.0, x0=None, max_nfev=2000):
     """Fit (omega_v, n_eff, d, Omega_R) of the coupled-mode dispersion to
     a measured DispersionTable; both branches enter the residual."""
@@ -385,8 +375,8 @@ def fit_coupled_model(table, order=1, n_ambient=1.0, x0=None, max_nfev=2000):
 
     def residual(p):
         omega_v, n_eff, d, split = p
-        mu, ml = _coupled_branches(angles, omega_v, n_eff, d, split, order, n_ambient)
-        return np.concatenate([mu - up, ml - lp])
+        curve = anticrossing_dispersion(omega_v, split, n_eff, d, angles, order, n_ambient)
+        return np.concatenate([curve.upper - up, curve.lower - lp])
 
     import scipy.optimize
 

@@ -452,6 +452,19 @@ class TestFitCommand:
         )
         assert result.exit_code == 2
 
+    def test_duplicate_free_path_exits_2(self, runner, tmp_path):
+        target = make_target_csv(tmp_path)
+        raw = yaml.safe_load(BASE_CONFIG)
+        entry = {"path": "layers[1].thickness", "lower": 1800.0, "upper": 2200.0}
+        raw["fit"] = {"free": [entry, dict(entry)]}
+        cfg = write_config(tmp_path, yaml.safe_dump(raw))
+        result = runner.invoke(
+            main,
+            ["fit", "--config", cfg, "--out-dir", str(tmp_path), "--target", target],
+        )
+        assert result.exit_code == 2
+        assert "layers[1].thickness" in result.output
+
     def test_nan_target_exits_3(self, runner, tmp_path):
         path = tmp_path / "target.csv"
         path.write_text("1600.0,0.1\n1700.0,nan\n1800.0,0.1\n1900.0,0.2\n")

@@ -19,6 +19,7 @@ from vibropol import (
     residual_vector,
     solve,
 )
+from vibropol.fit import _locate
 
 from conftest import make_stack, CO_BAND
 
@@ -70,10 +71,13 @@ class TestApplyParams:
             substrate="sub",
             substrate_mode="coherent",
         )
+        assert _locate(stack, "materials.film.eps")[0] == 4.0
         new = apply_params(stack, {"materials.film.eps": 9.0})
         assert new.materials["film"].eps == complex(9.0, 0.5)
+        assert _locate(new, "materials.film.eps")[0] == 9.0
 
     def test_rejected_paths(self, coupled_stack):
+        k = np.arange(1600.0, 1900.0, 2.0)
         bad = [
             "layers[9].thickness",
             "materials.pvac.oscillators[5].f",
@@ -82,10 +86,46 @@ class TestApplyParams:
             "materials.pvac.nonsense",
             "layers[1].wat",
             "thickness",
+            # attributes that are not parameters: a property, containers
+            # and a method
+            "materials.gold.gamma_total",
+            "materials.pvac.oscillators",
+            "materials.gold.bound",
+            "materials.pvac.epsilon",
+            # an index with a leading zero would alias layers[1]
+            "layers[01].thickness",
         ]
         for path in bad:
             with pytest.raises(DomainError):
                 apply_params(coupled_stack, {path: 1.0})
+            with pytest.raises(DomainError):
+                FitProblem(
+                    stack=coupled_stack,
+                    free=(FreeParameter(path, 0.5, 2.0),),
+                    k=k,
+                    target=np.zeros_like(k),
+                )
+
+    @pytest.mark.parametrize(
+        "path, value",
+        [
+            ("layers[1].thickness", 2000.0),
+            ("materials.pvac.oscillators[0].f", 6.0e4),
+            ("materials.pvac.oscillators[0].k0", 1700.0),
+            ("materials.pvac.oscillators[0].gamma", 20.0),
+            ("materials.pvac.eps_b", 2.25),
+            ("materials.gold.omega_p", 8.5),
+            ("materials.gold.f0", 0.7),
+            ("materials.gold.gamma0", 0.06),
+            ("materials.gold.damping_multiplier", 3.0),
+        ],
+    )
+    def test_read_after_write(self, coupled_stack, path, value):
+        before, _ = _locate(coupled_stack, path)
+        assert before != value
+        new = apply_params(coupled_stack, {path: value})
+        assert _locate(new, path)[0] == value
+        assert _locate(coupled_stack, path)[0] == before
 
 
 class TestProblem:
@@ -98,6 +138,16 @@ class TestProblem:
                 k=k,
                 target=np.zeros_like(k),
             )
+
+    def test_duplicate_paths_rejected(self, coupled_stack):
+        k = np.arange(1600.0, 1900.0, 2.0)
+        free = (
+            FreeParameter("layers[1].thickness", 1500.0, 2500.0),
+            FreeParameter("materials.pvac.eps_b", 1.5, 2.5),
+            FreeParameter("layers[1].thickness", 1800.0, 2000.0),
+        )
+        with pytest.raises(DomainError, match=r"'layers\[1\]\.thickness'"):
+            FitProblem(stack=coupled_stack, free=free, k=k, target=np.zeros_like(k))
 
     def test_grid_and_channel_validation(self, coupled_stack):
         k = np.arange(1600.0, 1900.0, 2.0)
