@@ -18,12 +18,12 @@ import numpy as np
 from . import fit as fitmod
 from . import io as iomod
 from . import spectra as spectramod
-from .config import load_config, parse_grid_spec
+from .config import ScanSettings, load_config, override, parse_grid_spec
 from .constants import cm1_to_mev
-from .errors import ConfigError, PeakCountError, VibropolError
+from .errors import ConfigError, VibropolError
 from .fields import default_z_grid, field_map
 from .polariton import estimate_report
-from .tmm import angle_scan, spectrum_scan
+from .tmm import angle_scan
 
 
 def _translate_errors(fn):
@@ -52,33 +52,38 @@ def _peak_dict(peak):
     }
 
 
-def _splitting_dict(lower, upper):
-    split = upper - lower
-    return {
-        "omega_lower_cm1": round(lower, 1),
-        "omega_upper_cm1": round(upper, 1),
-        "splitting_cm1": round(split, 1),
-        "splitting_mev": round(cm1_to_mev(split), 2),
-    }
-
-
-def _channel_analysis(spectrum, channel, window, min_prominence):
-    analyzed = channel if channel != "R" else "1-R"
-    k = spectrum.k
+def _channel_analysis(k, values, window, min_prominence, channel=None):
+    """Peaks of one channel and, when there are exactly two, their
+    splitting.  `channel` names a channel of a native spectrum (R is
+    analyzed as its dips, 1 - R); None marks the value column of a
+    two-column file."""
+    if channel == "R":
+        values = 1.0 - values
+    analyzed = "value" if channel is None else "1-R" if channel == "R" else channel
     # peak search needs >= 3 samples; a sparser run still gets its CSV
     n_in = k.size if window is None else int(((k >= window[0]) & (k <= window[1])).sum())
     if n_in < 3:
         return {"analyzed": analyzed, "peaks": [], "splitting": None}
-    try:
-        rep = spectramod.extract_splitting(
-            spectrum, channel, window=window, min_prominence=min_prominence
-        )
-    except PeakCountError as err:
-        peaks, splitting = err.peaks, None
-    else:
-        peaks = rep.peaks
-        splitting = {"channel": channel, **_splitting_dict(rep.omega_lower, rep.omega_upper)}
+    peaks = spectramod.find_peaks(k, values, min_prominence=min_prominence, window=window)
+    splitting = None
+    if len(peaks) == 2:
+        lower, upper = peaks[0].center, peaks[1].center
+        splitting = {
+            "omega_lower_cm1": round(lower, 1),
+            "omega_upper_cm1": round(upper, 1),
+            "splitting_cm1": round(upper - lower, 1),
+            "splitting_mev": round(cm1_to_mev(upper - lower), 2),
+        }
+        if channel is not None:
+            splitting["channel"] = channel
     return {"analyzed": analyzed, "peaks": [_peak_dict(p) for p in peaks], "splitting": splitting}
+
+
+def _spectrum_analysis(spectrum, window, min_prominence):
+    return {
+        ch: _channel_analysis(spectrum.k, spectrum.channel(ch), window, min_prominence, ch)
+        for ch in ("T", "R", "A")
+    }
 
 
 def _emit_report(payload, out_dir, filename):
@@ -120,27 +125,18 @@ def simulate(config_path, out_dir, angle, grid_spec, polarization, divergence):
     cfg = load_config(config_path)
     stack = cfg.require_stack()
     grid = parse_grid_spec(grid_spec) if grid_spec else cfg.grid
-    angle = cfg.scan.angle if angle is None else angle
-    polarization = polarization or cfg.scan.polarization
-    divergence = cfg.scan.divergence if divergence is None else divergence
-    if divergence < 0:
-        raise ConfigError("--divergence must be >= 0")
-
-    if divergence > 0:
-        spectrum = angle_scan(stack, grid, [angle], polarization, divergence=divergence)[0]
-    else:
-        spectrum = spectrum_scan(stack, grid, angle, polarization)
+    scan = override(cfg.scan, "scan", angle=angle, polarization=polarization,
+                    divergence=divergence)
+    spectrum = angle_scan(stack, grid, [scan.angle], scan.polarization,
+                          divergence=scan.divergence)[0]
 
     iomod.write_spectrum_csv(os.path.join(out_dir, "spectrum.csv"), spectrum)
     summary = {
-        "angle_deg": angle,
-        "polarization": polarization,
-        "divergence_deg": divergence,
+        "angle_deg": scan.angle,
+        "polarization": scan.polarization,
+        "divergence_deg": scan.divergence,
         "grid": {"min": grid.k_min, "max": grid.k_max, "step": grid.step},
-        "channels": {
-            ch: _channel_analysis(spectrum, ch, cfg.scan.window, cfg.scan.min_prominence)
-            for ch in ("T", "R", "A")
-        },
+        "channels": _spectrum_analysis(spectrum, scan.window, scan.min_prominence),
     }
     iomod.write_json(os.path.join(out_dir, "summary.json"), summary)
     click.echo(os.path.join(out_dir, "spectrum.csv"))
@@ -182,15 +178,15 @@ def field_map_cmd(config_path, out_dir, angle):
     """|E(z, k)|^2 across the stack over a wavenumber grid."""
     cfg = load_config(config_path)
     stack = cfg.require_stack()
-    settings = cfg.field_map
-    angle = settings.angle if angle is None else angle
+    settings = override(cfg.field_map, "field_map", angle=angle)
     z = default_z_grid(
         stack,
         z_step=settings.z_step,
         margin_ambient=settings.margin_ambient_nm,
         margin_substrate=settings.margin_substrate_nm,
     )
-    fmap = field_map(stack, settings.grid, z=z, angle=angle, polarization=settings.polarization)
+    fmap = field_map(stack, settings.grid, z=z, angle=settings.angle,
+                     polarization=settings.polarization)
     path = os.path.join(out_dir, "field_map.csv")
     iomod.write_field_map_csv(path, fmap)
     click.echo(path)
@@ -215,9 +211,10 @@ def analyze(csv_path, channel, window, min_prominence, out_dir):
         if len(parts) != 2:
             raise ConfigError("--window must look like lo:hi")
         try:
-            window = (float(parts[0]), float(parts[1]))
+            window = [float(parts[0]), float(parts[1])]
         except ValueError:
             raise ConfigError("--window must be numeric lo:hi") from None
+    settings = override(ScanSettings(), "analyze", window=window, min_prominence=min_prominence)
 
     native = False
     with open(csv_path, "r", encoding="utf-8") as fh:
@@ -233,18 +230,15 @@ def analyze(csv_path, channel, window, min_prominence, out_dir):
         spectrum = iomod.read_spectrum_csv(csv_path)
         payload["angle_deg"] = spectrum.angle
         payload["polarization"] = spectrum.polarization
-        payload["channels"] = {
-            ch: _channel_analysis(spectrum, ch, window, min_prominence)
-            for ch in ("T", "R", "A")
-        }
+        payload["channels"] = _spectrum_analysis(
+            spectrum, settings.window, settings.min_prominence
+        )
         payload["channel_requested"] = channel
     else:
         k, values = spectramod.load_measured(csv_path)
-        peaks = spectramod.find_peaks(k, values, min_prominence=min_prominence, window=window)
-        block = {"analyzed": "value", "peaks": [_peak_dict(p) for p in peaks], "splitting": None}
-        if len(peaks) == 2:
-            block["splitting"] = _splitting_dict(peaks[0].center, peaks[1].center)
-        payload["channels"] = {"value": block}
+        payload["channels"] = {
+            "value": _channel_analysis(k, values, settings.window, settings.min_prominence)
+        }
     _emit_report(payload, out_dir, "analysis.json")
 
 

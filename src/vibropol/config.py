@@ -21,171 +21,132 @@ A config file looks like
       substrate_mode: incoherent_to_air
     grid: {min: 400.0, max: 7400.0, step: 1.0}
 
-plus optional `scan`, `field_map`, `estimate` and `fit` sections.  Any
-structural or value problem raises ConfigError naming the offending key.
+plus optional `scan`, `field_map`, `estimate` and `fit` sections; a
+section set to null counts as absent.
+
+Every mapping below the top level is read by one reader, `_read`,
+straight from the fields of the dataclass it builds: each field is a
+key (`_KEYS` renames the few that differ), a field without a default is
+required, a field whose default is None may be null, a float must be a
+finite number, an int or a string must have that type (a bool is not an
+int), lists and nested mappings are read item by item, and any other
+key is an error.  The dataclasses check their own values; a DomainError
+they raise becomes a ConfigError prefixed with the key path, as does
+every structural problem.  `config_to_dict` is the reader's inverse: it
+returns the canonical mapping of a Config, every default filled in.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+import math
+import types
+import typing
+from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 
-import numpy as np
 import yaml
 
 from .errors import ConfigError, DomainError
 from .fit import FitProblem, FreeParameter
-from .materials import (
-    BoundTransition,
-    ConstantMedium,
-    DrudeLorentzMetal,
-    LorentzMedium,
-    LorentzOscillator,
-)
+from .materials import ConstantMedium, DrudeLorentzMetal, LorentzMedium
 from .polariton import CavityMode, VibrationalMode
-from .tmm import Layer, LayerStack, SpectralGrid
+from .tmm import POLARIZATIONS, LayerStack, SpectralGrid
 
-__all__ = ["Config", "load_config", "parse_config", "config_to_dict", "parse_grid_spec"]
+__all__ = [
+    "Config",
+    "load_config",
+    "parse_config",
+    "config_to_dict",
+    "parse_grid_spec",
+    "override",
+]
 
 DEFAULT_GRID = SpectralGrid(400.0, 7400.0, 1.0)
+CHANNELS = ("T", "R", "A")
+_SECTIONS = ("materials", "stack", "grid", "scan", "field_map", "estimate", "fit")
+
+# dataclass field -> config key, where the two differ
+_KEYS = {
+    "k_min": "min",
+    "k_max": "max",
+    "n_ambient": "ambient_index",
+    "temperature_k": "temperature_K",
+    "density": "bond_density",
+}
 
 
-def _require(mapping, key, where):
-    if not isinstance(mapping, dict):
-        raise ConfigError(f"{where}: expected a mapping")
-    if key not in mapping:
-        raise ConfigError(f"{where}: missing required key {key!r}")
-    return mapping[key]
+def _one_of(value, name, allowed):
+    if value not in allowed:
+        raise DomainError(f"{name} must be {', '.join(allowed[:-1])} or {allowed[-1]}")
 
 
-def _number(value, where, allow_none=False):
-    if value is None and allow_none:
-        return None
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{where}: expected a number, got {value!r}")
-    return float(value)
+@dataclass(frozen=True)
+class _Constant:
+    """Keys of `model: constant`; the medium holds them as one complex eps."""
+
+    eps: float
+    eps_imag: float = 0.0
 
 
-def _build_material(name, spec):
-    where = f"materials.{name}"
-    model = _require(spec, "model", where)
-    try:
-        if model == "constant":
-            return ConstantMedium(
-                complex(
-                    _number(_require(spec, "eps", where), where + ".eps"),
-                    _number(spec.get("eps_imag", 0.0), where + ".eps_imag"),
-                )
-            )
-        if model == "lorentz":
-            oscillators = []
-            for i, osc in enumerate(spec.get("oscillators", [])):
-                w = f"{where}.oscillators[{i}]"
-                oscillators.append(
-                    LorentzOscillator(
-                        f=_number(_require(osc, "f", w), w + ".f"),
-                        k0=_number(_require(osc, "k0", w), w + ".k0"),
-                        gamma=_number(_require(osc, "gamma", w), w + ".gamma"),
-                    )
-                )
-            return LorentzMedium(
-                eps_b=_number(_require(spec, "eps_b", where), where + ".eps_b"),
-                oscillators=tuple(oscillators),
-            )
-        if model == "drude_lorentz":
-            kwargs = {}
-            for key in ("omega_p", "f0", "gamma0", "damping_multiplier"):
-                if key in spec:
-                    kwargs[key] = _number(spec[key], f"{where}.{key}")
-            if "bound" in spec:
-                bound = []
-                for i, tr in enumerate(spec["bound"]):
-                    w = f"{where}.bound[{i}]"
-                    bound.append(
-                        BoundTransition(
-                            f=_number(_require(tr, "f", w), w + ".f"),
-                            gamma=_number(_require(tr, "gamma", w), w + ".gamma"),
-                            omega0=_number(_require(tr, "omega0", w), w + ".omega0"),
-                        )
-                    )
-                kwargs["bound"] = tuple(bound)
-            return DrudeLorentzMetal(**kwargs)
-    except DomainError as err:
-        raise ConfigError(f"{where}: {err}") from err
-    raise ConfigError(f"{where}: unknown model {model!r}")
+# material model key -> the dataclass its other keys are read into
+_MODELS = {"constant": _Constant, "lorentz": LorentzMedium, "drude_lorentz": DrudeLorentzMetal}
 
 
-def _build_stack(raw, materials):
-    where = "stack"
-    layers = []
-    for i, ly in enumerate(_require(raw, "layers", where)):
-        w = f"{where}.layers[{i}]"
-        layers.append(
-            Layer(
-                material=str(_require(ly, "material", w)),
-                thickness=_number(_require(ly, "thickness", w), w + ".thickness"),
-            )
-        )
-    try:
-        return LayerStack(
-            materials=materials,
-            layers=tuple(layers),
-            substrate=str(_require(raw, "substrate", where)),
-            n_ambient=_number(raw.get("ambient_index", 1.0), where + ".ambient_index"),
-            substrate_mode=str(raw.get("substrate_mode", "coherent")),
-        )
-    except DomainError as err:
-        raise ConfigError(f"{where}: {err}") from err
+@dataclass(frozen=True)
+class _AngleRange:
+    """`scan.angles` written as {min, max, step}, expanded inclusively."""
+
+    min: float
+    max: float
+    step: float = 5.0
+
+    def __post_init__(self):
+        if not (self.step > 0 and self.min <= self.max):
+            raise DomainError("need min <= max and step > 0")
+
+    def angles(self):
+        n = math.floor((self.max - self.min) / self.step + 1e-9) + 1
+        return [self.min + i * self.step for i in range(n)]
 
 
-def _build_grid(raw, where="grid"):
-    try:
-        return SpectralGrid(
-            k_min=_number(_require(raw, "min", where), where + ".min"),
-            k_max=_number(_require(raw, "max", where), where + ".max"),
-            step=_number(raw.get("step", 1.0), where + ".step"),
-        )
-    except DomainError as err:
-        raise ConfigError(f"{where}: {err}") from err
+def _read_angles(value, where):
+    if isinstance(value, dict):
+        return _read(_AngleRange, value, where).angles()
+    return _value(list[float], value, where)
 
 
-def parse_grid_spec(text):
-    """min:max:step string (CLI --grid) to a SpectralGrid."""
-    parts = text.split(":")
-    if len(parts) != 3:
-        raise ConfigError(f"grid spec {text!r} must look like min:max:step")
-    try:
-        k_min, k_max, step = (float(p) for p in parts)
-    except ValueError:
-        raise ConfigError(f"grid spec {text!r} has non-numeric parts") from None
-    try:
-        return SpectralGrid(k_min, k_max, step)
-    except DomainError as err:
-        raise ConfigError(f"grid spec {text!r}: {err}") from err
+@dataclass(frozen=True)
+class _BondDensity:
+    """`estimate.bond_density`, handed on as the mapping estimate_report takes."""
+
+    mass_density_g_cm3: float
+    monomer_mass_g_mol: float
+    bonds_per_monomer: float = 1.0
 
 
-def _angles_list(raw, where):
-    if isinstance(raw, list):
-        return [_number(a, where) for a in raw]
-    if isinstance(raw, dict):
-        lo = _number(_require(raw, "min", where), where + ".min")
-        hi = _number(_require(raw, "max", where), where + ".max")
-        step = _number(raw.get("step", 5.0), where + ".step")
-        if step <= 0 or hi < lo:
-            raise ConfigError(f"{where}: need min <= max and step > 0")
-        n = int(np.floor((hi - lo) / step + 1e-9)) + 1
-        return [lo + i * step for i in range(n)]
-    raise ConfigError(f"{where}: expected a list or a min/max/step mapping")
+def _read_bond_density(value, where):
+    return asdict(_read(_BondDensity, value, where))
 
 
 @dataclass
 class ScanSettings:
     angle: float = 0.0
     polarization: str = "s"
-    angles: list = field(default_factory=list)
+    angles: list[float] = field(default_factory=list, metadata={"read": _read_angles})
     divergence: float = 0.0
     channel: str = "T"
-    window: tuple | None = None
+    window: tuple[float, ...] | None = None
     min_prominence: float | None = None
+
+    def __post_init__(self):
+        _one_of(self.polarization, "polarization", POLARIZATIONS)
+        _one_of(self.channel, "channel", CHANNELS)
+        if not self.divergence >= 0:
+            raise DomainError("divergence must be >= 0 degrees")
+        if self.window is not None and not (
+            len(self.window) == 2 and self.window[0] < self.window[1]
+        ):
+            raise DomainError("window must be [lo, hi] with lo < hi")
 
 
 @dataclass
@@ -197,15 +158,22 @@ class FieldMapSettings:
     margin_ambient_nm: float = 200.0
     margin_substrate_nm: float = 200.0
 
+    def __post_init__(self):
+        _one_of(self.polarization, "polarization", POLARIZATIONS)
+        if not self.z_step > 0:
+            raise DomainError("z_step must be positive")
+        if not (self.margin_ambient_nm >= 0 and self.margin_substrate_nm >= 0):
+            raise DomainError("margins must be non-negative")
+
 
 @dataclass
 class EstimateSettings:
     vibration: VibrationalMode
     cavity: CavityMode
     temperature_k: float = 300.0
-    density: dict | None = None
+    density: dict | None = field(default=None, metadata={"read": _read_bond_density})
     observed_splitting_mev: float | None = None
-    polariton_fwhm_mev: dict | None = None
+    polariton_fwhm_mev: dict[str, float] | None = None
 
 
 @dataclass
@@ -216,6 +184,14 @@ class FitSettings:
     polarization: str = "s"
     n_starts: int = 1
     seed: int = 0
+
+    def __post_init__(self):
+        if not self.free:
+            raise DomainError("free must list at least one parameter")
+        _one_of(self.channel, "channel", CHANNELS)
+        _one_of(self.polarization, "polarization", POLARIZATIONS)
+        if self.n_starts < 1:
+            raise DomainError("n_starts must be a positive integer")
 
 
 @dataclass
@@ -228,7 +204,6 @@ class Config:
     field_map: FieldMapSettings
     estimate: EstimateSettings | None
     fit: FitSettings | None
-    raw: dict
 
     def require_stack(self):
         if self.stack is None:
@@ -239,186 +214,159 @@ class Config:
         """Assemble a FitProblem against measured (k, target) data."""
         if self.fit is None:
             raise ConfigError("this command needs a 'fit' section")
-        try:
-            return FitProblem(
-                stack=self.require_stack(),
-                free=self.fit.free,
-                k=k,
-                target=target,
-                channel=self.fit.channel,
-                angle=self.fit.angle,
-                polarization=self.fit.polarization,
-            )
-        except DomainError as err:
-            raise ConfigError(f"fit: {err}") from err
+        return _build(
+            "fit",
+            FitProblem,
+            stack=self.require_stack(),
+            free=self.fit.free,
+            k=k,
+            target=target,
+            channel=self.fit.channel,
+            angle=self.fit.angle,
+            polarization=self.fit.polarization,
+        )
 
 
-def _parse_scan(raw):
-    settings = ScanSettings()
-    if raw is None:
-        return settings
-    settings.angle = _number(raw.get("angle", 0.0), "scan.angle")
-    settings.polarization = str(raw.get("polarization", "s"))
-    if settings.polarization not in ("s", "p", "unpolarized"):
-        raise ConfigError("scan.polarization must be s, p or unpolarized")
-    if "angles" in raw:
-        settings.angles = _angles_list(raw["angles"], "scan.angles")
-    settings.divergence = _number(raw.get("divergence", 0.0), "scan.divergence")
-    if settings.divergence < 0:
-        raise ConfigError("scan.divergence must be >= 0 degrees")
-    settings.channel = str(raw.get("channel", "T"))
-    if settings.channel not in ("T", "R", "A"):
-        raise ConfigError("scan.channel must be T, R or A")
-    if raw.get("window") is not None:
-        win = raw["window"]
-        if not (isinstance(win, list) and len(win) == 2):
-            raise ConfigError("scan.window must be [lo, hi]")
-        settings.window = (_number(win[0], "scan.window"), _number(win[1], "scan.window"))
-        if not settings.window[0] < settings.window[1]:
-            raise ConfigError("scan.window must satisfy lo < hi")
-    settings.min_prominence = _number(
-        raw.get("min_prominence"), "scan.min_prominence", allow_none=True
-    )
-    return settings
-
-
-def _parse_field_map(raw, default_grid):
-    settings = FieldMapSettings(grid=default_grid)
-    if raw is None:
-        return settings
-    if "grid" in raw:
-        settings.grid = _build_grid(raw["grid"], "field_map.grid")
-    settings.angle = _number(raw.get("angle", 0.0), "field_map.angle")
-    settings.polarization = str(raw.get("polarization", "s"))
-    if settings.polarization not in ("s", "p", "unpolarized"):
-        raise ConfigError("field_map.polarization must be s, p or unpolarized")
-    settings.z_step = _number(raw.get("z_step", 10.0), "field_map.z_step")
-    if settings.z_step <= 0:
-        raise ConfigError("field_map.z_step must be positive")
-    settings.margin_ambient_nm = _number(
-        raw.get("margin_ambient_nm", 200.0), "field_map.margin_ambient_nm"
-    )
-    settings.margin_substrate_nm = _number(
-        raw.get("margin_substrate_nm", 200.0), "field_map.margin_substrate_nm"
-    )
-    if settings.margin_ambient_nm < 0 or settings.margin_substrate_nm < 0:
-        raise ConfigError("field_map margins must be non-negative")
-    return settings
-
-
-def _parse_estimate(raw):
-    if raw is None:
-        return None
-    where = "estimate"
-    vib_raw = _require(raw, "vibration", where)
-    cav_raw = _require(raw, "cavity", where)
+def _build(where, cls, *args, **kwargs):
     try:
-        vibration = VibrationalMode(
-            omega_cm1=_number(_require(vib_raw, "omega_cm1", "estimate.vibration"),
-                              "estimate.vibration.omega_cm1"),
-            dipole_debye=_number(vib_raw.get("dipole_debye", 0.0), "estimate.vibration.dipole_debye"),
-            damping_fwhm_mev=_number(vib_raw.get("damping_fwhm_mev", 0.0),
-                                     "estimate.vibration.damping_fwhm_mev"),
-            reduced_mass_amu=_number(vib_raw.get("reduced_mass_amu"),
-                                     "estimate.vibration.reduced_mass_amu", allow_none=True),
-        )
-        cavity = CavityMode(
-            omega_cm1=_number(_require(cav_raw, "omega_cm1", "estimate.cavity"),
-                              "estimate.cavity.omega_cm1"),
-            kappa_fwhm_mev=_number(cav_raw.get("kappa_fwhm_mev", 0.0),
-                                   "estimate.cavity.kappa_fwhm_mev"),
-            background_index=_number(cav_raw.get("background_index", 1.41),
-                                     "estimate.cavity.background_index"),
-            mode_volume_m3=_number(cav_raw.get("mode_volume_m3"),
-                                   "estimate.cavity.mode_volume_m3", allow_none=True),
-        )
+        return cls(*args, **kwargs)
     except DomainError as err:
         raise ConfigError(f"{where}: {err}") from err
-    density = raw.get("bond_density")
-    if density is not None:
-        for key in ("mass_density_g_cm3", "monomer_mass_g_mol"):
-            _number(_require(density, key, "estimate.bond_density"), f"estimate.bond_density.{key}")
-    fwhm = raw.get("polariton_fwhm_mev")
-    if fwhm is not None:
-        fwhm = {str(kk): _number(vv, "estimate.polariton_fwhm_mev") for kk, vv in fwhm.items()}
-    return EstimateSettings(
-        vibration=vibration,
-        cavity=cavity,
-        temperature_k=_number(raw.get("temperature_K", 300.0), "estimate.temperature_K"),
-        density=density,
-        observed_splitting_mev=_number(raw.get("observed_splitting_mev"),
-                                       "estimate.observed_splitting_mev", allow_none=True),
-        polariton_fwhm_mev=fwhm,
-    )
 
 
-def _parse_fit(raw):
-    if raw is None:
-        return None
-    free = []
-    for i, par in enumerate(raw.get("free", [])):
-        w = f"fit.free[{i}]"
-        try:
-            free.append(
-                FreeParameter(
-                    path=str(_require(par, "path", w)),
-                    lower=_number(_require(par, "lower", w), w + ".lower"),
-                    upper=_number(_require(par, "upper", w), w + ".upper"),
-                )
-            )
-        except DomainError as err:
-            raise ConfigError(f"{w}: {err}") from err
-    if not free:
-        raise ConfigError("fit.free must list at least one parameter")
-    channel = str(raw.get("channel", "T"))
-    if channel not in ("T", "R", "A"):
-        raise ConfigError("fit.channel must be T, R or A")
-    polarization = str(raw.get("polarization", "s"))
-    if polarization not in ("s", "p", "unpolarized"):
-        raise ConfigError("fit.polarization must be s, p or unpolarized")
-    n_starts = raw.get("n_starts", 1)
-    seed = raw.get("seed", 0)
-    if not isinstance(n_starts, int) or n_starts < 1:
-        raise ConfigError("fit.n_starts must be a positive integer")
-    if not isinstance(seed, int):
-        raise ConfigError("fit.seed must be an integer")
-    return FitSettings(
-        free=tuple(free),
-        channel=channel,
-        angle=_number(raw.get("angle", 0.0), "fit.angle"),
-        polarization=polarization,
-        n_starts=n_starts,
-        seed=seed,
-    )
+def _mapping(raw, where):
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{where}: expected a mapping, got {raw!r}")
+    return raw
+
+
+def _reject_unknown(raw, where, allowed):
+    for key in raw:
+        if key not in allowed:
+            path = f"{where}.{key}" if where else str(key)
+            raise ConfigError(f"{path}: unknown key, expected one of {', '.join(allowed)}")
+
+
+def _non_null(tp):
+    # X | None reads as X: a null is taken only where the default is None
+    return typing.get_args(tp)[0] if typing.get_origin(tp) is types.UnionType else tp
+
+
+@functools.cache
+def _schema(cls):
+    """(field, config key, resolved type) for each field of a dataclass."""
+    hints = typing.get_type_hints(cls)
+    return tuple((f, _KEYS.get(f.name, f.name), _non_null(hints[f.name])) for f in fields(cls))
+
+
+def _read(cls, raw, where, **given):
+    """Instance of the dataclass `cls` read from the mapping `raw` found
+    at key path `where`.  The fields in `given` are supplied by the
+    caller and are not keys; every other field is read as described in
+    the module docstring, through its `read` metadata when it has one."""
+    _mapping(raw, where)
+    schema = [s for s in _schema(cls) if s[0].name not in given] if given else _schema(cls)
+    _reject_unknown(raw, where, [key for _, key, _ in schema])
+    kwargs = dict(given)
+    for f, key, tp in schema:
+        if key not in raw:
+            if f.default is MISSING and f.default_factory is MISSING:
+                raise ConfigError(f"{where}: missing required key {key!r}")
+        elif raw[key] is None and f.default is None:
+            kwargs[f.name] = None
+        else:
+            read = f.metadata.get("read")
+            path = f"{where}.{key}"
+            kwargs[f.name] = read(raw[key], path) if read else _value(tp, raw[key], path)
+    return _build(where, cls, **kwargs)
+
+
+def _value(tp, value, where):
+    """`value` checked against, and converted to, the field type `tp`."""
+    if tp is float:
+        if isinstance(value, bool) or not isinstance(value, (int, float)) \
+                or not math.isfinite(value):
+            raise ConfigError(f"{where}: expected a finite number, got {value!r}")
+        return float(value)
+    if tp is int or tp is str:
+        if isinstance(value, bool) or not isinstance(value, tp):
+            raise ConfigError(f"{where}: expected {tp.__name__}, got {value!r}")
+        return value
+    if is_dataclass(tp):
+        return _read(tp, value, where)
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if origin is dict:
+        return {
+            _value(args[0], k, where): _value(args[1], v, f"{where}.{k}")
+            for k, v in _mapping(value, where).items()
+        }
+    # list[X] or tuple[X, ...]
+    if not isinstance(value, list):
+        raise ConfigError(f"{where}: expected a list, got {value!r}")
+    return origin(_value(args[0], v, f"{where}[{i}]") for i, v in enumerate(value))
+
+
+def _read_material(name, spec):
+    where = f"materials.{name}"
+    model = _mapping(spec, where).get("model")
+    if model not in _MODELS:
+        raise ConfigError(f"{where}.model: expected one of {', '.join(_MODELS)}, got {model!r}")
+    mat = _read(_MODELS[model], {k: v for k, v in spec.items() if k != "model"}, where)
+    if isinstance(mat, _Constant):
+        return _build(where, ConstantMedium, complex(mat.eps, mat.eps_imag))
+    return mat
+
+
+def parse_grid_spec(text):
+    """min:max:step string (CLI --grid) to a SpectralGrid, checked like
+    the `grid` section."""
+    parts = text.split(":")
+    if len(parts) != 3:
+        raise ConfigError(f"grid spec {text!r} must look like min:max:step")
+    try:
+        values = [float(p) for p in parts]
+    except ValueError:
+        raise ConfigError(f"grid spec {text!r} has non-numeric parts") from None
+    return _read(SpectralGrid, dict(zip(("min", "max", "step"), values)), "--grid")
+
+
+def override(settings, where, **values):
+    """Copy of a settings dataclass with each of `values` that is not None
+    in place of the config key of that name, read through the same checks
+    as the config file; errors name the key path `where`.<key>."""
+    raw = _dump(settings)
+    raw.update((key, v) for key, v in values.items() if v is not None)
+    return _read(type(settings), raw, where)
 
 
 def parse_config(raw):
     """Validated Config from an already-parsed mapping."""
-    if not isinstance(raw, dict):
-        raise ConfigError("top level of the config must be a mapping")
-    known = {"materials", "stack", "grid", "scan", "field_map", "estimate", "fit"}
-    unknown = set(raw) - known
-    if unknown:
-        raise ConfigError(f"unknown top-level section(s): {sorted(unknown)}")
+    _mapping(raw, "top level of the config")
+    _reject_unknown(raw, "", _SECTIONS)
+    raw = {key: v for key, v in raw.items() if v is not None}
 
     stack = None
     if "stack" in raw or "materials" in raw:
         if "stack" not in raw or "materials" not in raw:
             raise ConfigError("'materials' and 'stack' sections must appear together")
         materials = {
-            str(name): _build_material(name, spec) for name, spec in raw["materials"].items()
+            str(name): _read_material(name, spec)
+            for name, spec in _mapping(raw["materials"], "materials").items()
         }
-        stack = _build_stack(raw["stack"], materials)
+        stack = _read(LayerStack, raw["stack"], "stack", materials=materials)
 
-    grid = _build_grid(raw["grid"]) if "grid" in raw else DEFAULT_GRID
+    grid = _read(SpectralGrid, raw["grid"], "grid") if "grid" in raw else DEFAULT_GRID
+    # the field map falls back to the top-level grid
+    field_map = {"grid": _dump(grid), **_mapping(raw.get("field_map", {}), "field_map")}
     return Config(
         stack=stack,
         grid=grid,
-        scan=_parse_scan(raw.get("scan")),
-        field_map=_parse_field_map(raw.get("field_map"), grid),
-        estimate=_parse_estimate(raw.get("estimate")),
-        fit=_parse_fit(raw.get("fit")),
-        raw=raw,
+        scan=_read(ScanSettings, raw.get("scan", {}), "scan"),
+        field_map=_read(FieldMapSettings, field_map, "field_map"),
+        estimate=(
+            _read(EstimateSettings, raw["estimate"], "estimate") if "estimate" in raw else None
+        ),
+        fit=_read(FitSettings, raw["fit"], "fit") if "fit" in raw else None,
     )
 
 
@@ -434,48 +382,38 @@ def load_config(path):
     return parse_config(raw)
 
 
-def _material_to_dict(mat):
-    if isinstance(mat, ConstantMedium):
-        out = {"model": "constant", "eps": mat.eps.real}
-        if mat.eps.imag:
-            out["eps_imag"] = mat.eps.imag
-        return out
-    if isinstance(mat, LorentzMedium):
+def _dump(obj, *omit):
+    """Plain YAML data for a dataclass, keyed as `_read` reads it, or for
+    a value inside one."""
+    if is_dataclass(obj):
         return {
-            "model": "lorentz",
-            "eps_b": mat.eps_b,
-            "oscillators": [
-                {"f": o.f, "k0": o.k0, "gamma": o.gamma} for o in mat.oscillators
-            ],
+            key: _dump(getattr(obj, f.name))
+            for f, key, _ in _schema(type(obj))
+            if f.name not in omit
         }
-    return {
-        "model": "drude_lorentz",
-        "omega_p": mat.omega_p,
-        "f0": mat.f0,
-        "gamma0": mat.gamma0,
-        "damping_multiplier": mat.damping_multiplier,
-        "bound": [{"f": t.f, "gamma": t.gamma, "omega0": t.omega0} for t in mat.bound],
-    }
+    if isinstance(obj, (list, tuple)):
+        return [_dump(v) for v in obj]
+    if isinstance(obj, dict):
+        return {k: _dump(v) for k, v in obj.items()}
+    return obj
+
+
+def _dump_material(mat):
+    if isinstance(mat, ConstantMedium):
+        mat = _Constant(mat.eps.real, mat.eps.imag)
+    model = next(name for name, cls in _MODELS.items() if isinstance(mat, cls))
+    return {"model": model, **_dump(mat)}
 
 
 def config_to_dict(config):
-    """Mapping that parses back to an equivalent Config (round trip)."""
+    """Canonical mapping of a Config, every default filled in: parse_config
+    reads it back to an equal Config, and dumping that gives the same
+    mapping again."""
     out = {}
     if config.stack is not None:
         out["materials"] = {
-            name: _material_to_dict(mat) for name, mat in sorted(config.stack.materials.items())
+            name: _dump_material(mat) for name, mat in sorted(config.stack.materials.items())
         }
-        out["stack"] = {
-            "ambient_index": config.stack.n_ambient,
-            "layers": [
-                {"material": ly.material, "thickness": ly.thickness}
-                for ly in config.stack.layers
-            ],
-            "substrate": config.stack.substrate,
-            "substrate_mode": config.stack.substrate_mode,
-        }
-    out["grid"] = {"min": config.grid.k_min, "max": config.grid.k_max, "step": config.grid.step}
-    for section in ("scan", "field_map", "estimate", "fit"):
-        if section in config.raw:
-            out[section] = config.raw[section]
+        out["stack"] = _dump(config.stack, "materials")
+    out.update((key, v) for key, v in _dump(config, "stack").items() if v is not None)
     return out

@@ -168,7 +168,15 @@ class FitProblem:
             if p.path in seen:
                 raise DomainError(f"free parameter path {p.path!r} is listed more than once")
             seen.add(p.path)
-            _locate(self.stack, p.path)
+            _, put = _locate(self.stack, p.path)
+            # a box reaching outside the parameter's domain fails here, not mid-fit
+            for name, bound in (("lower", p.lower), ("upper", p.upper)):
+                try:
+                    put(self.stack, bound)
+                except DomainError as err:
+                    raise DomainError(
+                        f"{name} bound {bound!r} of {p.path!r} is outside its domain: {err}"
+                    ) from err
         if self.weights is not None:
             self.weights = np.asarray(self.weights, dtype=float)
             if self.weights.shape != self.k.shape:

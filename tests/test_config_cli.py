@@ -1,16 +1,22 @@
 """Config parsing and the command-line surface."""
 
+import copy
 import json
+import re
 import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 from click.testing import CliRunner
 
-from vibropol import ConfigError, SpectralGrid, parse_config, spectrum_scan
+from vibropol import ConfigError, SpectralGrid, load_config, parse_config, spectrum_scan
 from vibropol.cli import main
 from vibropol.config import config_to_dict, parse_grid_spec
+
+ROOT = Path(__file__).resolve().parents[1]
+CONFIGS = sorted((ROOT / "configs").glob("*.yaml"))
 
 BASE_CONFIG = textwrap.dedent(
     """
@@ -43,21 +49,75 @@ def write_config(tmp_path, text, name="run.yaml"):
     return str(path)
 
 
+def full_raw():
+    """BASE_CONFIG with every section and nested list the reader knows."""
+    raw = yaml.safe_load(BASE_CONFIG)
+    raw["materials"]["gold"]["bound"] = [{"f": 0.02, "gamma": 0.24, "omega0": 0.41}]
+    raw["field_map"] = {"z_step": 10.0}
+    raw["estimate"] = yaml.safe_load(ESTIMATE_CONFIG)["estimate"]
+    raw["fit"] = {"free": [{"path": "layers[1].thickness", "lower": 1800.0, "upper": 2200.0}]}
+    return raw
+
+
+def with_value(raw, keys, value):
+    raw = copy.deepcopy(raw)
+    node = raw
+    for key in keys[:-1]:
+        node = node[key]
+    node[keys[-1]] = value
+    return raw
+
+
+# one case per kind of input the reader rejects: (keys, value, key path
+# the error must name)
+READER_DEFECTS = [
+    # a section that is not a mapping
+    (("scan",), [1], "scan"),
+    (("materials",), [1], "materials"),
+    # a list field that is not a list
+    (("stack", "layers"), 5, "stack.layers"),
+    (("fit", "free"), 5, "fit.free"),
+    (("estimate", "polariton_fwhm_mev"), [1], "estimate.polariton_fwhm_mev"),
+    # an unknown key at each nesting level
+    (("scan", "polarisation"), "p", "scan.polarisation"),
+    (("materials", "pvac", "epsb"), 2.0, "materials.pvac.epsb"),
+    (("materials", "pvac", "oscillators", 0, "width"), 1.0,
+     "materials.pvac.oscillators[0].width"),
+    (("materials", "gold", "bound", 0, "width"), 1.0, "materials.gold.bound[0].width"),
+    (("stack", "layers", 0, "index"), 1.5, "stack.layers[0].index"),
+    (("fit", "free", 0, "step"), 1.0, "fit.free[0].step"),
+    (("estimate", "vibration", "mass"), 1.0, "estimate.vibration.mass"),
+    (("estimate", "cavity", "q"), 1.0, "estimate.cavity.q"),
+    (("estimate", "bond_density", "bonds"), 1.0, "estimate.bond_density.bonds"),
+    # a number that is not finite, or not a number
+    (("materials", "gold", "omega_p"), float("nan"), "materials.gold.omega_p"),
+    (("stack", "layers", 0, "thickness"), float("nan"), "stack.layers[0].thickness"),
+    (("field_map", "z_step"), float("nan"), "field_map.z_step"),
+    (("field_map", "margin_substrate_nm"), float("inf"), "field_map.margin_substrate_nm"),
+    (("estimate", "bond_density", "bonds_per_monomer"), "x",
+     "estimate.bond_density.bonds_per_monomer"),
+    # a bool where an int goes
+    (("fit", "n_starts"), True, "fit.n_starts"),
+]
+
+
 class TestConfigParsing:
-    def test_round_trip_through_dict(self):
-        raw = yaml.safe_load(BASE_CONFIG)
-        cfg = parse_config(raw)
-        again = parse_config(config_to_dict(cfg))
-        assert again.stack.layers == cfg.stack.layers
-        assert again.stack.substrate == cfg.stack.substrate
-        assert again.stack.substrate_mode == cfg.stack.substrate_mode
-        assert set(again.stack.materials) == set(cfg.stack.materials)
-        assert again.stack.materials["pvac"] == cfg.stack.materials["pvac"]
-        assert again.stack.materials["gold"] == cfg.stack.materials["gold"]
-        assert (again.grid.k_min, again.grid.k_max, again.grid.step) == (
-            cfg.grid.k_min, cfg.grid.k_max, cfg.grid.step,
-        )
-        assert again.scan.window == cfg.scan.window
+    @pytest.mark.parametrize("path", CONFIGS, ids=lambda p: p.name)
+    def test_round_trip_through_dict(self, path):
+        cfg = load_config(path)
+        dumped = config_to_dict(cfg)
+        again = parse_config(dumped)
+        assert again == cfg
+        assert config_to_dict(again) == dumped
+
+    @pytest.mark.parametrize(
+        "keys, value, where", READER_DEFECTS, ids=[case[2] for case in READER_DEFECTS]
+    )
+    def test_reader_names_the_bad_key(self, keys, value, where):
+        raw = full_raw()
+        parse_config(raw)
+        with pytest.raises(ConfigError, match=re.escape(where)):
+            parse_config(with_value(raw, keys, value))
 
     def test_unknown_section_rejected(self):
         raw = yaml.safe_load(BASE_CONFIG)
@@ -207,6 +267,29 @@ class TestSimulateCommand:
         result = runner.invoke(main, ["simulate", "--config", cfg, "--out-dir", str(tmp_path)])
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize(
+        "case",
+        [case for case in READER_DEFECTS if case[2] in ("scan", "materials.gold.omega_p")],
+        ids=lambda case: case[2],
+    )
+    def test_reader_defect_exits_2(self, runner, tmp_path, case):
+        keys, value, where = case
+        cfg = write_config(tmp_path, yaml.safe_dump(with_value(full_raw(), keys, value)))
+        result = runner.invoke(main, ["simulate", "--config", cfg, "--out-dir", str(tmp_path)])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert where in result.output
+
+    def test_nan_divergence_exits_2(self, runner, tmp_path):
+        cfg = write_config(tmp_path, BASE_CONFIG)
+        result = runner.invoke(
+            main,
+            ["simulate", "--config", cfg, "--out-dir", str(tmp_path), "--divergence", "nan"],
+        )
+        assert result.exit_code == 2
+        assert "scan.divergence" in result.output
+        assert not (tmp_path / "summary.json").exists()
+
     def test_physics_error_exits_3(self, runner, tmp_path):
         cfg = write_config(tmp_path, BASE_CONFIG)
         result = runner.invoke(
@@ -289,6 +372,18 @@ class TestFieldMapCommand:
         assert values and all(v == pytest.approx(1.0, rel=1e-12) for v in values)
 
 
+def both_formats(runner, tmp_path):
+    """The BASE_CONFIG spectrum as a native CSV and as a two-column file."""
+    cfg = write_config(tmp_path, BASE_CONFIG)
+    out = tmp_path / "out"
+    assert runner.invoke(main, ["simulate", "--config", cfg, "--out-dir", str(out)]).exit_code == 0
+    base = parse_config(yaml.safe_load(BASE_CONFIG))
+    sp = spectrum_scan(base.stack, base.grid)
+    two = tmp_path / "two.csv"
+    two.write_text("".join(f"{k!r},{t!r}\n" for k, t in zip(sp.k.tolist(), sp.T.tolist())))
+    return [str(out / "spectrum.csv"), str(two)]
+
+
 class TestAnalyzeCommand:
     def test_native_csv_stdout(self, runner, tmp_path):
         cfg = write_config(tmp_path, BASE_CONFIG)
@@ -330,6 +425,20 @@ class TestAnalyzeCommand:
     def test_missing_file_exits_2(self, runner, tmp_path):
         result = runner.invoke(main, ["analyze", str(tmp_path / "absent.csv")])
         assert result.exit_code == 2
+
+    def test_short_window_gives_no_peaks_in_both_formats(self, runner, tmp_path):
+        for path in both_formats(runner, tmp_path):
+            result = runner.invoke(main, ["analyze", path, "--window", "1600:1600.1"])
+            assert result.exit_code == 0, result.output
+            for block in json.loads(result.output)["channels"].values():
+                assert block["peaks"] == [] and block["splitting"] is None
+
+    @pytest.mark.parametrize("window", ["2000:1500", "nan:2000"])
+    def test_bad_window_values_exit_2_in_both_formats(self, runner, tmp_path, window):
+        for path in both_formats(runner, tmp_path):
+            result = runner.invoke(main, ["analyze", path, "--window", window])
+            assert result.exit_code == 2, result.output
+            assert "window" in result.output
 
 
 ESTIMATE_CONFIG = textwrap.dedent(
@@ -465,6 +574,19 @@ class TestFitCommand:
         assert result.exit_code == 2
         assert "layers[1].thickness" in result.output
 
+    def test_bound_outside_domain_exits_2(self, runner, tmp_path):
+        target = make_target_csv(tmp_path)
+        raw = yaml.safe_load(BASE_CONFIG)
+        path = "materials.pvac.oscillators[0].gamma"
+        raw["fit"] = {"free": [{"path": path, "lower": -10.0, "upper": 40.0}]}
+        cfg = write_config(tmp_path, yaml.safe_dump(raw))
+        result = runner.invoke(
+            main,
+            ["fit", "--config", cfg, "--out-dir", str(tmp_path), "--target", target],
+        )
+        assert result.exit_code == 2
+        assert f"lower bound -10.0 of '{path}'" in result.output
+
     def test_nan_target_exits_3(self, runner, tmp_path):
         path = tmp_path / "target.csv"
         path.write_text("1600.0,0.1\n1700.0,nan\n1800.0,0.1\n1900.0,0.2\n")
@@ -491,3 +613,47 @@ class TestFitCommand:
              str(tmp_path / "absent.csv")],
         )
         assert result.exit_code == 2
+
+
+def reference_keys():
+    """Keys named in the tables of docs/config_reference.md, by heading
+    (each table under a heading is one entry of the list), and the
+    estimate example parsed as YAML."""
+    text = (ROOT / "docs" / "config_reference.md").read_text()
+    tables, heading, in_table = {}, None, False
+    for line in text.splitlines():
+        m = re.match(r"##+ `([^`]+)`", line)
+        if m:
+            heading = m.group(1)
+        if line.startswith("|") and not in_table:
+            tables.setdefault(heading, []).append(set())
+        m = re.match(r"\| `(\w+)`", line)
+        if m:
+            tables[heading][-1].add(m.group(1))
+        in_table = line.startswith("|")
+    example = re.search(r"## `estimate`.*?```\n(.*?)```", text, re.S).group(1)
+    return tables, yaml.safe_load(example)["estimate"]
+
+
+def test_reference_lists_the_keys_the_reader_reads():
+    tables, estimate = reference_keys()
+    # the canonical dump holds every key the reader accepts, defaults filled in
+    dump = config_to_dict(parse_config(full_raw()))
+    mats, dumped_estimate = dump["materials"], dump["estimate"]
+    pairs = {
+        "model: constant": (tables["model: constant"][0] | {"model"}, mats["germanium"]),
+        "model: lorentz": (tables["model: lorentz"][0] | {"model"}, mats["pvac"]),
+        "oscillator": (tables["model: lorentz"][1], mats["pvac"]["oscillators"][0]),
+        "model: drude_lorentz": (tables["model: drude_lorentz"][0] | {"model"}, mats["gold"]),
+        "estimate": (set(estimate), dumped_estimate),
+        **{
+            f"estimate.{block}": (set(estimate[block]), dumped_estimate[block])
+            for block in ("vibration", "cavity", "bond_density")
+        },
+        **{
+            section: (tables[section][0], dump[section])
+            for section in ("stack", "grid", "scan", "field_map", "fit")
+        },
+    }
+    for name, (documented, read) in pairs.items():
+        assert documented == set(read), name

@@ -1,5 +1,7 @@
 """Parameter paths, residuals and the bounded least-squares driver."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -148,6 +150,22 @@ class TestProblem:
         )
         with pytest.raises(DomainError, match=r"'layers\[1\]\.thickness'"):
             FitProblem(stack=coupled_stack, free=free, k=k, target=np.zeros_like(k))
+
+    @pytest.mark.parametrize(
+        "free, bound",
+        [
+            (FreeParameter("materials.pvac.oscillators[0].gamma", -10.0, 40.0), "lower"),
+            (FreeParameter("layers[1].thickness", 0.0, 2500.0), "lower"),
+            (FreeParameter("materials.pvac.eps_b", 0.5, 2.5), "lower"),
+            (FreeParameter("materials.gold.damping_multiplier", 0.5, 3.0), "lower"),
+            (FreeParameter("materials.germanium.eps", -1.0, 0.0), "upper"),
+        ],
+        ids=lambda case: getattr(case, "path", case),
+    )
+    def test_bounds_checked_against_the_domain(self, coupled_stack, free, bound):
+        k = np.arange(1600.0, 1900.0, 2.0)
+        with pytest.raises(DomainError, match=rf"{bound} bound .* of '{re.escape(free.path)}'"):
+            FitProblem(stack=coupled_stack, free=(free,), k=k, target=np.zeros_like(k))
 
     def test_grid_and_channel_validation(self, coupled_stack):
         k = np.arange(1600.0, 1900.0, 2.0)
