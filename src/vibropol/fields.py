@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .tmm import SpectralGrid, _check_angle, _media, _rouard, _wavevectors
+from .tmm import _K_TO_RAD_NM, SpectralGrid, _check_angle, _media, _rouard
 
 __all__ = ["FieldProfile", "FieldMap", "field_profile", "field_map"]
 
@@ -70,7 +70,7 @@ def _fields(stack, k, z, angle, polarization, flux=True):
     if not np.all(np.isfinite(z)):
         raise DomainError("z samples must be finite (nm)")
     eps = _media(stack, k)
-    k0_rad, kx_rad = _wavevectors(stack, k, angle)
+    k0_rad = _K_TO_RAD_NM * k
     sin_amb = stack.n_ambient * math.sin(math.radians(angle))
     edges = _boundaries(stack)
     # entry and exit face of each medium; the ambient's waves are both
@@ -82,14 +82,19 @@ def _fields(stack, k, z, angle, polarization, flux=True):
     intensity = np.zeros((k.size, z.size))
     poynting = np.zeros((k.size, z.size)) if flux else None
     thickness = [ly.thickness for ly in stack.layers]
+
+    def per_k(x):
+        # constant media keep 0-d values
+        return np.broadcast_to(x, k.shape)[:, None]
+
     for pol in pols:
-        _, _, kz, q, fwd, bwd = _rouard(eps, thickness, k0_rad, kx_rad, pol)
+        _, _, qz, q, fwd, bwd, _ = _rouard(eps, thickness, k0_rad, sin_amb, pol)
         amp = 1.0 if pol == "s" else stack.n_ambient
         for j, cols in enumerate(columns):
             if cols.size == 0:
                 continue
             zj = z[cols]
-            kzj, qj = kz[j][:, None], q[j][:, None]
+            kzj, qj = per_k(k0_rad * qz[j]), per_k(q[j])
             z_entry, z_exit = faces[j]
             wave_p = (amp * fwd[j])[:, None] * np.exp(1j * kzj * (zj - z_entry))
             if z_exit is None:
@@ -103,10 +108,10 @@ def _fields(stack, k, z, angle, polarization, flux=True):
                 intensity[:, cols] += np.abs(U) ** 2
             else:
                 # E_x = V, E_z = -(kx/k0) U / eps, already per unit E_inc
-                ez = sin_amb * U / eps[j][:, None]
+                ez = sin_amb * U / per_k(eps[j])
                 intensity[:, cols] += np.abs(V) ** 2 + np.abs(ez) ** 2
             if flux:
-                poynting[:, cols] += np.real(U * np.conj(V)) / (np.real(q[0])[:, None] * amp**2)
+                poynting[:, cols] += np.real(U * np.conj(V)) / (np.real(q[0]) * amp**2)
     n = len(pols)
     return intensity / n, (poynting / n if flux else None)
 

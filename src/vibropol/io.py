@@ -41,28 +41,38 @@ def write_spectrum_csv(path, spectrum):
     _write_text(path, "\n".join(lines) + "\n")
 
 
+def _floats(path, lineno, cells):
+    """The cells of line `lineno` (1-based) of a CSV file as floats."""
+    try:
+        return [float(c) for c in cells]
+    except ValueError:
+        raise DomainError(
+            f"{path}, line {lineno}: non-numeric cell in {','.join(cells)!r}"
+        ) from None
+
+
 def read_spectrum_csv(path):
     """Spectrum back from the native CSV format."""
     angle, polarization = 0.0, "s"
     rows = []
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
                 continue
             if line.startswith("#"):
                 body = line[1:].strip()
                 if body.startswith("angle_deg"):
-                    angle = float(body.split("=", 1)[1])
+                    angle = _floats(path, lineno, [body.partition("=")[2]])[0]
                 elif body.startswith("polarization"):
-                    polarization = body.split("=", 1)[1].strip()
+                    polarization = body.partition("=")[2].strip()
                 continue
             if line.lower().startswith("k_cm1"):
                 continue
             parts = line.split(",")
             if len(parts) != 4:
-                raise DomainError(f"{path}: expected 4 columns, got {len(parts)}")
-            rows.append([float(p) for p in parts])
+                raise DomainError(f"{path}, line {lineno}: expected 4 columns, got {len(parts)}")
+            rows.append(_floats(path, lineno, parts))
     if not rows:
         raise DomainError(f"{path}: no data rows")
     data = np.asarray(rows)

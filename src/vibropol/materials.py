@@ -3,6 +3,9 @@
 All models return the complex relative permittivity eps(k) on a wavenumber
 grid in cm^-1.  The time convention is exp(-i omega t), so passive media
 have Im(eps) >= 0 and the physical refractive-index branch has Im(n) >= 0.
+Each model also gives d_epsilon(k, field), the closed-form derivative of
+eps(k) with respect to one of its real fields; all three models are
+rational in their parameters.
 """
 
 from __future__ import annotations
@@ -78,6 +81,19 @@ class LorentzMedium:
             eps = eps - osc.f / (k**2 - osc.k0**2 + 1j * k * osc.gamma)
         return eps
 
+    def d_epsilon(self, k, field, index=None):
+        """d eps / d field on k: eps_b, or f, k0 or gamma of
+        oscillators[index]."""
+        if field == "eps_b":
+            return 1.0
+        osc = self.oscillators[index]
+        denom = k**2 - osc.k0**2 + 1j * k * osc.gamma
+        if field == "f":
+            return -1.0 / denom
+        if field == "k0":
+            return -2.0 * osc.f * osc.k0 / denom**2
+        return 1j * k * osc.f / denom**2
+
 
 @dataclass(frozen=True)
 class ConstantMedium:
@@ -98,6 +114,10 @@ class ConstantMedium:
     def epsilon(self, k):
         k = _check_wavenumbers(k)
         return np.full_like(k, self.eps, dtype=complex)
+
+    def d_epsilon(self, k, field):
+        """d eps / d Re(eps), the one field: one at every wavenumber."""
+        return 1.0
 
 
 @dataclass(frozen=True)
@@ -161,6 +181,21 @@ class DrudeLorentzMetal:
         for tr in self.bound:
             eps = eps + tr.f * self.omega_p**2 / (tr.omega0**2 - w**2 - 1j * w * tr.gamma)
         return eps
+
+    def d_epsilon(self, k, field):
+        """d eps / d field on k for omega_p, f0, gamma0 or
+        damping_multiplier."""
+        if field == "omega_p":
+            # every term but the 1 scales with omega_p^2
+            return 2.0 * (self.epsilon(k) - 1.0) / self.omega_p
+        w = k / EV_TO_CM1
+        free = w + 1j * self.gamma_total
+        drude = self.omega_p**2 / (w * free)
+        if field == "f0":
+            return -drude
+        # d eps / d gamma_total, then the chain rule through the product
+        d_total = 1j * self.f0 * drude / free
+        return d_total * (self.damping_multiplier if field == "gamma0" else self.gamma0)
 
 
 def gold(damping_multiplier: float = 2.5) -> DrudeLorentzMetal:

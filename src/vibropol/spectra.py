@@ -401,11 +401,26 @@ def fit_coupled_model(table, order=1, n_ambient=1.0, x0=None, max_nfev=2000):
 
 
 def load_measured(path):
-    """Two-column CSV (wavenumber, value); '#' starts a comment line.
-    Returns (k, values) sorted by wavenumber."""
-    data = np.loadtxt(path, delimiter=",", comments="#", ndmin=2)
-    if data.shape[1] < 2:
-        raise DomainError(f"{path}: expected two comma-separated columns")
+    """Two-column CSV (wavenumber, value); '#' starts a comment.  Further
+    columns are read and ignored, but every data line needs the same
+    count.  Returns (k, values) sorted by wavenumber."""
+    # imported here so that `import vibropol` does not load io and json
+    from .io import _floats
+
+    rows = []
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, 1):
+            line = line.split("#", 1)[0].strip()
+            if not line:
+                continue
+            row = _floats(path, lineno, line.split(","))
+            if len(row) < 2 or (rows and len(row) != len(rows[0])):
+                raise DomainError(f"{path}, line {lineno}: expected the same two or more "
+                                  "comma-separated columns on every line")
+            rows.append(row)
+    if not rows:
+        raise DomainError(f"{path}: no data rows")
+    data = np.asarray(rows)
     k, values = data[:, 0], data[:, 1]
     if np.any(k <= 0):
         raise DomainError(f"{path}: wavenumbers must be positive")

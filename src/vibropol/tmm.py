@@ -2,26 +2,33 @@
 
 The tangential field pair (U, V) is continuous across every interface;
 U is E_y for s polarization and H_y for p, and V = q (u+ - u-) with the
-polarization admittance q = kz/k0 (s) or q = kz/(k0 eps) (p).  The
-out-of-plane wavevector kz = sqrt(k0^2 eps - kx^2) is taken on the
-branch Im(kz) >= 0 (decay into the layer), with Re(kz) >= 0 when
-Im(kz) = 0, and the in-plane kx = k0 n_ambient sin(angle) is conserved
-across the stack.  Conventions follow exp(-i omega t).
+polarization admittance q = qz (s) or q = qz / eps (p).  The reduced
+out-of-plane wavevector qz = kz/k0 = sqrt(eps - (n_ambient sin(angle))^2)
+is taken on the branch Im(qz) >= 0 (decay into the layer), with
+Re(qz) >= 0 when Im(qz) = 0; the in-plane n_ambient sin(angle) is
+conserved across the stack, and a layer of thickness d carries the phase
+factor exp(i k0 d qz).  A constant medium (the ambient, and any
+ConstantMedium layer or substrate) keeps a 0-d eps, qz and q through the
+whole pass, the exit factor of an incoherent substrate included, so it
+costs scalar arithmetic only.  Conventions follow exp(-i omega t).
 
 Stacks are solved with Rouard's interface recursion (compared with the
 scattering-matrix form in Li, JOSA A 13, 1024 (1996)): starting at the
 substrate, the reflection coefficient seen from each medium is carried
-back through one layer by the decaying factor exp(2i kz d) and across
+back through one layer by the decaying factor exp(2i k0 d qz) and across
 one interface by r = (q - q_next)/(q + q_next).  Only phase factors of
 modulus <= 1 are ever multiplied, so thick lossy or evanescent layers
 underflow to zero transmission instead of overflowing.  The same pass
 returns the forward and backward wave amplitudes of every medium, which
 the field reconstruction in `fields` uses (bookkeeping as in Byrnes,
-arXiv:1603.02720).  `layer_matrix` gives the characteristic matrix
+arXiv:1603.02720).
 
-    M = [[cos(delta), -i sin(delta)/q], [-i q sin(delta), cos(delta)]],
-
-delta = kz d, det(M) = 1, of a single layer.
+The pass can also carry tangents, forward-mode derivatives in the spirit
+of Luce et al., JOSA A 39, 1007 (2022): one complex direction per
+material (a unit change of eps in every medium made of it) and one real
+direction per layer thickness.  r and t are holomorphic in eps, so each
+channel gets a complex sensitivity S per direction, and a real material
+parameter p moves the channel by Re(S deps/dp).
 """
 
 from __future__ import annotations
@@ -34,14 +41,13 @@ from types import MappingProxyType
 import numpy as np
 
 from .errors import DomainError
-from .materials import ConstantMedium, evaluate_epsilon
+from .materials import ConstantMedium, _check_wavenumbers, evaluate_epsilon
 
 __all__ = [
     "Layer",
     "LayerStack",
     "SpectralGrid",
     "Spectrum",
-    "layer_matrix",
     "stack_response",
     "spectrum_scan",
     "angle_scan",
@@ -163,18 +169,11 @@ class Spectrum:
             raise DomainError(f"unknown channel {name!r}, expected T, R or A") from None
 
 
-def _kz(eps, k0_rad, kx_rad):
-    # the principal root already has Re(kz) >= 0; flip the roots that
-    # grow into the layer
-    kz = np.sqrt(k0_rad**2 * eps - kx_rad**2 + 0j)
-    np.negative(kz, out=kz, where=kz.imag < 0.0)
-    return kz
-
-
-def _admittance(eps, kz, k0_rad, polarization):
-    if polarization == "s":
-        return kz / k0_rad
-    return kz / (k0_rad * eps)
+def _reduced_kz(eps, sin2):
+    """qz = sqrt(eps - sin2) on the branch Im(qz) >= 0, Re(qz) >= 0 on
+    the real axis; 0-d for a 0-d eps."""
+    qz = np.sqrt(eps - sin2)
+    return np.where(qz.imag < 0.0, -qz, qz)
 
 
 def _check_angle(angle):
@@ -182,68 +181,50 @@ def _check_angle(angle):
         raise DomainError("incidence angle must satisfy |angle| < 90 degrees")
 
 
-def layer_matrix(model, thickness, k, kx=0.0, polarization="s", n_ambient=1.0):
-    """Characteristic matrix of a single layer, shape (nk, 2, 2).
-
-    k and kx are both in cm^-1 (kx = k n_ambient sin(angle) for a wave
-    launched from the ambient); thickness in nm.  kx at or beyond the
-    ambient light line (|kx| >= k n_ambient) has no propagating source
-    wave and is rejected; evanescent kz inside the layer itself is fine.
-    """
-    if polarization not in ("s", "p"):
-        raise DomainError("layer_matrix polarization must be 's' or 'p'")
-    if not (math.isfinite(thickness) and thickness >= 0.0):
-        raise DomainError("thickness must be finite and >= 0")
-    k = np.atleast_1d(np.asarray(k, dtype=float))
-    eps = evaluate_epsilon(model, k)
-    k0_rad = _K_TO_RAD_NM * k
-    kx_arr = np.asarray(kx, dtype=float)
-    if not np.all(np.isfinite(kx_arr)):
-        raise DomainError("in-plane wavevector must be finite")
-    if np.any(np.abs(kx_arr) >= k * n_ambient):
-        raise DomainError("|kx| >= k n_ambient: no propagating ambient wave")
-    kx_rad = _K_TO_RAD_NM * kx_arr
-    kz = _kz(eps, k0_rad, kx_rad)
-    q = _admittance(eps, kz, k0_rad, polarization)
-    delta = kz * thickness
-    m = np.empty(k.shape + (2, 2), dtype=complex)
-    m[..., 0, 0] = np.cos(delta)
-    m[..., 0, 1] = -1j * np.sin(delta) / q
-    m[..., 1, 0] = -1j * q * np.sin(delta)
-    m[..., 1, 1] = np.cos(delta)
-    return m
+def _check_polarization(polarization):
+    if polarization not in POLARIZATIONS:
+        raise DomainError(f"polarization must be one of {POLARIZATIONS}")
 
 
 def _media(stack, k):
-    """Permittivities of the ambient, each layer and the substrate on k;
-    every material is evaluated once, however many layers use it."""
+    """Permittivities of the ambient, each layer and the substrate on k.
+    A dispersive material is evaluated once, however many layers use it;
+    a constant medium stays a 0-d complex, so k is checked here."""
+    _check_wavenumbers(k)
     eps = {}
     for name in [ly.material for ly in stack.layers] + [stack.substrate]:
         if name not in eps:
-            eps[name] = stack.epsilon_of(name, k)
-    ambient = np.full(k.shape, stack.n_ambient**2, dtype=complex)
-    return [ambient] + [eps[ly.material] for ly in stack.layers] + [eps[stack.substrate]]
+            model = stack.materials[name]
+            const = isinstance(model, ConstantMedium)
+            eps[name] = model.eps if const else stack.epsilon_of(name, k)
+    return (
+        [complex(stack.n_ambient**2)]
+        + [eps[ly.material] for ly in stack.layers]
+        + [eps[stack.substrate]]
+    )
 
 
-def _wavevectors(stack, k, angle):
-    """k0 and kx in rad/nm for wavenumbers k (cm^-1) at one angle."""
-    kx_cm1 = k * stack.n_ambient * math.sin(math.radians(angle))
-    return _K_TO_RAD_NM * k, _K_TO_RAD_NM * kx_cm1
-
-
-def _rouard(eps, thickness, k0, kx, polarization):
+def _rouard(eps, thickness, k0, sin_amb, polarization, tangents=None):
     """Rouard's recursion over the media eps = (ambient, layers...,
-    substrate), broadcast over k0 and kx.
+    substrate), broadcast over k0 (rad/nm); sin_amb = n_ambient sin(angle).
 
-    Returns (r, t, kz, q, fwd, bwd) for a unit U amplitude incident from
+    Returns (r, t, qz, q, fwd, bwd, d) for a unit U amplitude incident from
     the ambient.  r and t are the U-amplitude reflection (at z = 0) and
-    transmission (into the substrate's front face); kz and q list each
+    transmission (into the substrate's front face); qz and q list each
     medium's values.  fwd[j] is the forward amplitude of medium j at its
     entry face and bwd[j] the backward amplitude at its exit face, both
     taken at z = 0 for the ambient; the substrate has no backward wave.
+
+    tangents = (deps, dd) sets m directions.  deps[j] is None or a pair
+    (row, label): row, shape (m, 1), is the complex change of medium j's
+    eps along each direction, and label names the parameters behind it.
+    dd[j] is 0.0 or the (m, 1) real change of layer j's thickness.  d is
+    then (dr, dt, dq_sub), the tangents of r, t and the substrate's q along
+    the m directions on a leading axis; without tangents it is None.
     """
-    kz = [_kz(e, k0, kx) for e in eps]
-    q = [_admittance(e, z, k0, polarization) for e, z in zip(eps, kz)]
+    sin2 = sin_amb**2
+    qz = [_reduced_kz(e, sin2) for e in eps]
+    q = qz if polarization == "s" else [z / e for z, e in zip(qz, eps)]
     # r[i], t[i]: interface between media i and i + 1; t = 1 + r, but
     # 2 qa / (qa + qb) keeps its digits when qb >> qa (p-polarized ENZ)
     r, t = [], []
@@ -252,64 +233,135 @@ def _rouard(eps, thickness, k0, kx, polarization):
         r.append((qa - qb) / qs)
         t.append(2.0 * qa / qs)
     n = len(thickness)
-    phase = [None] + [np.exp(1j * kz[j] * thickness[j - 1]) for j in range(1, n + 1)]
+    phase = [None] + [np.exp(1j * thickness[j - 1] * qz[j] * k0) for j in range(1, n + 1)]
+
+    if tangents is not None:
+        deps, dd = tangents
+        dqz, dq = [], []
+        for e, z, qj, de in zip(eps, qz, q, deps):
+            if de is None:
+                dqz.append(0.0)
+                dq.append(0.0)
+                continue
+            row, label = de
+            if np.any(z == 0.0):
+                raise DomainError(
+                    f"the derivative along {label} is singular: a medium it sets has "
+                    "eps = (n_ambient sin(angle))^2, so qz = 0"
+                )
+            dz = row / (2.0 * z)
+            dqz.append(dz)
+            dq.append(dz if polarization == "s" else (dz - qj * row) / e)
+        # t = 1 + r, so both share the quotient-rule tangent dr
+        dr = [2.0 * (qb * dqa - qa * dqb) / (qa + qb) ** 2
+              for qa, qb, dqa, dqb in zip(q[:-1], q[1:], dq[:-1], dq[1:])]
+        # d(phase) = phase * dlog
+        dlog = [None] + [1j * k0 * (qz[j] * dd[j - 1] + thickness[j - 1] * dqz[j])
+                         for j in range(1, n + 1)]
 
     # substrate -> ambient: gamma[j] is the reflection coefficient seen
     # from medium j at its exit face, denom[j] the multiple-reflection
     # sum at the entry face of layer j
     gamma = [None] * (n + 1)
     denom = [None] * (n + 1)
-    g = r[n]
+    # r[n] is 0-d between two constant media; the results live on k
+    g = np.broadcast_to(r[n], np.shape(k0))
+    if tangents is not None:
+        dg, ddenom = dr[n], [None] * (n + 1)
     for j in range(n, 0, -1):
         gamma[j] = g
-        g_entry = g * phase[j] ** 2
+        p2 = phase[j] ** 2
+        g_entry = g * p2
         denom[j] = 1.0 + r[j - 1] * g_entry
-        g = (r[j - 1] + g_entry) / denom[j]
+        g_next = (r[j - 1] + g_entry) / denom[j]
+        if tangents is not None:
+            dg_entry = (dg + 2.0 * g * dlog[j]) * p2
+            ddenom[j] = dr[j - 1] * g_entry + r[j - 1] * dg_entry
+            dg = (dr[j - 1] + dg_entry - g_next * ddenom[j]) / denom[j]
+        g = g_next
 
     # ambient -> substrate: carry the forward amplitude a across each
     # interface and through each layer
     a = np.ones_like(g)
+    da = 0.0
     fwd, bwd = [a], [g]
     for j in range(1, n + 1):
         f = t[j - 1] * a / denom[j]
+        if tangents is not None:
+            df = (dr[j - 1] * a + t[j - 1] * da - f * ddenom[j]) / denom[j]
+            da = (df + f * dlog[j]) * phase[j]
         a = f * phase[j]
         fwd.append(f)
         bwd.append(gamma[j] * a)
     fwd.append(t[n] * a)
     bwd.append(np.zeros_like(a))
-    return g, fwd[-1], kz, q, fwd, bwd
+    d = None if tangents is None else (dg, dr[n] * a + t[n] * da, dq[-1])
+    return g, fwd[-1], qz, q, fwd, bwd, d
 
 
-def _response(stack, eps, k, angle, polarization):
-    """(T, R) of one or both polarizations from precomputed permittivities."""
+def _tangents(stack, directions):
+    """(deps, dd) of `_rouard` for the directions of `_response`."""
+    rows = {key: i for i, key in enumerate(directions)}
+
+    def unit(key, dtype):
+        row = np.zeros((len(rows), 1), dtype)
+        row[rows[key]] = 1.0
+        return row
+
+    names = [None] + [ly.material for ly in stack.layers] + [stack.substrate]
+    deps = [(unit(name, complex), directions[name]) if name in rows else None for name in names]
+    dd = [unit(j, float) if j in rows else 0.0 for j in range(len(stack.layers))]
+    return deps, dd
+
+
+def _response(stack, eps, k, angle, polarization, directions=None):
+    """(T, R) of one or both polarizations from precomputed permittivities.
+
+    `directions` maps each tangent direction to a label that names its
+    parameters: a material name stands for a unit complex change of eps
+    in every medium made of it, a layer index for a unit change of that
+    layer's thickness.  The result then also holds the sensitivities
+    (S_T, S_R), with the directions on a leading axis in their order: a
+    real parameter p of direction i moves T by Re(S_T[i] deps/dp), where
+    deps/dp = 1 for a thickness.
+    """
     if polarization == "unpolarized":
-        Ts, Rs = _response(stack, eps, k, angle, "s")
-        Tp, Rp = _response(stack, eps, k, angle, "p")
-        return 0.5 * (Ts + Tp), 0.5 * (Rs + Rp)
-    k0_rad, kx_rad = _wavevectors(stack, k, angle)
+        s = _response(stack, eps, k, angle, "s", directions)
+        p = _response(stack, eps, k, angle, "p", directions)
+        return tuple(0.5 * (a + b) for a, b in zip(s, p))
+    k0 = _K_TO_RAD_NM * k
+    sin_amb = stack.n_ambient * math.sin(math.radians(angle))
     thickness = [ly.thickness for ly in stack.layers]
-    r, t, _, q, _, _ = _rouard(eps, thickness, k0_rad, kx_rad, polarization)
+    tangents = None if directions is None else _tangents(stack, directions)
+    r, t, _, q, _, _, d = _rouard(eps, thickness, k0, sin_amb, polarization, tangents)
     q_amb, q_sub = q[0], q[-1]
 
-    R = np.abs(r) ** 2
-    T = np.real(q_sub) / np.real(q_amb) * np.abs(t) ** 2
-
-    if stack.substrate_mode == "incoherent_to_air":
-        eps_air = np.ones_like(k, dtype=complex)
-        q_air = _admittance(eps_air, _kz(eps_air, k0_rad, kx_rad), k0_rad, polarization)
+    incoherent = stack.substrate_mode == "incoherent_to_air"
+    if incoherent:
+        # coherent T times the single-pass exit factor
+        # Re(q_air) / Re(q_sub) |t_exit|^2; an evanescent substrate wave
+        # (total internal reflection inside the stack) never reaches the
+        # rear face, so T stays 0
+        q_air = _reduced_kz(1.0 + 0j, sin_amb**2)
         t_exit = 2.0 * q_sub / (q_sub + q_air)
-        # evanescent substrate wave (total internal reflection inside the
-        # stack): nothing reaches the rear face, T stays 0
-        re_sub = np.real(q_sub)
-        factor = np.zeros_like(T)
-        open_channel = re_sub > 0.0
-        factor[open_channel] = (
-            np.real(q_air)[open_channel] / re_sub[open_channel]
-            * np.abs(t_exit[open_channel]) ** 2
-        )
-        T = T * factor
+        t_out = t * t_exit
+        scale = np.where(np.real(q_sub) > 0.0, np.real(q_air), 0.0) / np.real(q_amb)
+    else:
+        t_out = t
+        scale = np.real(q_sub) / np.real(q_amb)
+    R = np.abs(r) ** 2
+    T = scale * np.abs(t_out) ** 2
+    if d is None:
+        return T, R
 
-    return T, R
+    dr, dt, dq_sub = d
+    if incoherent:
+        dt_out = dt * t_exit + t * (2.0 * q_air * dq_sub / (q_sub + q_air) ** 2)
+        S_T = 2.0 * scale * np.conj(t_out) * dt_out
+    else:
+        # Re(q_sub) moves too when the substrate's eps is free
+        S_T = 2.0 * scale * np.conj(t) * dt + np.abs(t) ** 2 * dq_sub / np.real(q_amb)
+    return T, R, S_T, 2.0 * np.conj(r) * dr
 
 
 def stack_response(stack, k, angle=0.0, polarization="s"):
@@ -319,8 +371,7 @@ def stack_response(stack, k, angle=0.0, polarization="s"):
     the s and p intensities.  A is defined as 1 - T - R.
     """
     _check_angle(angle)
-    if polarization not in POLARIZATIONS:
-        raise DomainError(f"polarization must be one of {POLARIZATIONS}")
+    _check_polarization(polarization)
     k = np.atleast_1d(np.asarray(k, dtype=float))
     T, R = _response(stack, _media(stack, k), k, angle, polarization)
     return T, R, 1.0 - T - R
@@ -366,8 +417,7 @@ def angle_scan(stack, grid, angles, polarization="s", divergence=0.0, n_nodes=11
     angles = [float(a) for a in angles]
     for a in angles:
         _check_angle(a)
-    if polarization not in POLARIZATIONS:
-        raise DomainError(f"polarization must be one of {POLARIZATIONS}")
+    _check_polarization(polarization)
     eps = _media(stack, k)
 
     scans = []

@@ -433,6 +433,20 @@ class TestAnalyzeCommand:
             for block in json.loads(result.output)["channels"].values():
                 assert block["peaks"] == [] and block["splitting"] is None
 
+    @pytest.mark.parametrize(
+        "content",
+        ["# export\n1600.0,0.1\n1700,abc\n1800.0,0.1\n",
+         "k_cm1,T,R,A\n1500,0.1,0.2,0.7\n1600,0.1,x,0.2\n"],
+        ids=["two-column", "native"],
+    )
+    def test_non_numeric_cell_exits_3_naming_the_line(self, runner, tmp_path, content):
+        path = tmp_path / "bad.csv"
+        path.write_text(content)
+        result = runner.invoke(main, ["analyze", str(path)])
+        assert result.exit_code == 3, result.output
+        assert "bad.csv, line 3: non-numeric cell" in result.output
+        assert "Traceback" not in result.output
+
     @pytest.mark.parametrize("window", ["2000:1500", "nan:2000"])
     def test_bad_window_values_exit_2_in_both_formats(self, runner, tmp_path, window):
         for path in both_formats(runner, tmp_path):
@@ -547,6 +561,21 @@ class TestFitCommand:
         assert payload["seed"] == 7
         assert payload["n_starts"] == 2
         assert len(payload["start_losses"]) == 2
+
+    def test_non_numeric_target_cell_exits_3(self, runner, tmp_path):
+        target = tmp_path / "target.csv"
+        target.write_text("1600.0,0.5\n1700,abc\n1800.0,0.5\n")
+        raw = yaml.safe_load(BASE_CONFIG)
+        raw["fit"] = {
+            "free": [{"path": "layers[1].thickness", "lower": 1800.0, "upper": 2200.0}]
+        }
+        cfg = write_config(tmp_path, yaml.safe_dump(raw))
+        result = runner.invoke(
+            main, ["fit", "--config", cfg, "--out-dir", str(tmp_path), "--target", str(target)]
+        )
+        assert result.exit_code == 3, result.output
+        assert "target.csv, line 2: non-numeric cell" in result.output
+        assert "Traceback" not in result.output
 
     def test_bad_free_path_exits_2(self, runner, tmp_path):
         target = make_target_csv(tmp_path)

@@ -1,13 +1,17 @@
-"""Parameter paths, residuals and the bounded least-squares driver."""
+"""Parameter paths, residuals, the exact Jacobian and bounded
+least-squares fitting."""
 
+import math
 import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from vibropol import (
     ConstantMedium,
     DomainError,
+    DrudeLorentzMetal,
     FitError,
     FreeParameter,
     FitProblem,
@@ -21,9 +25,10 @@ from vibropol import (
     residual_vector,
     solve,
 )
+from vibropol import fit, tmm
 from vibropol.fit import _locate
 
-from conftest import make_stack, CO_BAND
+from conftest import make_stack, CO_BAND, hard_stacks
 
 
 def small_problem(stack, free, channel="T", target=None, weights=None):
@@ -123,7 +128,7 @@ class TestApplyParams:
         ],
     )
     def test_read_after_write(self, coupled_stack, path, value):
-        before, _ = _locate(coupled_stack, path)
+        before = _locate(coupled_stack, path)[0]
         assert before != value
         new = apply_params(coupled_stack, {path: value})
         assert _locate(new, path)[0] == value
@@ -244,7 +249,176 @@ class TestResiduals:
             assert abs(grad[i] - central) / max(abs(central), 1e-12) < 1e-4
 
 
+def exact_jacobian(problem, values):
+    return fit._residuals_and_jacobian(problem, values)[1]
+
+
+def central_jacobian(problem, values, rel_step):
+    """d(residual)/d(ln value) by central differences; values near zero
+    step as if they were 1."""
+    cols = []
+    for i, v in enumerate(values):
+        h = rel_step * max(abs(v), 1.0)
+        up, dn = values.copy(), values.copy()
+        up[i] += h
+        dn[i] -= h
+        diff = residual_vector(problem, up) - residual_vector(problem, dn)
+        cols.append(diff / (2.0 * h) * max(abs(v), 1.0))
+    return np.array(cols).T
+
+
+# The exact Jacobian against central differences (step 1e-6 of each
+# value), in units of d(residual) / d(ln value): a column agrees when its
+# largest error is below RTOL of its largest entry plus ATOL, the
+# rounding floor of a central difference of O(1) residuals.
+RTOL, ATOL = 1e-5, 1e-9
+
+# every path form, gold shared by layers 0 and 4, a constant layer and
+# the constant substrate
+EVERY_FORM = (
+    "layers[1].thickness",
+    "layers[2].thickness",
+    "materials.pvac.oscillators[0].f",
+    "materials.pvac.oscillators[0].k0",
+    "materials.pvac.oscillators[0].gamma",
+    "materials.pvac.eps_b",
+    "materials.gold.omega_p",
+    "materials.gold.f0",
+    "materials.gold.gamma0",
+    "materials.gold.damping_multiplier",
+    "materials.spacer.eps",
+    "materials.germanium.eps",
+)
+
+
+def cavity_with_spacer(substrate_mode):
+    base = make_stack([CO_BAND])
+    materials = dict(base.materials, spacer=ConstantMedium(eps=complex(2.25, 0.1)))
+    layers = (
+        Layer("gold", 10.0), Layer("pvac", 1930.0), Layer("spacer", 50.0), Layer("gold", 10.0),
+    )
+    return LayerStack(materials=materials, layers=layers, substrate="germanium",
+                      substrate_mode=substrate_mode)
+
+
+def free_parameters(stack):
+    """Every fittable field of a stack without Lorentz media, with bounds
+    that centre on its value."""
+    free = [FreeParameter(f"layers[{i}].thickness", 0.5 * ly.thickness, 1.5 * ly.thickness)
+            for i, ly in enumerate(stack.layers)]
+    for name, mat in stack.materials.items():
+        if isinstance(mat, ConstantMedium):
+            v = mat.eps.real
+            free.append(FreeParameter(f"materials.{name}.eps", v - 1.0 - abs(v), v + 1.0 + abs(v)))
+        elif isinstance(mat, DrudeLorentzMetal):
+            for fld in ("omega_p", "f0", "gamma0"):
+                v = getattr(mat, fld)
+                free.append(FreeParameter(f"materials.{name}.{fld}", 0.5 * v, 1.5 * v))
+            m = mat.damping_multiplier
+            free.append(FreeParameter(f"materials.{name}.damping_multiplier", m, m + 1.0))
+    return tuple(free)
+
+
+class TestJacobian:
+    @pytest.mark.parametrize("substrate_mode", ["coherent", "incoherent_to_air"])
+    @pytest.mark.parametrize("polarization", ["s", "p", "unpolarized"])
+    @pytest.mark.parametrize("channel", ["T", "R", "A"])
+    def test_every_path_form_matches_central_differences(self, substrate_mode, polarization,
+                                                         channel):
+        stack = cavity_with_spacer(substrate_mode)
+        values = np.array([_locate(stack, path)[0] for path in EVERY_FORM])
+        free = tuple(FreeParameter(p, 0.8 * v, 1.2 * v) for p, v in zip(EVERY_FORM, values))
+        k = np.linspace(1500.0, 2000.0, 60)
+        problem = FitProblem(
+            stack=stack, free=free, k=k, target=np.full_like(k, 0.3), channel=channel,
+            angle=30.0, polarization=polarization, weights=np.linspace(0.5, 2.0, k.size),
+        )
+        scale = np.maximum(np.abs(values), 1.0)
+        exact = exact_jacobian(problem, values) * scale
+        central = central_jacobian(problem, values, 1e-6)
+        for i, path in enumerate(EVERY_FORM):
+            err = np.max(np.abs(exact[:, i] - central[:, i]))
+            assert err <= RTOL * np.max(np.abs(central[:, i])) + ATOL, path
+
+    def test_weights_scale_the_rows(self, coupled_stack):
+        free = (FreeParameter("layers[1].thickness", 1500.0, 2500.0),
+                FreeParameter("materials.gold.damping_multiplier", 1.0, 4.0))
+        plain = small_problem(coupled_stack, free, target=np.zeros(150))
+        w = np.linspace(0.1, 3.0, plain.k.size)
+        weighted = small_problem(coupled_stack, free, target=np.zeros(150), weights=w)
+        values = np.array([1900.0, 2.0])
+        np.testing.assert_array_equal(
+            exact_jacobian(weighted, values), exact_jacobian(plain, values) * w[:, None]
+        )
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=hard_stacks(), polarization=st.sampled_from(["s", "p", "unpolarized"]),
+           channel=st.sampled_from(["T", "R", "A"]))
+    def test_hard_stacks_match_central_differences(self, case, polarization, channel):
+        # near grazing incidence some columns are too small or too curved
+        # for a central difference to resolve; a column is checked where
+        # the steps 1e-6 and 2.5e-7 agree to a tenth of the tolerance
+        stack, angle = case
+        free = free_parameters(stack)
+        values = np.array([0.5 * (p.lower + p.upper) for p in free])
+        k = np.linspace(400.0, 7400.0, 15)
+        problem = FitProblem(stack=stack, free=free, k=k, target=np.zeros_like(k),
+                             channel=channel, angle=angle, polarization=polarization)
+        exact = exact_jacobian(problem, values) * np.maximum(np.abs(values), 1.0)
+        coarse = central_jacobian(problem, values, 1e-6)
+        fine = central_jacobian(problem, values, 2.5e-7)
+        for i, p in enumerate(free):
+            tol = RTOL * np.max(np.abs(coarse[:, i])) + ATOL
+            if np.max(np.abs(coarse[:, i] - fine[:, i])) <= 0.1 * tol:
+                assert np.max(np.abs(exact[:, i] - coarse[:, i])) <= tol, p.path
+
+    def test_singular_tangent_names_the_path(self):
+        # qz = sqrt(eps - (n_ambient sin(angle))^2) vanishes in the film
+        sin_amb = 2.0 * math.sin(math.radians(40.0))
+        stack = LayerStack(
+            materials={"film": ConstantMedium(eps=sin_amb**2), "sub": ConstantMedium(eps=9.0)},
+            layers=(Layer("film", 500.0),), substrate="sub", n_ambient=2.0,
+            substrate_mode="coherent",
+        )
+        free = (FreeParameter("layers[0].thickness", 400.0, 600.0),
+                FreeParameter("materials.film.eps", 1.0, 4.0))
+        k = np.linspace(1500.0, 2000.0, 11)
+        problem = FitProblem(stack=stack, free=free, k=k, target=np.zeros_like(k), angle=40.0)
+        with pytest.raises(DomainError, match=r"'materials\.film\.eps'"):
+            loss_gradient(problem, np.array([500.0, sin_amb**2]))
+        # a thickness alone stays differentiable there
+        thickness_only = FitProblem(stack=stack, free=free[:1], k=k, target=np.zeros_like(k),
+                                    angle=40.0)
+        assert np.all(np.isfinite(loss_gradient(thickness_only, np.array([500.0]))))
+
+
 class TestSolve:
+    def test_no_finite_difference_model_calls(self, coupled_stack, monkeypatch):
+        # every kernel pass inside solve is a value evaluation scipy
+        # counts, plus the template's; a 2-point Jacobian would add
+        # n_free passes per Jacobian
+        passes = []
+        kernel = tmm._rouard
+
+        def counted(*args, **kwargs):
+            passes.append(1)
+            return kernel(*args, **kwargs)
+
+        monkeypatch.setattr(tmm, "_rouard", counted)
+        base = small_problem(coupled_stack, [])
+        shifted = apply_params(coupled_stack, {"layers[1].thickness": 2050.0,
+                                               "materials.gold.damping_multiplier": 2.0})
+        problem = FitProblem(
+            stack=shifted,
+            free=(FreeParameter("layers[1].thickness", 1500.0, 2500.0),
+                  FreeParameter("materials.gold.damping_multiplier", 1.0, 4.0)),
+            k=base.k, target=base.target,
+        )
+        passes.clear()
+        result = solve(problem, n_starts=2, seed=3)
+        assert result.n_evaluations > 2
+        assert len(passes) == result.n_evaluations + 1
+
     def test_zero_free_parameters(self, coupled_stack):
         problem = small_problem(coupled_stack, [])
         result = solve(problem)

@@ -1,6 +1,7 @@
 """Transfer-matrix solver against closed-form optics oracles."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,19 +10,21 @@ from hypothesis import assume, example, given, settings, strategies as st
 from vibropol import (
     ConstantMedium,
     DomainError,
+    DrudeLorentzMetal,
     Layer,
     LayerStack,
     SpectralGrid,
     angle_scan,
     divergence_nodes,
+    field_map,
     find_peaks,
     gold,
-    layer_matrix,
     spectrum_scan,
     stack_response,
 )
 
 from conftest import THICK_GOLD_NM, hard_stacks, random_passive_stack
+from matrix_oracle import layer_matrix, matrix_response
 
 AIR = ConstantMedium(eps=1.0)
 GERMANIUM = ConstantMedium(eps=16.0)
@@ -202,6 +205,30 @@ class TestHardRegimeOracles:
 
 
 class TestLayerMatrix:
+    """The characteristic-matrix oracle of tests/matrix_oracle.py, and
+    the Rouard kernel against it."""
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_rouard_matches_matrix_product_on_benign_stacks(self, seed):
+        # gold clipped to 20 nm: cos and sin of a thick metal's phase
+        # would cost the matrix product its digits
+        rng = np.random.default_rng(seed)
+        stack = random_passive_stack(rng)
+        layers = tuple(
+            replace(ly, thickness=min(ly.thickness, 20.0))
+            if isinstance(stack.materials[ly.material], DrudeLorentzMetal)
+            else ly
+            for ly in stack.layers
+        )
+        stack = replace(stack, layers=layers, substrate_mode="coherent")
+        k = np.linspace(800.0, 4000.0, 41)
+        angle = float(rng.uniform(-60.0, 60.0))
+        for pol in ("s", "p"):
+            T, R, _ = stack_response(stack, k, angle, pol)
+            T_m, R_m = matrix_response(stack, k, angle, pol)
+            np.testing.assert_allclose(T, T_m, rtol=1e-8, atol=1e-12)
+            np.testing.assert_allclose(R, R_m, rtol=1e-8, atol=1e-12)
+
     def test_zero_thickness_is_identity(self):
         m = layer_matrix(SLAB, 0.0, np.array([1700.0]), polarization="s")
         np.testing.assert_allclose(m[0], np.eye(2), atol=1e-15)
@@ -409,3 +436,23 @@ def test_stack_validation():
         LayerStack(materials={"a": AIR}, layers=(), substrate="a", n_ambient=0.5)
     with pytest.raises(DomainError):
         LayerStack(materials={"a": AIR}, layers=(), substrate="a", substrate_mode="magic")
+
+
+class TestWavenumberValidation:
+    """Constant media keep a 0-d eps and never evaluate it on k, so the
+    kernel checks the grid itself."""
+
+    @pytest.mark.parametrize(
+        "k", [[0.0], [1700.0, -5.0], [np.nan], [1700.0, np.inf], []],
+        ids=["zero", "negative", "nan", "inf", "empty"],
+    )
+    @pytest.mark.parametrize("run", ["stack_response", "angle_scan", "field_map"])
+    def test_bad_grid_raises_on_a_constant_stack(self, lossless_cavity, k, run):
+        k = np.array(k, dtype=float)
+        calls = {
+            "stack_response": lambda: stack_response(lossless_cavity, k, 10.0, "p"),
+            "angle_scan": lambda: angle_scan(lossless_cavity, k, [0.0, 20.0], "s"),
+            "field_map": lambda: field_map(lossless_cavity, k, angle=10.0),
+        }
+        with pytest.raises(DomainError, match="wavenumber"):
+            calls[run]()
