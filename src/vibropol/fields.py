@@ -88,7 +88,7 @@ def _fields(stack, k, z, angle, polarization, flux=True):
         return np.broadcast_to(x, k.shape)[:, None]
 
     for pol in pols:
-        _, _, qz, q, fwd, bwd, _ = _rouard(eps, thickness, k0_rad, sin_amb, pol)
+        _, _, qz, q, fwd, bwd, _ = _rouard(eps, thickness, k0_rad, sin_amb**2, pol)
         amp = 1.0 if pol == "s" else stack.n_ambient
         for j, cols in enumerate(columns):
             if cols.size == 0:

@@ -40,6 +40,7 @@ from .tmm import (
     _check_polarization,
     _media,
     _response,
+    _sin2,
     stack_response,
 )
 
@@ -248,7 +249,7 @@ def _residuals_and_jacobian(problem, values):
         directions[key] = f"{directions[key]}, {path!r}" if key in directions else repr(path)
     k = problem.k
     T, R, S_T, S_R = _response(
-        stack, _media(stack, k), k, problem.angle, problem.polarization, directions
+        stack, _media(stack, k), k, _sin2(stack, problem.angle), problem.polarization, directions
     )
     if problem.channel == "T":
         model, sens = T, S_T

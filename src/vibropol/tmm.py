@@ -7,10 +7,13 @@ out-of-plane wavevector qz = kz/k0 = sqrt(eps - (n_ambient sin(angle))^2)
 is taken on the branch Im(qz) >= 0 (decay into the layer), with
 Re(qz) >= 0 when Im(qz) = 0; the in-plane n_ambient sin(angle) is
 conserved across the stack, and a layer of thickness d carries the phase
-factor exp(i k0 d qz).  A constant medium (the ambient, and any
-ConstantMedium layer or substrate) keeps a 0-d eps, qz and q through the
-whole pass, the exit factor of an incoherent substrate included, so it
-costs scalar arithmetic only.  Conventions follow exp(-i omega t).
+factor exp(i k0 d qz).  The media are isotropic, so the response depends
+on the angle only through s^2 = (n_ambient sin(angle))^2: the kernel
+takes s^2, and an angle scan solves each distinct s^2 once.  A constant
+medium (the ambient, and any ConstantMedium layer or substrate) keeps a
+0-d eps, qz and q through the whole pass, the exit factor of an
+incoherent substrate included, so it costs scalar arithmetic only.
+Conventions follow exp(-i omega t).
 
 Stacks are solved with Rouard's interface recursion (compared with the
 scattering-matrix form in Li, JOSA A 13, 1024 (1996)): starting at the
@@ -34,6 +37,8 @@ parameter p moves the channel by Re(S deps/dp).
 from __future__ import annotations
 
 import math
+import numbers
+from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass
 from types import MappingProxyType
@@ -173,7 +178,17 @@ def _reduced_kz(eps, sin2):
     """qz = sqrt(eps - sin2) on the branch Im(qz) >= 0, Re(qz) >= 0 on
     the real axis; 0-d for a 0-d eps."""
     qz = np.sqrt(eps - sin2)
-    return np.where(qz.imag < 0.0, -qz, qz)
+    if np.ndim(qz) == 0:
+        return np.where(qz.imag < 0.0, -qz, qz)
+    # passive media rarely need the flip, so only those elements change
+    np.negative(qz, out=qz, where=qz.imag < 0.0)
+    return qz
+
+
+def _sin2(stack, angle):
+    """s^2 = (n_ambient sin(angle))^2, the one number through which the
+    kernel sees the incidence angle."""
+    return (stack.n_ambient * math.sin(math.radians(angle))) ** 2
 
 
 def _check_angle(angle):
@@ -204,9 +219,12 @@ def _media(stack, k):
     )
 
 
-def _rouard(eps, thickness, k0, sin_amb, polarization, tangents=None):
+def _rouard(eps, thickness, k0, sin2, polarization, tangents=None):
     """Rouard's recursion over the media eps = (ambient, layers...,
-    substrate), broadcast over k0 (rad/nm); sin_amb = n_ambient sin(angle).
+    substrate), broadcast over k0 (rad/nm); sin2 = (n_ambient sin(angle))^2.
+    Media that share one eps object (one material, see `_media`) share
+    their qz and q, and layers of one material and thickness their phase
+    factor, so callers must not modify the returned arrays in place.
 
     Returns (r, t, qz, q, fwd, bwd, d) for a unit U amplitude incident from
     the ambient.  r and t are the U-amplitude reflection (at z = 0) and
@@ -222,9 +240,14 @@ def _rouard(eps, thickness, k0, sin_amb, polarization, tangents=None):
     then (dr, dt, dq_sub), the tangents of r, t and the substrate's q along
     the m directions on a leading axis; without tangents it is None.
     """
-    sin2 = sin_amb**2
-    qz = [_reduced_kz(e, sin2) for e in eps]
-    q = qz if polarization == "s" else [z / e for z, e in zip(qz, eps)]
+    qz, q, shared = [], [], {}
+    for e in eps:
+        if id(e) not in shared:
+            z = _reduced_kz(e, sin2)
+            shared[id(e)] = z, (z if polarization == "s" else z / e)
+        z, qj = shared[id(e)]
+        qz.append(z)
+        q.append(qj)
     # r[i], t[i]: interface between media i and i + 1; t = 1 + r, but
     # 2 qa / (qa + qb) keeps its digits when qb >> qa (p-polarized ENZ)
     r, t = [], []
@@ -233,7 +256,12 @@ def _rouard(eps, thickness, k0, sin_amb, polarization, tangents=None):
         r.append((qa - qb) / qs)
         t.append(2.0 * qa / qs)
     n = len(thickness)
-    phase = [None] + [np.exp(1j * thickness[j - 1] * qz[j] * k0) for j in range(1, n + 1)]
+    phase = [None]
+    for j in range(1, n + 1):
+        key = id(eps[j]), thickness[j - 1]
+        if key not in shared:
+            shared[key] = np.exp(1j * thickness[j - 1] * qz[j] * k0)
+        phase.append(shared[key])
 
     if tangents is not None:
         deps, dd = tangents
@@ -314,8 +342,9 @@ def _tangents(stack, directions):
     return deps, dd
 
 
-def _response(stack, eps, k, angle, polarization, directions=None):
-    """(T, R) of one or both polarizations from precomputed permittivities.
+def _response(stack, eps, k, sin2, polarization, directions=None):
+    """(T, R) of one or both polarizations from precomputed permittivities
+    at sin2 = `_sin2(stack, angle)`.
 
     `directions` maps each tangent direction to a label that names its
     parameters: a material name stands for a unit complex change of eps
@@ -326,14 +355,13 @@ def _response(stack, eps, k, angle, polarization, directions=None):
     deps/dp = 1 for a thickness.
     """
     if polarization == "unpolarized":
-        s = _response(stack, eps, k, angle, "s", directions)
-        p = _response(stack, eps, k, angle, "p", directions)
+        s = _response(stack, eps, k, sin2, "s", directions)
+        p = _response(stack, eps, k, sin2, "p", directions)
         return tuple(0.5 * (a + b) for a, b in zip(s, p))
     k0 = _K_TO_RAD_NM * k
-    sin_amb = stack.n_ambient * math.sin(math.radians(angle))
     thickness = [ly.thickness for ly in stack.layers]
     tangents = None if directions is None else _tangents(stack, directions)
-    r, t, _, q, _, _, d = _rouard(eps, thickness, k0, sin_amb, polarization, tangents)
+    r, t, _, q, _, _, d = _rouard(eps, thickness, k0, sin2, polarization, tangents)
     q_amb, q_sub = q[0], q[-1]
 
     incoherent = stack.substrate_mode == "incoherent_to_air"
@@ -342,7 +370,7 @@ def _response(stack, eps, k, angle, polarization, directions=None):
         # Re(q_air) / Re(q_sub) |t_exit|^2; an evanescent substrate wave
         # (total internal reflection inside the stack) never reaches the
         # rear face, so T stays 0
-        q_air = _reduced_kz(1.0 + 0j, sin_amb**2)
+        q_air = _reduced_kz(1.0 + 0j, sin2)
         t_exit = 2.0 * q_sub / (q_sub + q_air)
         t_out = t * t_exit
         scale = np.where(np.real(q_sub) > 0.0, np.real(q_air), 0.0) / np.real(q_amb)
@@ -373,7 +401,7 @@ def stack_response(stack, k, angle=0.0, polarization="s"):
     _check_angle(angle)
     _check_polarization(polarization)
     k = np.atleast_1d(np.asarray(k, dtype=float))
-    T, R = _response(stack, _media(stack, k), k, angle, polarization)
+    T, R = _response(stack, _media(stack, k), k, _sin2(stack, angle), polarization)
     return T, R, 1.0 - T - R
 
 
@@ -384,14 +412,19 @@ def spectrum_scan(stack, grid, angle=0.0, polarization="s"):
     return Spectrum(k=k, T=T, R=R, A=A, angle=angle, polarization=polarization)
 
 
+def _check_divergence(sigma, n_nodes):
+    if not (math.isfinite(sigma) and sigma >= 0.0):
+        raise DomainError(f"divergence must be finite and >= 0 degrees, got {sigma!r}")
+    if not (isinstance(n_nodes, numbers.Integral) and n_nodes >= 1 and n_nodes % 2 == 1):
+        raise DomainError(f"n_nodes must be an odd integer >= 1, got {n_nodes!r}")
+
+
 def divergence_nodes(angle, sigma, n_nodes=11):
     """Angular quadrature for a Gaussian beam-divergence average: n_nodes
     uniformly spaced points across angle +- 3 sigma, Gaussian-weighted,
-    truncated to |angle| < 90 and renormalized."""
-    if sigma < 0.0 or not math.isfinite(sigma):
-        raise DomainError("divergence sigma must be >= 0 degrees")
-    if n_nodes < 1 or n_nodes % 2 == 0:
-        raise DomainError("divergence quadrature needs an odd node count >= 1")
+    truncated to |angle| < 90 and renormalized.  sigma = 0 gives the one
+    node angle with weight 1."""
+    _check_divergence(sigma, n_nodes)
     if sigma == 0.0:
         return np.array([angle]), np.array([1.0])
     offsets = np.linspace(-3.0 * sigma, 3.0 * sigma, n_nodes)
@@ -406,11 +439,15 @@ def divergence_nodes(angle, sigma, n_nodes=11):
 
 def angle_scan(stack, grid, angles, polarization="s", divergence=0.0, n_nodes=11):
     """Spectra over a list of angles, optionally averaged over a Gaussian
-    angular spread of half-width `divergence` degrees (one sigma).
+    angular spread of half-width `divergence` degrees (one sigma) on the
+    nodes of `divergence_nodes`.
 
-    The permittivities are evaluated once for the whole scan; each angle,
-    or each divergence node, is then one pass of the stack recursion over
-    the grid.  Results are ordered like `angles`.
+    The permittivities are evaluated once for the whole scan.  The
+    response depends on an angle only through s^2 = (n_ambient
+    sin(angle))^2, so each distinct s^2 among all nodes of all angles is
+    one pass of the stack recursion over the grid: a and -a, and the
+    mirrored nodes of a symmetric spread, cost one pass.  Results are
+    ordered like `angles`.
     """
     k = grid.points if isinstance(grid, SpectralGrid) else np.asarray(grid, dtype=float)
     k = np.atleast_1d(k)
@@ -418,20 +455,29 @@ def angle_scan(stack, grid, angles, polarization="s", divergence=0.0, n_nodes=11
     for a in angles:
         _check_angle(a)
     _check_polarization(polarization)
+    _check_divergence(divergence, n_nodes)
+    nodes = []
+    for angle in angles:
+        thetas, weights = divergence_nodes(angle, divergence, n_nodes)
+        nodes.append(([_sin2(stack, theta) for theta in thetas], weights))
+    uses = Counter(s2 for keys, _ in nodes for s2 in keys)
     eps = _media(stack, k)
 
-    scans = []
-    for angle in angles:
-        if divergence > 0.0:
-            thetas, weights = divergence_nodes(angle, divergence, n_nodes)
-            T = np.zeros_like(k)
-            R = np.zeros_like(k)
-            for theta, w in zip(thetas, weights):
-                Ti, Ri = _response(stack, eps, k, theta, polarization)
-                T += w * Ti
-                R += w * Ri
-        else:
-            T, R = _response(stack, eps, k, angle, polarization)
-        scans.append(Spectrum(k=k, T=T, R=R, A=1.0 - T - R, angle=angle,
-                              polarization=polarization))
+    # in order of |angle| the nodes of a and -a are solved together, so
+    # the cache holds about one angle's nodes; an entry leaves with its
+    # last use
+    cache = {}
+    scans = [None] * len(angles)
+    for i in sorted(range(len(angles)), key=lambda i: abs(angles[i])):
+        T = np.zeros_like(k)
+        R = np.zeros_like(k)
+        for s2, w in zip(*nodes[i]):
+            if s2 not in cache:
+                cache[s2] = _response(stack, eps, k, s2, polarization)
+            uses[s2] -= 1
+            Ti, Ri = cache[s2] if uses[s2] else cache.pop(s2)
+            T += w * Ti
+            R += w * Ri
+        scans[i] = Spectrum(k=k, T=T, R=R, A=1.0 - T - R, angle=angles[i],
+                            polarization=polarization)
     return scans

@@ -2,6 +2,7 @@
 
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,9 +20,11 @@ from vibropol import (
     field_map,
     find_peaks,
     gold,
+    load_config,
     spectrum_scan,
     stack_response,
 )
+from vibropol import tmm
 
 from conftest import THICK_GOLD_NM, hard_stacks, random_passive_stack
 from matrix_oracle import layer_matrix, matrix_response
@@ -29,6 +32,7 @@ from matrix_oracle import layer_matrix, matrix_response
 AIR = ConstantMedium(eps=1.0)
 GERMANIUM = ConstantMedium(eps=16.0)
 SLAB = ConstantMedium(eps=1.41**2)
+DISPERSION_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "cavity_dispersion.yaml"
 
 
 def bare_interface(substrate_eps=16.0):
@@ -390,7 +394,91 @@ class TestSpectralGrid:
                 SpectralGrid(*args)
 
 
+def node_by_node_scan(stack, k, angles, polarization, divergence=0.0, n_nodes=11):
+    """Oracle for `angle_scan`: one kernel pass per angle or divergence
+    node, summed in node order, whatever angles repeat."""
+    scans = []
+    for angle in angles:
+        if divergence > 0.0:
+            thetas, weights = divergence_nodes(angle, divergence, n_nodes)
+            T = np.zeros_like(k)
+            R = np.zeros_like(k)
+            for theta, w in zip(thetas, weights):
+                Ti, Ri, _ = stack_response(stack, k, theta, polarization)
+                T += w * Ti
+                R += w * Ri
+        else:
+            T, R, _ = stack_response(stack, k, angle, polarization)
+        scans.append((T, R, 1.0 - T - R))
+    return scans
+
+
 class TestAngleScan:
+    @pytest.mark.parametrize("variant", ["incoherent", "coherent", "n_ambient_1.5"])
+    @pytest.mark.parametrize("pol", ["s", "p", "unpolarized"])
+    @pytest.mark.parametrize("divergence", [0.0, 1.0, 4.0])
+    def test_bitwise_equal_to_node_by_node_scan(self, coupled_stack, variant, pol,
+                                                 divergence):
+        stack = {
+            "incoherent": coupled_stack,
+            "coherent": replace(coupled_stack, substrate_mode="coherent"),
+            "n_ambient_1.5": replace(coupled_stack, n_ambient=1.5),
+        }[variant]
+        k = SpectralGrid(1600.0, 1900.0, 5.0).points
+        angle_lists = (
+            [-20.0, -10.0, 0.0, 10.0, 20.0],      # symmetric
+            [-35.0, 5.0, 12.5, 40.0, 88.0],       # asymmetric, truncated at grazing
+            [10.0, -10.0, 10.0, 0.0, 0.0, 7.3],   # repeated
+        )
+        for angles in angle_lists:
+            scan = angle_scan(stack, k, angles, pol, divergence=divergence)
+            expected = node_by_node_scan(stack, k, angles, pol, divergence)
+            assert [sp.angle for sp in scan] == angles
+            for sp, (T, R, A) in zip(scan, expected):
+                assert sp.polarization == pol
+                assert np.array_equal(sp.T, T)
+                assert np.array_equal(sp.R, R)
+                assert np.array_equal(sp.A, A)
+
+    # 11 nodes at 0 deg give 9 passes, not 6: the linspace offsets +-0.6,
+    # +-1.8 and +-2.4 differ in their last bit, so only +-1.2 and +-3 mirror
+    @pytest.mark.parametrize(
+        "angles, divergence, passes",
+        [("config", 1.0, 146), ("config", 0.0, 13), ([0.0], 1.0, 9)],
+        ids=["dispersion_sigma_1", "dispersion_sigma_0", "normal_sigma_1"],
+    )
+    def test_one_kernel_pass_per_distinct_sin2(self, monkeypatch, angles, divergence,
+                                               passes):
+        cfg = load_config(DISPERSION_CONFIG)
+        angles = cfg.scan.angles if angles == "config" else angles
+        counted = []
+        kernel = tmm._rouard
+
+        def counting(*args, **kwargs):
+            counted.append(1)
+            return kernel(*args, **kwargs)
+
+        monkeypatch.setattr(tmm, "_rouard", counting)
+        scan = angle_scan(cfg.require_stack(), cfg.grid, angles, "s", divergence=divergence)
+        assert len(scan) == len(angles)
+        assert len(counted) == passes
+
+    @pytest.mark.parametrize(
+        "kwargs, argument",
+        [({"divergence": -1.0}, "divergence"), ({"divergence": math.nan}, "divergence"),
+         ({"divergence": math.inf}, "divergence"), ({"divergence": 1.0, "n_nodes": 4}, "n_nodes"),
+         ({"divergence": 1.0, "n_nodes": 3.0}, "n_nodes"), ({"n_nodes": 0}, "n_nodes")],
+        ids=["negative", "nan", "inf", "even", "float", "zero"],
+    )
+    def test_bad_divergence_raises_naming_the_argument(self, coupled_stack, kwargs,
+                                                       argument):
+        k = np.array([1700.0])
+        for angles in ([0.0, 20.0], []):
+            with pytest.raises(DomainError, match=argument):
+                angle_scan(coupled_stack, k, angles, "s", **kwargs)
+        with pytest.raises(DomainError, match=argument):
+            divergence_nodes(0.0, kwargs.get("divergence", 0.0), kwargs.get("n_nodes", 11))
+
     def test_zero_divergence_matches_pointwise_scan(self, coupled_stack):
         grid = SpectralGrid(1600.0, 1900.0, 2.0)
         scan = angle_scan(coupled_stack, grid, [0.0, 20.0, 40.0], "s")
@@ -423,6 +511,34 @@ class TestAngleScan:
         d_sharp = p_sharp[1].center - p_sharp[0].center
         d_smear = p_smear[1].center - p_smear[0].center
         assert d_smear == pytest.approx(d_sharp, abs=10.0)
+
+
+def test_reduced_kz_takes_the_decaying_root():
+    eps = np.array([1.0 - 1.0j, -4.0 + 0.0j, complex(-4.0, -0.0), 2.0 + 1.0j, 0.25 - 3.0j])
+    for sin2 in (0.0, 0.5):
+        root = np.sqrt(eps - sin2)
+        expected = np.where(root.imag < 0.0, -root, root)
+        assert np.array_equal(tmm._reduced_kz(eps, sin2), expected)
+        assert np.all(tmm._reduced_kz(eps, sin2).imag >= 0.0)
+        for e, z in zip(eps, expected):
+            assert tmm._reduced_kz(e, sin2) == z
+
+
+def test_shared_material_gives_the_bits_of_separate_equal_materials(coupled_stack):
+    # both mirrors of coupled_stack are one material, so the kernel shares
+    # their qz, q and phase factor; two names give two eps arrays
+    materials = dict(coupled_stack.materials, gold_b=gold())
+    layers = coupled_stack.layers[:-1] + (Layer("gold_b", coupled_stack.layers[-1].thickness),)
+    separate = replace(coupled_stack, materials=materials, layers=layers)
+    k = SpectralGrid(1500.0, 2000.0, 2.5).points
+    for pol in ("s", "p"):
+        for angle in (0.0, 35.0):
+            for a, b in zip(stack_response(coupled_stack, k, angle, pol),
+                            stack_response(separate, k, angle, pol)):
+                assert np.array_equal(a, b)
+    shared_map = field_map(coupled_stack, k[::20], angle=35.0, polarization="p")
+    separate_map = field_map(separate, k[::20], angle=35.0, polarization="p")
+    assert np.array_equal(shared_map.intensity, separate_map.intensity)
 
 
 def test_stack_validation():
