@@ -8,22 +8,20 @@ re-running a command overwrites its files byte-identically.
 from __future__ import annotations
 
 import functools
-import json
 import os
 import sys
 
 import click
-import numpy as np
 
 from . import fit as fitmod
 from . import io as iomod
 from . import spectra as spectramod
-from .config import ScanSettings, load_config, override, parse_grid_spec
+from .config import ScanSettings, load_config, override, parse_colon_spec, parse_grid_spec
 from .constants import cm1_to_mev
 from .errors import ConfigError, VibropolError
 from .fields import default_z_grid, field_map
 from .polariton import estimate_report
-from .tmm import angle_scan
+from .tmm import Spectrum, angle_scan
 
 
 def _translate_errors(fn):
@@ -88,7 +86,7 @@ def _spectrum_analysis(spectrum, window, min_prominence):
 
 def _emit_report(payload, out_dir, filename):
     if out_dir is None:
-        click.echo(json.dumps(payload, indent=2, sort_keys=True))
+        click.echo(iomod.json_text(payload), nl=False)
     else:
         path = os.path.join(out_dir, filename)
         iomod.write_json(path, payload)
@@ -205,39 +203,20 @@ def analyze(csv_path, channel, window, min_prominence, out_dir):
     """Peaks and splittings of a spectrum CSV.
 
     Accepts the native k_cm1,T,R,A format or a two-column
-    wavenumber,value file ('#' comments allowed)."""
+    wavenumber,value file, read under the rules of `vibropol.io`."""
     if window is not None:
-        parts = window.split(":")
-        if len(parts) != 2:
-            raise ConfigError("--window must look like lo:hi")
-        try:
-            window = [float(parts[0]), float(parts[1])]
-        except ValueError:
-            raise ConfigError("--window must be numeric lo:hi") from None
+        window = parse_colon_spec(window, "lo:hi", "--window")
     settings = override(ScanSettings(), "analyze", window=window, min_prominence=min_prominence)
 
-    native = False
-    with open(csv_path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            native = stripped.lower().startswith("k_cm1") and stripped.count(",") == 3
-            break
-
+    data = iomod.read_spectrum_csv(csv_path)
     payload = {"source": os.path.basename(csv_path)}
-    if native:
-        spectrum = iomod.read_spectrum_csv(csv_path)
-        payload["angle_deg"] = spectrum.angle
-        payload["polarization"] = spectrum.polarization
-        payload["channels"] = _spectrum_analysis(
-            spectrum, settings.window, settings.min_prominence
-        )
-        payload["channel_requested"] = channel
+    if isinstance(data, Spectrum):
+        payload.update(angle_deg=data.angle, polarization=data.polarization,
+                       channel_requested=channel,
+                       channels=_spectrum_analysis(data, settings.window, settings.min_prominence))
     else:
-        k, values = spectramod.load_measured(csv_path)
         payload["channels"] = {
-            "value": _channel_analysis(k, values, settings.window, settings.min_prominence)
+            "value": _channel_analysis(*data, settings.window, settings.min_prominence)
         }
     _emit_report(payload, out_dir, "analysis.json")
 
@@ -279,13 +258,9 @@ def fit(config_path, out_dir, target_path, seed):
     seed = cfg.fit.seed if seed is None else seed
     result = fitmod.solve(problem, n_starts=cfg.fit.n_starts, seed=seed)
 
-    best = np.array([result.params[p.path] for p in problem.free])
-    model = fitmod.model_values(problem, best)
-    lines = ["k_cm1,target,model"]
-    for ki, ti, mi in zip(k, target, model):
-        lines.append(",".join(repr(float(v)) for v in (ki, ti, mi)))
-    curve_path = os.path.join(out_dir, "fit_curve.csv")
-    iomod._write_text(curve_path, "\n".join(lines) + "\n")
+    model = fitmod.model_values(problem, [result.params[p.path] for p in problem.free])
+    iomod.write_csv(os.path.join(out_dir, "fit_curve.csv"), "k_cm1,target,model",
+                    zip(k, target, model))
 
     payload = {
         "params": result.params,

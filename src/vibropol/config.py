@@ -50,7 +50,7 @@ from .errors import ConfigError, DomainError
 from .fit import FitProblem, FreeParameter
 from .materials import ConstantMedium, DrudeLorentzMetal, LorentzMedium
 from .polariton import CavityMode, VibrationalMode
-from .tmm import POLARIZATIONS, LayerStack, SpectralGrid
+from .tmm import POLARIZATIONS, LayerStack, SpectralGrid, _check_sigma
 
 __all__ = [
     "Config",
@@ -58,6 +58,7 @@ __all__ = [
     "parse_config",
     "config_to_dict",
     "parse_grid_spec",
+    "parse_colon_spec",
     "override",
 ]
 
@@ -141,8 +142,7 @@ class ScanSettings:
     def __post_init__(self):
         _one_of(self.polarization, "polarization", POLARIZATIONS)
         _one_of(self.channel, "channel", CHANNELS)
-        if not self.divergence >= 0:
-            raise DomainError("divergence must be >= 0 degrees")
+        _check_sigma(self.divergence)
         if self.window is not None and not (
             len(self.window) == 2 and self.window[0] < self.window[1]
         ):
@@ -317,16 +317,22 @@ def _read_material(name, spec):
     return mat
 
 
+def parse_colon_spec(text, form, where):
+    """The numbers of a CLI spec `text` written like `form`, such as lo:hi;
+    errors name the option `where`."""
+    try:
+        values = [float(part) for part in text.split(":")]
+    except ValueError:
+        values = []
+    if len(values) != form.count(":") + 1:
+        raise ConfigError(f"{where} must be numbers {form}, got {text!r}")
+    return values
+
+
 def parse_grid_spec(text):
     """min:max:step string (CLI --grid) to a SpectralGrid, checked like
     the `grid` section."""
-    parts = text.split(":")
-    if len(parts) != 3:
-        raise ConfigError(f"grid spec {text!r} must look like min:max:step")
-    try:
-        values = [float(p) for p in parts]
-    except ValueError:
-        raise ConfigError(f"grid spec {text!r} has non-numeric parts") from None
+    values = parse_colon_spec(text, "min:max:step", "--grid")
     return _read(SpectralGrid, dict(zip(("min", "max", "step"), values)), "--grid")
 
 

@@ -1,10 +1,17 @@
 """File formats.
 
-Spectra go to CSV with the header ``k_cm1,T,R,A`` (angle and polarization
-kept in leading ``#`` comment lines), field maps to long-format
-``k_cm1,z_nm,intensity`` and reports to JSON with sorted keys.  All
-writers are deterministic: re-running a command overwrites its outputs
-byte for byte.
+CSV files are ``# key = value`` metadata lines, a header row and one row
+per sample, numbers in their shortest round-trip form; reports are JSON
+with sorted keys.  Reruns overwrite their outputs byte for byte.
+
+`read_spectrum_csv` reads native (``k_cm1,T,R,A``) and two-column files
+under one set of rules: ``#`` starts a comment anywhere; a line holding
+only ``# key = value`` is metadata; a first row starting with ``k_cm1``
+is a header, native if it reads ``k_cm1,T,R,A`` in any case; every row
+has the column count of the first, at least two; every cell is a finite
+number; wavenumbers are positive and distinct, and come back sorted;
+``angle_deg`` and ``polarization`` pass the stack model's checks.  Each
+defect is a DomainError naming the file and line.
 """
 
 from __future__ import annotations
@@ -15,85 +22,110 @@ import os
 import numpy as np
 
 from .errors import DomainError
-from .tmm import Spectrum
+from .tmm import Spectrum, _check_angle, _check_polarization
 
 __all__ = [
+    "write_csv",
     "write_spectrum_csv",
     "read_spectrum_csv",
     "write_field_map_csv",
     "write_dispersion_csv",
+    "json_text",
     "write_json",
 ]
 
+NATIVE_HEADER = "k_cm1,T,R,A"
+
+
 def _fmt(value):
-    # shortest representation that round-trips the double exactly
-    return repr(float(value))
+    """A CSV cell or metadata value: a string as is, None empty, a number
+    in the shortest form that round-trips the double exactly."""
+    if value is None:
+        return ""
+    return value if isinstance(value, str) else repr(float(value))
+
+
+def _head(header, meta):
+    """The metadata comment lines and the header row, as text."""
+    return "".join(f"# {key} = {_fmt(value)}\n" for key, value in meta.items()) + header + "\n"
+
+
+def write_csv(path, header, rows, **meta):
+    """A ``# key = value`` line per keyword, the header, a line per row."""
+    with _open_text(path) as fh:
+        fh.write(_head(header, meta))
+        fh.write("".join(",".join(map(_fmt, row)) + "\n" for row in rows))
 
 
 def write_spectrum_csv(path, spectrum):
-    lines = [
-        f"# angle_deg = {_fmt(spectrum.angle)}",
-        f"# polarization = {spectrum.polarization}",
-        "k_cm1,T,R,A",
-    ]
-    for k, t, r, a in zip(spectrum.k, spectrum.T, spectrum.R, spectrum.A):
-        lines.append(",".join(_fmt(v) for v in (k, t, r, a)))
-    _write_text(path, "\n".join(lines) + "\n")
-
-
-def _floats(path, lineno, cells):
-    """The cells of line `lineno` (1-based) of a CSV file as floats."""
-    try:
-        return [float(c) for c in cells]
-    except ValueError:
-        raise DomainError(
-            f"{path}, line {lineno}: non-numeric cell in {','.join(cells)!r}"
-        ) from None
+    write_csv(path, NATIVE_HEADER,
+              zip(spectrum.k, spectrum.T, spectrum.R, spectrum.A),
+              angle_deg=spectrum.angle, polarization=spectrum.polarization)
 
 
 def read_spectrum_csv(path):
-    """Spectrum back from the native CSV format."""
+    """A Spectrum from a native ``k_cm1,T,R,A`` file, else (k, values) from
+    the first two columns, under the rules of the module docstring."""
+    def defect(lineno, what):
+        return DomainError(f"{path}, line {lineno}: {what}")
+
     angle, polarization = 0.0, "s"
-    rows = []
+    header, width, rows, lines = None, None, [], []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
+            text, _, comment = line.partition("#")
+            text = text.strip()
+            if not text:
+                key, _, value = (part.strip() for part in comment.partition("="))
+                try:
+                    if key == "angle_deg":
+                        _check_angle(angle := float(value))
+                    elif key == "polarization":
+                        _check_polarization(polarization := value)
+                except (ValueError, DomainError) as err:
+                    raise defect(lineno, f"{key} = {value}: {err}") from None
                 continue
-            if line.startswith("#"):
-                body = line[1:].strip()
-                if body.startswith("angle_deg"):
-                    angle = _floats(path, lineno, [body.partition("=")[2]])[0]
-                elif body.startswith("polarization"):
-                    polarization = body.partition("=")[2].strip()
-                continue
-            if line.lower().startswith("k_cm1"):
-                continue
-            parts = line.split(",")
-            if len(parts) != 4:
-                raise DomainError(f"{path}, line {lineno}: expected 4 columns, got {len(parts)}")
-            rows.append(_floats(path, lineno, parts))
+            cells = text.split(",")
+            if width is None:
+                width = max(len(cells), 2)
+                if text.lower().startswith("k_cm1"):
+                    header = ",".join(cell.strip() for cell in cells).lower()
+                    continue
+            if len(cells) != width:
+                raise defect(lineno, f"expected {width} comma-separated columns")
+            try:
+                rows.append([float(cell) for cell in cells])
+            except ValueError:
+                raise defect(lineno, f"non-numeric cell in {text!r}") from None
+            lines.append(lineno)
     if not rows:
         raise DomainError(f"{path}: no data rows")
-    data = np.asarray(rows)
-    return Spectrum(
-        k=data[:, 0], T=data[:, 1], R=data[:, 2], A=data[:, 3],
-        angle=angle, polarization=polarization,
-    )
+    cols, lines = np.array(rows).T, np.array(lines)
+    for bad, what in ((~np.isfinite(cols).all(axis=0), "non-finite cell"),
+                      (cols[0] <= 0.0, "wavenumber must be positive")):
+        if bad.any():
+            raise defect(lines[bad.argmax()], what)
+    order = np.argsort(cols[0], kind="stable")
+    cols, lines = cols[:, order], lines[order]
+    same = np.flatnonzero(cols[0, 1:] == cols[0, :-1])
+    if same.size:
+        raise defect(lines[same[0] + 1], f"wavenumber repeats line {lines[same[0]]}")
+    if header == NATIVE_HEADER.lower():
+        return Spectrum(*cols, angle=angle, polarization=polarization)
+    return cols[0], cols[1]
 
 
 def write_field_map_csv(path, fmap):
     """Long format, one row per (k, z) cell; each k and z value is
     formatted once and the file is written one k block at a time."""
-    header = [
-        f"# angle_deg = {_fmt(fmap.angle)}",
-        f"# polarization = {fmap.polarization}",
-        f"# layer_boundaries_nm = {' '.join(_fmt(b) for b in fmap.boundaries)}",
-        "k_cm1,z_nm,intensity",
-    ]
+    head = _head("k_cm1,z_nm,intensity", {
+        "angle_deg": fmap.angle,
+        "polarization": fmap.polarization,
+        "layer_boundaries_nm": " ".join(_fmt(b) for b in fmap.boundaries),
+    })
     z_cols = [f",{_fmt(z)}," for z in fmap.z]
     with _open_text(path) as fh:
-        fh.write("\n".join(header) + "\n")
+        fh.write(head)
         for k, row in zip(fmap.k, fmap.intensity):
             k_col = _fmt(k)
             fh.write("".join(
@@ -103,23 +135,21 @@ def write_field_map_csv(path, fmap):
 
 
 def write_dispersion_csv(path, table):
-    lines = [f"# channel = {table.channel}", "angle_deg,omega_lower_cm1,omega_upper_cm1,status"]
-    for row in table.rows:
-        lo = _fmt(row.omega_lower) if row.omega_lower is not None else ""
-        hi = _fmt(row.omega_upper) if row.omega_upper is not None else ""
-        lines.append(f"{_fmt(row.angle)},{lo},{hi},{row.status}")
-    _write_text(path, "\n".join(lines) + "\n")
+    write_csv(path, "angle_deg,omega_lower_cm1,omega_upper_cm1,status",
+              ((r.angle, r.omega_lower, r.omega_upper, r.status) for r in table.rows),
+              channel=table.channel)
+
+
+def json_text(payload):
+    """The JSON text of every report: sorted keys, two-space indent."""
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 def write_json(path, payload):
-    _write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    with _open_text(path) as fh:
+        fh.write(json_text(payload))
 
 
 def _open_text(path):
     os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
     return open(path, "w", encoding="utf-8", newline="\n")
-
-
-def _write_text(path, text):
-    with _open_text(path) as fh:
-        fh.write(text)

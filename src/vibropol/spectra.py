@@ -15,7 +15,7 @@ import numpy as np
 
 from .constants import cm1_to_mev
 from .errors import DomainError, FitError, PeakCountError
-from .polariton import AnticrossingCurve, anticrossing_dispersion
+from .polariton import anticrossing_dispersion
 
 __all__ = [
     "Peak",
@@ -316,12 +316,10 @@ class DispersionRow:
 
 @dataclass
 class DispersionTable:
-    """Measured polariton branches versus angle, with optional model
-    reference curves attached."""
+    """Measured polariton branches versus angle."""
 
     rows: list[DispersionRow]
     channel: str
-    reference: AnticrossingCurve | None = None
 
     def good_rows(self):
         return [r for r in self.rows if r.status == "ok"]
@@ -401,28 +399,12 @@ def fit_coupled_model(table, order=1, n_ambient=1.0, x0=None, max_nfev=2000):
 
 
 def load_measured(path):
-    """Two-column CSV (wavenumber, value); '#' starts a comment.  Further
-    columns are read and ignored, but every data line needs the same
-    count.  Returns (k, values) sorted by wavenumber."""
+    """(k, values) of a two-column spectrum file, read by `vibropol.io`; a
+    native k_cm1,T,R,A spectrum is a DomainError naming the file."""
     # imported here so that `import vibropol` does not load io and json
-    from .io import _floats
+    from .io import read_spectrum_csv
 
-    rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            row = _floats(path, lineno, line.split(","))
-            if len(row) < 2 or (rows and len(row) != len(rows[0])):
-                raise DomainError(f"{path}, line {lineno}: expected the same two or more "
-                                  "comma-separated columns on every line")
-            rows.append(row)
-    if not rows:
-        raise DomainError(f"{path}: no data rows")
-    data = np.asarray(rows)
-    k, values = data[:, 0], data[:, 1]
-    if np.any(k <= 0):
-        raise DomainError(f"{path}: wavenumbers must be positive")
-    order = np.argsort(k)
-    return k[order], values[order]
+    data = read_spectrum_csv(path)
+    if not isinstance(data, tuple):
+        raise DomainError(f"{path}: a native k_cm1,T,R,A spectrum, not a two-column file")
+    return data

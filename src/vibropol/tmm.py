@@ -412,9 +412,13 @@ def spectrum_scan(stack, grid, angle=0.0, polarization="s"):
     return Spectrum(k=k, T=T, R=R, A=A, angle=angle, polarization=polarization)
 
 
+def _check_sigma(sigma):
+    if not (math.isfinite(sigma) and 0.0 <= sigma <= 30.0):
+        raise DomainError(f"divergence must be between 0 and 30 degrees, got {sigma!r}")
+
+
 def _check_divergence(sigma, n_nodes):
-    if not (math.isfinite(sigma) and sigma >= 0.0):
-        raise DomainError(f"divergence must be finite and >= 0 degrees, got {sigma!r}")
+    _check_sigma(sigma)
     if not (isinstance(n_nodes, numbers.Integral) and n_nodes >= 1 and n_nodes % 2 == 1):
         raise DomainError(f"n_nodes must be an odd integer >= 1, got {n_nodes!r}")
 
@@ -423,7 +427,7 @@ def divergence_nodes(angle, sigma, n_nodes=11):
     """Angular quadrature for a Gaussian beam-divergence average: n_nodes
     uniformly spaced points across angle +- 3 sigma, Gaussian-weighted,
     truncated to |angle| < 90 and renormalized.  sigma = 0 gives the one
-    node angle with weight 1."""
+    node angle with weight 1; sigma must lie in 0 to 30 degrees."""
     _check_divergence(sigma, n_nodes)
     if sigma == 0.0:
         return np.array([angle]), np.array([1.0])

@@ -15,6 +15,8 @@ from vibropol import ConfigError, SpectralGrid, load_config, parse_config, spect
 from vibropol.cli import main
 from vibropol.config import config_to_dict, parse_grid_spec
 
+from test_io import FILE_DEFECTS
+
 ROOT = Path(__file__).resolve().parents[1]
 CONFIGS = sorted((ROOT / "configs").glob("*.yaml"))
 
@@ -157,9 +159,10 @@ class TestConfigParsing:
         raw["scan"] = {"window": [2000.0, 1500.0]}
         with pytest.raises(ConfigError):
             parse_config(raw)
-        raw["scan"] = {"divergence": -1.0}
-        with pytest.raises(ConfigError):
-            parse_config(raw)
+        for divergence in (-1.0, 30.5):
+            raw["scan"] = {"divergence": divergence}
+            with pytest.raises(ConfigError, match="scan: divergence must be"):
+                parse_config(raw)
 
     def test_field_map_validation(self):
         raw = yaml.safe_load(BASE_CONFIG)
@@ -288,6 +291,15 @@ class TestSimulateCommand:
         )
         assert result.exit_code == 2
         assert "scan.divergence" in result.output
+        assert not (tmp_path / "summary.json").exists()
+        # a finite sigma beyond 30 degrees fails the ScanSettings range check
+        result = runner.invoke(
+            main,
+            ["simulate", "--config", cfg, "--out-dir", str(tmp_path), "--divergence", "1e308"],
+        )
+        assert result.exit_code == 2
+        assert "scan: divergence must be between 0 and 30 degrees, got 1e+308" in result.output
+        assert "Warning" not in result.output
         assert not (tmp_path / "summary.json").exists()
 
     def test_physics_error_exits_3(self, runner, tmp_path):
@@ -447,6 +459,27 @@ class TestAnalyzeCommand:
         assert "bad.csv, line 3: non-numeric cell" in result.output
         assert "Traceback" not in result.output
 
+    @pytest.mark.parametrize("content, message", FILE_DEFECTS.values(), ids=FILE_DEFECTS)
+    def test_file_defect_exits_3_naming_the_line(self, runner, tmp_path, content, message):
+        path = tmp_path / "bad.csv"
+        path.write_text(content)
+        result = runner.invoke(main, ["analyze", str(path)])
+        assert result.exit_code == 3, result.output
+        assert f"bad.csv{message}" in result.output
+        assert "Traceback" not in result.output
+
+    def test_unsorted_native_gives_the_peaks_of_its_two_column_t(self, runner, tmp_path):
+        native, two = both_formats(runner, tmp_path)
+        lines = Path(native).read_text().splitlines(keepends=True)
+        unsorted = tmp_path / "unsorted.csv"
+        unsorted.write_text("".join(lines[:3] + lines[:2:-1]))
+        peaks = [
+            json.loads(runner.invoke(main, ["analyze", path]).output)["channels"][channel]["peaks"]
+            for path, channel in ((str(unsorted), "T"), (native, "T"), (two, "value"))
+        ]
+        assert len(peaks[0]) == 2
+        assert peaks[0] == peaks[1] == peaks[2]
+
     @pytest.mark.parametrize("window", ["2000:1500", "nan:2000"])
     def test_bad_window_values_exit_2_in_both_formats(self, runner, tmp_path, window):
         for path in both_formats(runner, tmp_path):
@@ -542,6 +575,15 @@ class TestFitCommand:
         curve = (out / "fit_curve.csv").read_text().splitlines()
         assert curve[0] == "k_cm1,target,model"
         assert len(curve) == 1 + 61
+        # the package reads its own fit curve back, as analyze input and as a target
+        result = runner.invoke(main, ["analyze", str(out / "fit_curve.csv")])
+        assert result.exit_code == 0, result.output
+        assert len(json.loads(result.output)["channels"]["value"]["peaks"]) == 2
+        again = tmp_path / "again"
+        result = runner.invoke(main, ["fit", "--config", cfg, "--out-dir", str(again),
+                                      "--target", str(out / "fit_curve.csv")])
+        assert result.exit_code == 0, result.output
+        assert (again / "fit_curve.csv").read_bytes() == (out / "fit_curve.csv").read_bytes()
 
     def test_seed_override_recorded(self, runner, tmp_path):
         target = make_target_csv(tmp_path)
@@ -617,18 +659,27 @@ class TestFitCommand:
         assert f"lower bound -10.0 of '{path}'" in result.output
 
     def test_nan_target_exits_3(self, runner, tmp_path):
-        path = tmp_path / "target.csv"
-        path.write_text("1600.0,0.1\n1700.0,nan\n1800.0,0.1\n1900.0,0.2\n")
         raw = yaml.safe_load(BASE_CONFIG)
         raw["fit"] = {
             "free": [{"path": "layers[1].thickness", "lower": 1800.0, "upper": 2200.0}]
         }
         cfg = write_config(tmp_path, yaml.safe_dump(raw))
-        result = runner.invoke(
-            main,
-            ["fit", "--config", cfg, "--out-dir", str(tmp_path), "--target", str(path)],
-        )
-        assert result.exit_code == 3
+        path = tmp_path / "target.csv"
+        for content, message in [
+            ("1600.0,0.1\n1700.0,nan\n1800.0,0.1\n1900.0,0.2\n", ", line 2: non-finite cell"),
+            # a repeated wavenumber is a defect of the file, not of the config
+            ("1600.0,0.1\n1700.0,0.2\n1700,0.3\n1800.0,0.1\n",
+             ", line 3: wavenumber repeats line 2"),
+            ("k_cm1,T,R,A\n1600,0.1,0.2,0.7\n1700,0.3,0.1,0.6\n", ": a native"),
+        ]:
+            path.write_text(content)
+            result = runner.invoke(
+                main,
+                ["fit", "--config", cfg, "--out-dir", str(tmp_path), "--target", str(path)],
+            )
+            assert result.exit_code == 3
+            assert f"target.csv{message}" in result.output
+            assert "Traceback" not in result.output
 
     def test_missing_target_exits_2(self, runner, tmp_path):
         raw = yaml.safe_load(BASE_CONFIG)

@@ -1,5 +1,5 @@
-"""Which modules the package loads: SciPy only once a fit runs, and no
-thread pool at all."""
+"""Which modules the package loads: SciPy only once a fit runs, the file
+formats (and json) only with the CLI, and no thread pool at all."""
 
 import json
 import os
@@ -41,14 +41,28 @@ print(json.dumps({"after_import": after_import, "after_solve": scipy_modules(),
 """
 
 
-def test_cli_import_loads_no_scipy_until_a_fit_runs():
+def run_fresh(code):
+    """Last stdout line of `code` run in a fresh interpreter on this package."""
     src = str(Path(vibropol.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     out = subprocess.run(
-        [sys.executable, "-c", PROBE], env=env, capture_output=True, text=True, check=True
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    loaded = json.loads(out.stdout.strip().splitlines()[-1])
+    return out.stdout.strip().splitlines()[-1]
+
+
+def test_cli_import_loads_no_scipy_until_a_fit_runs():
+    loaded = json.loads(run_fresh(PROBE))
     assert loaded["after_import"] == []
     assert "scipy.optimize" in loaded["after_solve"]
     assert loaded["concurrent"] == []
+
+
+def test_package_import_loads_neither_io_nor_json():
+    # load_measured imports io lazily; the in-process benchmarks pay for
+    # the package import alone
+    loaded = run_fresh(
+        "import sys, vibropol; print(sorted({'vibropol.io', 'json'} & set(sys.modules)))"
+    )
+    assert loaded == "[]"

@@ -1,9 +1,33 @@
-"""Writers: the block-wise field-map CSV keeps the per-cell bytes."""
+"""Writers and the one spectrum reader: the block-wise field-map CSV
+keeps the per-cell bytes, spectra round-trip bit for bit, and every
+defect of an input file names the file and the line."""
 
 import numpy as np
+import pytest
 
-from vibropol import FieldMap, SpectralGrid, field_map
-from vibropol.io import write_field_map_csv
+from vibropol import DomainError, FieldMap, SpectralGrid, Spectrum, field_map, load_measured
+from vibropol.io import read_spectrum_csv, write_field_map_csv, write_spectrum_csv
+
+NATIVE = "# angle_deg = 0.0\n# polarization = s\nk_cm1,T,R,A\n"
+
+# (content, what the error says after the file name), one case per rule
+# of the reader; the CLI tests run the same cases through analyze
+FILE_DEFECTS = {
+    "native-non-positive-k": (NATIVE + "1600,0.1,0.2,0.7\n-1600,0.1,0.2,0.7\n",
+                              ", line 5: wavenumber must be positive"),
+    "inf-wavenumber": ("1600,0.1\ninf,0.2\n1800,0.3\n", ", line 2: non-finite cell"),
+    "nan-cell": (NATIVE + "1600,0.1,nan,0.7\n", ", line 4: non-finite cell"),
+    "repeated-wavenumber": ("1600,0.1\n1700,0.2\n1600.0,0.3\n",
+                            ", line 3: wavenumber repeats line 1"),
+    "nan-angle": ("# angle_deg = nan\nk_cm1,T,R,A\n1600,0.1,0.2,0.7\n",
+                  ", line 1: angle_deg = nan"),
+    "unknown-polarization": ("# polarization = banana\nk_cm1,T,R,A\n1600,0.1,0.2,0.7\n",
+                             ", line 1: polarization = banana"),
+    "wrong-column-count": (NATIVE + "1600,0.1,0.2,0.7\n1700,0.1,0.2\n",
+                           ", line 5: expected 4 comma-separated columns"),
+    "one-column": ("1600\n1700\n", ", line 1: expected 2 comma-separated columns"),
+    "no-data-rows": (NATIVE, ": no data rows"),
+}
 
 
 def per_cell_field_map_csv(fmap):
@@ -42,3 +66,54 @@ def test_field_map_csv_value_edge_cases(tmp_path):
         path = tmp_path / f"map{i}.csv"
         write_field_map_csv(path, fm)
         assert path.read_bytes() == per_cell_field_map_csv(fm).encode("utf-8")
+
+
+@pytest.mark.parametrize("content, message", FILE_DEFECTS.values(), ids=FILE_DEFECTS)
+def test_reader_defect_names_the_file_and_line(tmp_path, content, message):
+    path = tmp_path / "bad.csv"
+    path.write_text(content)
+    with pytest.raises(DomainError) as err:
+        read_spectrum_csv(path)
+    assert f"bad.csv{message}" in str(err.value)
+
+
+def test_spectrum_round_trip_is_bit_exact(tmp_path):
+    spectrum = Spectrum(
+        k=np.array([1500.0, 1700.0 + 1e-3, 1e4 / 3.0]),
+        T=np.array([0.1 + 0.2, 5e-324, 1.0 - 1e-16]),
+        R=np.array([1e-300, 0.5, 2.0 / 3.0]),
+        A=np.array([-0.0, 1.0, 7e-17]),
+        angle=-12.345678901234567, polarization="unpolarized",
+    )
+    path = tmp_path / "spectrum.csv"
+    write_spectrum_csv(path, spectrum)
+    back = read_spectrum_csv(path)
+    for name in ("k", "T", "R", "A"):
+        assert getattr(back, name).tobytes() == getattr(spectrum, name).tobytes(), name
+    assert (back.angle, back.polarization) == (spectrum.angle, spectrum.polarization)
+
+
+def test_inline_comment_reads_the_same_in_both_formats(tmp_path):
+    native = tmp_path / "native.csv"
+    native.write_text(NATIVE + "1600,0.1,0.2,0.7 # first\n1700,0.3,0.1,0.6\n")
+    two = tmp_path / "two.csv"
+    two.write_text("1600,0.1 # first\n1700,0.3\n")
+    spectrum = read_spectrum_csv(native)
+    k, values = read_spectrum_csv(two)
+    np.testing.assert_array_equal(spectrum.k, k)
+    np.testing.assert_array_equal(spectrum.T, values)
+
+
+def test_native_file_is_not_a_two_column_target(tmp_path):
+    path = tmp_path / "native.csv"
+    path.write_text(NATIVE + "1600,0.1,0.2,0.7\n1700,0.3,0.1,0.6\n")
+    with pytest.raises(DomainError, match="native.csv: a native"):
+        load_measured(path)
+
+
+def test_native_header_matches_in_any_case(tmp_path):
+    path = tmp_path / "upper.csv"
+    path.write_text("K_CM1,T,R,A\n1600,0.1,0.2,0.7\n1700,0.3,0.1,0.6\n")
+    spectrum = read_spectrum_csv(path)
+    assert isinstance(spectrum, Spectrum)
+    np.testing.assert_array_equal(spectrum.A, [0.7, 0.6])

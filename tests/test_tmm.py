@@ -467,8 +467,11 @@ class TestAngleScan:
         "kwargs, argument",
         [({"divergence": -1.0}, "divergence"), ({"divergence": math.nan}, "divergence"),
          ({"divergence": math.inf}, "divergence"), ({"divergence": 1.0, "n_nodes": 4}, "n_nodes"),
-         ({"divergence": 1.0, "n_nodes": 3.0}, "n_nodes"), ({"n_nodes": 0}, "n_nodes")],
-        ids=["negative", "nan", "inf", "even", "float", "zero"],
+         ({"divergence": 1.0, "n_nodes": 3.0}, "n_nodes"), ({"n_nodes": 0}, "n_nodes"),
+         # a cone wider than the half-space: once the average of one node,
+         # once an overflow inside the node spacing
+         ({"divergence": 1e300}, "divergence"), ({"divergence": 1e308}, "divergence")],
+        ids=["negative", "nan", "inf", "even", "float", "zero", "huge", "overflowing"],
     )
     def test_bad_divergence_raises_naming_the_argument(self, coupled_stack, kwargs,
                                                        argument):
