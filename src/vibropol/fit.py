@@ -22,6 +22,19 @@ forward-mode tangents through the same pass that computes the model,
 one real direction per free thickness and one complex direction per
 material that holds a free parameter, and each material path contributes
 its closed-form d eps / d p.  No finite differences are taken.
+
+solve resolves the paths once per call (loss_gradient once per call too):
+their places in the stack, the tangent directions, the permittivities of
+the media no parameter touches, and the grid and angle terms of the
+kernel.  Each evaluation then writes the values into a working copy,
+builds each touched layer and material and one LayerStack, so every
+constructor's check still runs, evaluates a touched material's eps and
+d eps / d p from one set of denominators, and runs the kernel once.  The
+template's loss comes from start 0's first evaluation, so every kernel
+pass of a solve is one that SciPy counts in n_evaluations (a template
+value on a bound, which SciPy moves inside the box, costs one pass more).
+Nothing is cached on a FitProblem, so a problem changed between two
+solves is fitted as if it were new.
 """
 
 from __future__ import annotations
@@ -35,12 +48,14 @@ import numpy as np
 from .errors import DomainError, FitError
 from .materials import ConstantMedium, DrudeLorentzMetal, LorentzMedium
 from .tmm import (
+    _K_TO_RAD_NM,
     LayerStack,
     _check_angle,
     _check_polarization,
     _media,
     _response,
     _sin2,
+    _tangents,
     stack_response,
 )
 
@@ -73,11 +88,11 @@ _FIELDS = {
 def _locate(stack, path):
     """Resolve one parameter path against a stack.
 
-    Returns (value, put, tangent): the value behind the path; put(stack,
-    v), which returns a copy of the stack with that value replaced; and
-    tangent = (key, d_eps), how the kernel differentiates the value.  key
-    is the layer index of a thickness, with d_eps None, or the material's
-    name, with d_eps(material, k) its d eps / d value on k.  Raises
+    Returns (value, key, field): the value behind the path; key, the layer
+    index of a thickness or the name of a material; and field, what the
+    path sets in that layer or material: ("thickness",), (f,) for a
+    material field f such as ("eps_b",) or ("eps",) (a constant medium's
+    real part), or (f, j) for field f of oscillators[j].  Raises
     DomainError for a path outside the grammar of the module docstring or
     one the stack does not hold."""
     m = _LAYER_RE.match(path)
@@ -85,13 +100,7 @@ def _locate(stack, path):
         i = int(m.group(1))
         if i >= len(stack.layers):
             raise DomainError(f"layer index out of range in {path!r}")
-
-        def put(s, v):
-            layers = list(s.layers)
-            layers[i] = replace(layers[i], thickness=v)
-            return replace(s, layers=tuple(layers))
-
-        return stack.layers[i].thickness, put, (i, None)
+        return stack.layers[i].thickness, i, ("thickness",)
 
     m = _OSC_RE.match(path) or _MAT_FIELD_RE.match(path)
     if m is None:
@@ -100,51 +109,57 @@ def _locate(stack, path):
     if name not in stack.materials:
         raise DomainError(f"unknown material {name!r} in parameter path")
     mat = stack.materials[name]
-    field = (fld,)
     if m.re is _OSC_RE:
         j = int(m.group(2))
-        field = (fld, j)
         if not isinstance(mat, LorentzMedium) or j >= len(mat.oscillators):
             raise DomainError(f"{path!r} does not address a Lorentz oscillator")
-        value = getattr(mat.oscillators[j], fld)
+        return getattr(mat.oscillators[j], fld), name, (fld, j)
+    if isinstance(mat, ConstantMedium) and fld == "eps":
+        return mat.eps.real, name, (fld,)
+    if fld in _FIELDS.get(type(mat), ()):
+        return getattr(mat, fld), name, (fld,)
+    raise DomainError(f"{path!r} does not address a fittable field")
 
-        def rebuild(mat, v):
-            osc = list(mat.oscillators)
-            osc[j] = replace(osc[j], **{fld: v})
-            return replace(mat, oscillators=tuple(osc))
 
-    elif isinstance(mat, ConstantMedium) and fld == "eps":
-        value = mat.eps.real
+def _rebuild(part, updates):
+    """A layer or material with the {field: value} updates of `_locate`
+    applied.  The part and each oscillator it changes are constructed
+    once, so their checks run once."""
+    if isinstance(part, ConstantMedium):
+        return ConstantMedium(complex(updates[("eps",)], part.eps.imag))
+    kwargs, oscillators = {}, {}
+    for field, value in updates.items():
+        if len(field) == 2:
+            oscillators.setdefault(field[1], {})[field[0]] = value
+        else:
+            kwargs[field[0]] = value
+    if oscillators:
+        osc = list(part.oscillators)
+        for j, new in oscillators.items():
+            osc[j] = replace(osc[j], **new)
+        kwargs["oscillators"] = tuple(osc)
+    return replace(part, **kwargs)
 
-        def rebuild(mat, v):
-            return ConstantMedium(complex(v, mat.eps.imag))
 
-    elif fld in _FIELDS.get(type(mat), ()):
-        value = getattr(mat, fld)
-
-        def rebuild(mat, v):
-            return replace(mat, **{fld: v})
-
-    else:
-        raise DomainError(f"{path!r} does not address a fittable field")
-
-    def d_eps(mat, k):
-        return mat.d_epsilon(k, *field)
-
-    def put(s, v):
-        mats = dict(s.materials)
-        mats[name] = rebuild(mats[name], v)
-        return replace(s, materials=mats)
-
-    return value, put, (name, d_eps)
+def _build(stack, writes):
+    """One new LayerStack with writes applied: writes maps each key of
+    `_locate` to the {field: value} updates of that layer or material."""
+    layers, materials = list(stack.layers), dict(stack.materials)
+    for key, updates in writes.items():
+        if isinstance(key, str):
+            materials[key] = _rebuild(materials[key], updates)
+        else:
+            layers[key] = _rebuild(layers[key], updates)
+    return replace(stack, layers=tuple(layers), materials=materials)
 
 
 def apply_params(stack, updates):
     """New LayerStack with the path -> value updates applied."""
+    writes = {}
     for path, value in updates.items():
-        _, put, _ = _locate(stack, path)
-        stack = put(stack, float(value))
-    return stack
+        _, key, field = _locate(stack, path)
+        writes.setdefault(key, {})[field] = float(value)
+    return _build(stack, writes)
 
 
 @dataclass(frozen=True)
@@ -181,6 +196,9 @@ class FitProblem:
         self.target = np.asarray(self.target, dtype=float)
         if self.k.ndim != 1 or self.k.shape != self.target.shape:
             raise DomainError("k and target must be 1-D arrays of equal length")
+        for name in ("k", "target"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise DomainError(f"fit {name} must hold finite values only")
         if np.any(self.k <= 0) or np.any(np.diff(self.k) <= 0):
             raise DomainError("target wavenumbers must be positive and increasing")
         if self.channel not in ("T", "R", "A"):
@@ -192,11 +210,11 @@ class FitProblem:
             if p.path in seen:
                 raise DomainError(f"free parameter path {p.path!r} is listed more than once")
             seen.add(p.path)
-            _, put, _ = _locate(self.stack, p.path)
+            _, key, field = _locate(self.stack, p.path)
             # a box reaching outside the parameter's domain fails here, not mid-fit
             for name, bound in (("lower", p.lower), ("upper", p.upper)):
                 try:
-                    put(self.stack, bound)
+                    _build(self.stack, {key: {field: bound}})
                 except DomainError as err:
                     raise DomainError(
                         f"{name} bound {bound!r} of {p.path!r} is outside its domain: {err}"
@@ -205,6 +223,8 @@ class FitProblem:
             self.weights = np.asarray(self.weights, dtype=float)
             if self.weights.shape != self.k.shape:
                 raise DomainError("weights must match the target grid")
+            if not np.all(np.isfinite(self.weights)):
+                raise DomainError("fit weights must hold finite values only")
 
     def params_dict(self, values):
         values = np.asarray(values, dtype=float)
@@ -235,41 +255,92 @@ def loss_value(problem, values):
     return float(r @ r)
 
 
+class _Plan:
+    """A problem's free parameters resolved against its stack and grid
+    once, for the kernel passes of one solve.  The plan holds the
+    problem's pieces as they were when it was made, so it lives no longer
+    than one solve or loss_gradient call.
+
+    A pass writes the values into a working copy, builds each touched
+    layer and material and one LayerStack, evaluates the eps and the
+    requested d eps / dp of every material that holds a free parameter
+    from one set of denominators (the other media's eps are evaluated
+    here, once), and runs the kernel with the tangents resolved here."""
+
+    def __init__(self, problem):
+        stack, k = problem.stack, problem.k
+        self.stack, self.k = stack, k
+        self.target, self.weights = problem.target, problem.weights
+        self.channel, self.polarization = problem.channel, problem.polarization
+        located = [_locate(stack, p.path) for p in problem.free]
+        self.template = np.array([value for value, _, _ in located])
+        # one kernel direction per free thickness and per material that
+        # holds a free parameter, labelled with the paths it serves
+        directions = {}
+        for p, (_, key, _) in zip(problem.free, located):
+            directions[key] = f"{directions[key]}, {p.path!r}" if key in directions else repr(p.path)
+        row = {key: i for i, key in enumerate(directions)}
+        self.n_directions = len(directions)
+        self.tangents = _tangents(stack, directions)
+        # fields[name]: the fields of material name whose d eps / dp a
+        # pass asks for; a column reads its derivative from derivs[name][i]
+        self.writes, self.columns, self.fields = [], [], {}
+        for _, key, field in located:
+            self.writes.append((key, field))
+            if isinstance(key, str):
+                fields = self.fields.setdefault(key, [])
+                self.columns.append((row[key], key, len(fields)))
+                fields.append(field)
+            else:
+                self.columns.append((row[key], None, None))
+        self.names = [ly.material for ly in stack.layers] + [stack.substrate]
+        media = _media(stack, k)
+        self.ambient = media[0]
+        self.fixed = {n: e for n, e in zip(self.names, media[1:]) if n not in self.fields}
+        self.k0 = _K_TO_RAD_NM * k
+        self.sin2 = _sin2(stack, problem.angle)
+
+    def __call__(self, values):
+        """Weighted residuals at `values` (physical units, ordered like
+        the free parameters) and their exact Jacobian with respect to the
+        values, shape (nk, n_free), from one kernel pass."""
+        writes = {}
+        for (key, field), v in zip(self.writes, values):
+            writes.setdefault(key, {})[field] = float(v)
+        stack = _build(self.stack, writes)
+        eps, derivs = dict(self.fixed), {}
+        for name, fields in self.fields.items():
+            eps[name], derivs[name] = stack.materials[name]._epsilon_and_derivatives(
+                self.k, fields
+            )
+        media = [self.ambient] + [eps[name] for name in self.names]
+        T, R, S_T, S_R = _response(
+            stack, media, self.k0, self.sin2, self.polarization, self.tangents
+        )
+        if self.channel == "T":
+            model, sens = T, S_T
+        elif self.channel == "R":
+            model, sens = R, S_R
+        else:
+            model, sens = 1.0 - T - R, -(S_T + S_R)
+        # sens lacks the direction axis only when no medium uses a
+        # direction; it is zero then
+        sens = np.broadcast_to(sens, (self.n_directions, self.k.size))
+        jac = np.empty((self.k.size, len(self.columns)))
+        for col, (row, name, i) in enumerate(self.columns):
+            s = sens[row]
+            jac[:, col] = np.real(s if name is None else s * derivs[name][i])
+        res = model - self.target
+        if self.weights is not None:
+            res = res * self.weights
+            jac *= self.weights[:, None]
+        return res, jac
+
+
 def _residuals_and_jacobian(problem, values):
     """Weighted residuals at `values` and their exact Jacobian with
     respect to the values, shape (nk, n_free), from one kernel pass."""
-    stack, tangents, directions = problem.stack, [], {}
-    for path, v in problem.params_dict(values).items():
-        _, put, tangent = _locate(stack, path)
-        stack = put(stack, v)
-        tangents.append(tangent)
-        # one kernel direction per free thickness and per material that
-        # holds a free parameter, labelled with the paths it serves
-        key = tangent[0]
-        directions[key] = f"{directions[key]}, {path!r}" if key in directions else repr(path)
-    k = problem.k
-    T, R, S_T, S_R = _response(
-        stack, _media(stack, k), k, _sin2(stack, problem.angle), problem.polarization, directions
-    )
-    if problem.channel == "T":
-        model, sens = T, S_T
-    elif problem.channel == "R":
-        model, sens = R, S_R
-    else:
-        model, sens = 1.0 - T - R, -(S_T + S_R)
-    # sens lacks the direction axis only when no medium uses a direction;
-    # it is zero then
-    sens = np.broadcast_to(sens, (len(directions), k.size))
-    row = {key: i for i, key in enumerate(directions)}
-    jac = np.empty((k.size, len(tangents)))
-    for col, (key, d_eps) in enumerate(tangents):
-        s = sens[row[key]]
-        jac[:, col] = np.real(s if d_eps is None else s * d_eps(stack.materials[key], k))
-    res = model - problem.target
-    if problem.weights is not None:
-        res = res * problem.weights
-        jac *= problem.weights[:, None]
-    return res, jac
+    return _Plan(problem)(problem.params_dict(values).values())
 
 
 def loss_gradient(problem, values):
@@ -299,7 +370,9 @@ def solve(problem, n_starts=1, seed=0, max_nfev=2000):
     bounds); further starts are uniform draws from numpy's
     default_rng(seed).  The lowest final loss wins, ties broken by start
     index.  Hitting the iteration cap flags the result non-converged
-    instead of raising.
+    instead of raising.  initial_loss is the loss at the template point,
+    taken from start 0's first evaluation; a non-finite one raises
+    FitError.
     """
     if n_starts < 1:
         raise DomainError("n_starts must be >= 1")
@@ -313,6 +386,7 @@ def solve(problem, n_starts=1, seed=0, max_nfev=2000):
             start_params=[{}], best_start=0,
         )
 
+    plan = _Plan(problem)
     lower = np.array([p.lower for p in problem.free])
     upper = np.array([p.upper for p in problem.free])
     width = upper - lower
@@ -320,11 +394,20 @@ def solve(problem, n_starts=1, seed=0, max_nfev=2000):
     def to_physical(x):
         return lower + x * width
 
-    last = {}
+    x0_template = np.clip((plan.template - lower) / width, 0.0, 1.0)
+    last, initial = {}, []
 
     def fun(x):
         # one pass gives the residuals and the Jacobian jac asks for next
-        res, jac = _residuals_and_jacobian(problem, to_physical(x))
+        res, jac = plan(to_physical(x))
+        if not initial:
+            # start 0's first evaluation is the template point, unless
+            # scipy moved a template value that sits on a bound inwards
+            at_template = res if np.array_equal(x, x0_template) else plan(
+                to_physical(x0_template))[0]
+            initial.append(float(at_template @ at_template))
+            if not np.isfinite(initial[0]):
+                raise FitError("loss is non-finite at the template point")
         last.update(x=x.copy(), jac=jac * width)
         return res
 
@@ -332,13 +415,6 @@ def solve(problem, n_starts=1, seed=0, max_nfev=2000):
         if not np.array_equal(x, last.get("x")):
             fun(x)
         return last["jac"]
-
-    template = np.array([_locate(problem.stack, p.path)[0] for p in problem.free])
-    x0_template = np.clip((template - lower) / width, 0.0, 1.0)
-    initial_residuals = residual_vector(problem, to_physical(x0_template))
-    initial_loss = float(initial_residuals @ initial_residuals)
-    if not np.isfinite(initial_loss):
-        raise FitError("loss is non-finite at the template point")
 
     rng = np.random.default_rng(seed)
     starts = [x0_template]
@@ -366,7 +442,7 @@ def solve(problem, n_starts=1, seed=0, max_nfev=2000):
     return FitResult(
         params=problem.params_dict(to_physical(res.x)),
         loss=loss,
-        initial_loss=initial_loss,
+        initial_loss=initial[0],
         success=bool(res.status > 0),
         n_evaluations=total_nfev,
         residuals=res.fun.copy(),

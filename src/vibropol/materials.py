@@ -3,9 +3,14 @@
 All models return the complex relative permittivity eps(k) on a wavenumber
 grid in cm^-1.  The time convention is exp(-i omega t), so passive media
 have Im(eps) >= 0 and the physical refractive-index branch has Im(n) >= 0.
-Each model also gives d_epsilon(k, field), the closed-form derivative of
-eps(k) with respect to one of its real fields; all three models are
-rational in their parameters.
+Each model also has _epsilon_and_derivatives(k, fields), which a fit
+pass calls on a wavenumber array it has already checked: it returns eps(k)
+together with the closed-form d eps / d field for each requested real
+field, ("eps_b",), ("f", j), ("k0", j), ("gamma", j), ("omega_p",) and so
+on, all from one evaluation of the model's denominators (all three models
+are rational in their parameters).  epsilon(k) is the same evaluation with
+no fields, so a fit's model values match stack_response's bit for bit.  A
+ConstantMedium returns a 0-d eps, as the stack kernel keeps it.
 """
 
 from __future__ import annotations
@@ -75,24 +80,31 @@ class LorentzMedium:
         object.__setattr__(self, "oscillators", tuple(self.oscillators))
 
     def epsilon(self, k):
-        k = _check_wavenumbers(k)
-        eps = np.full_like(k, self.eps_b, dtype=complex)
-        for osc in self.oscillators:
-            eps = eps - osc.f / (k**2 - osc.k0**2 + 1j * k * osc.gamma)
-        return eps
+        return self._epsilon_and_derivatives(_check_wavenumbers(k), ())[0]
 
-    def d_epsilon(self, k, field, index=None):
-        """d eps / d field on k: eps_b, or f, k0 or gamma of
-        oscillators[index]."""
-        if field == "eps_b":
-            return 1.0
-        osc = self.oscillators[index]
-        denom = k**2 - osc.k0**2 + 1j * k * osc.gamma
-        if field == "f":
-            return -1.0 / denom
-        if field == "k0":
-            return -2.0 * osc.f * osc.k0 / denom**2
-        return 1j * k * osc.f / denom**2
+    def _epsilon_and_derivatives(self, k, fields):
+        """eps on a checked k, and d eps / d field for each of fields:
+        ("eps_b",), or (name, j) for f, k0 or gamma of oscillators[j]."""
+        eps = np.full_like(k, self.eps_b, dtype=complex)
+        denoms = []
+        for osc in self.oscillators:
+            denom = k**2 - osc.k0**2 + 1j * k * osc.gamma
+            eps = eps - osc.f / denom
+            denoms.append(denom)
+        derivs = []
+        for field in fields:
+            if field == ("eps_b",):
+                derivs.append(1.0)
+                continue
+            name, j = field
+            osc, denom = self.oscillators[j], denoms[j]
+            if name == "f":
+                derivs.append(-1.0 / denom)
+            elif name == "k0":
+                derivs.append(-2.0 * osc.f * osc.k0 / denom**2)
+            else:
+                derivs.append(1j * k * osc.f / denom**2)
+        return eps, derivs
 
 
 @dataclass(frozen=True)
@@ -115,9 +127,10 @@ class ConstantMedium:
         k = _check_wavenumbers(k)
         return np.full_like(k, self.eps, dtype=complex)
 
-    def d_epsilon(self, k, field):
-        """d eps / d Re(eps), the one field: one at every wavenumber."""
-        return 1.0
+    def _epsilon_and_derivatives(self, k, fields):
+        """The 0-d eps, and d eps / d Re(eps), the one field ("eps",):
+        one at every wavenumber."""
+        return self.eps, [1.0 for _ in fields]
 
 
 @dataclass(frozen=True)
@@ -175,27 +188,31 @@ class DrudeLorentzMetal:
         return self.damping_multiplier * self.gamma0
 
     def epsilon(self, k):
-        k = _check_wavenumbers(k)
-        w = k / EV_TO_CM1
-        eps = 1.0 - self.f0 * self.omega_p**2 / (w * (w + 1j * self.gamma_total))
-        for tr in self.bound:
-            eps = eps + tr.f * self.omega_p**2 / (tr.omega0**2 - w**2 - 1j * w * tr.gamma)
-        return eps
+        return self._epsilon_and_derivatives(_check_wavenumbers(k), ())[0]
 
-    def d_epsilon(self, k, field):
-        """d eps / d field on k for omega_p, f0, gamma0 or
-        damping_multiplier."""
-        if field == "omega_p":
-            # every term but the 1 scales with omega_p^2
-            return 2.0 * (self.epsilon(k) - 1.0) / self.omega_p
+    def _epsilon_and_derivatives(self, k, fields):
+        """eps on a checked k, and d eps / d field for each of fields:
+        ("omega_p",), ("f0",), ("gamma0",) or ("damping_multiplier",)."""
         w = k / EV_TO_CM1
         free = w + 1j * self.gamma_total
-        drude = self.omega_p**2 / (w * free)
-        if field == "f0":
-            return -drude
-        # d eps / d gamma_total, then the chain rule through the product
-        d_total = 1j * self.f0 * drude / free
-        return d_total * (self.damping_multiplier if field == "gamma0" else self.gamma0)
+        w_free = w * free
+        eps = 1.0 - self.f0 * self.omega_p**2 / w_free
+        for tr in self.bound:
+            eps = eps + tr.f * self.omega_p**2 / (tr.omega0**2 - w**2 - 1j * w * tr.gamma)
+        derivs = []
+        for (field,) in fields:
+            if field == "omega_p":
+                # every term but the 1 scales with omega_p^2
+                derivs.append(2.0 * (eps - 1.0) / self.omega_p)
+                continue
+            drude = self.omega_p**2 / w_free
+            if field == "f0":
+                derivs.append(-drude)
+                continue
+            # d eps / d gamma_total, then the chain rule through the product
+            d_total = 1j * self.f0 * drude / free
+            derivs.append(d_total * (self.damping_multiplier if field == "gamma0" else self.gamma0))
+        return eps, derivs
 
 
 def gold(damping_multiplier: float = 2.5) -> DrudeLorentzMetal:

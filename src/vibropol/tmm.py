@@ -328,7 +328,7 @@ def _rouard(eps, thickness, k0, sin2, polarization, tangents=None):
 
 
 def _tangents(stack, directions):
-    """(deps, dd) of `_rouard` for the directions of `_response`."""
+    """(deps, dd) of `_rouard` for the `directions` of `_response`."""
     rows = {key: i for i, key in enumerate(directions)}
 
     def unit(key, dtype):
@@ -342,12 +342,13 @@ def _tangents(stack, directions):
     return deps, dd
 
 
-def _response(stack, eps, k, sin2, polarization, directions=None):
+def _response(stack, eps, k0, sin2, polarization, tangents=None):
     """(T, R) of one or both polarizations from precomputed permittivities
-    at sin2 = `_sin2(stack, angle)`.
+    on k0 = `_K_TO_RAD_NM` k at sin2 = `_sin2(stack, angle)`.
 
-    `directions` maps each tangent direction to a label that names its
-    parameters: a material name stands for a unit complex change of eps
+    `tangents` = `_tangents(stack, directions)` sets the tangent
+    directions: `directions` maps each to a label that names its
+    parameters, a material name standing for a unit complex change of eps
     in every medium made of it, a layer index for a unit change of that
     layer's thickness.  The result then also holds the sensitivities
     (S_T, S_R), with the directions on a leading axis in their order: a
@@ -355,12 +356,10 @@ def _response(stack, eps, k, sin2, polarization, directions=None):
     deps/dp = 1 for a thickness.
     """
     if polarization == "unpolarized":
-        s = _response(stack, eps, k, sin2, "s", directions)
-        p = _response(stack, eps, k, sin2, "p", directions)
+        s = _response(stack, eps, k0, sin2, "s", tangents)
+        p = _response(stack, eps, k0, sin2, "p", tangents)
         return tuple(0.5 * (a + b) for a, b in zip(s, p))
-    k0 = _K_TO_RAD_NM * k
     thickness = [ly.thickness for ly in stack.layers]
-    tangents = None if directions is None else _tangents(stack, directions)
     r, t, _, q, _, _, d = _rouard(eps, thickness, k0, sin2, polarization, tangents)
     q_amb, q_sub = q[0], q[-1]
 
@@ -401,7 +400,8 @@ def stack_response(stack, k, angle=0.0, polarization="s"):
     _check_angle(angle)
     _check_polarization(polarization)
     k = np.atleast_1d(np.asarray(k, dtype=float))
-    T, R = _response(stack, _media(stack, k), k, _sin2(stack, angle), polarization)
+    T, R = _response(stack, _media(stack, k), _K_TO_RAD_NM * k, _sin2(stack, angle),
+                     polarization)
     return T, R, 1.0 - T - R
 
 
@@ -427,7 +427,9 @@ def divergence_nodes(angle, sigma, n_nodes=11):
     """Angular quadrature for a Gaussian beam-divergence average: n_nodes
     uniformly spaced points across angle +- 3 sigma, Gaussian-weighted,
     truncated to |angle| < 90 and renormalized.  sigma = 0 gives the one
-    node angle with weight 1; sigma must lie in 0 to 30 degrees."""
+    node angle with weight 1; angle must satisfy |angle| < 90 and sigma
+    lie in 0 to 30 degrees."""
+    _check_angle(angle)
     _check_divergence(sigma, n_nodes)
     if sigma == 0.0:
         return np.array([angle]), np.array([1.0])
@@ -466,6 +468,7 @@ def angle_scan(stack, grid, angles, polarization="s", divergence=0.0, n_nodes=11
         nodes.append(([_sin2(stack, theta) for theta in thetas], weights))
     uses = Counter(s2 for keys, _ in nodes for s2 in keys)
     eps = _media(stack, k)
+    k0 = _K_TO_RAD_NM * k
 
     # in order of |angle| the nodes of a and -a are solved together, so
     # the cache holds about one angle's nodes; an entry leaves with its
@@ -477,7 +480,7 @@ def angle_scan(stack, grid, angles, polarization="s", divergence=0.0, n_nodes=11
         R = np.zeros_like(k)
         for s2, w in zip(*nodes[i]):
             if s2 not in cache:
-                cache[s2] = _response(stack, eps, k, s2, polarization)
+                cache[s2] = _response(stack, eps, k0, s2, polarization)
             uses[s2] -= 1
             Ti, Ri = cache[s2] if uses[s2] else cache.pop(s2)
             T += w * Ti

@@ -1,6 +1,7 @@
 """Parameter paths, residuals, the exact Jacobian and bounded
 least-squares fitting."""
 
+import dataclasses
 import math
 import re
 
@@ -186,6 +187,20 @@ class TestProblem:
             FitProblem(
                 stack=coupled_stack, free=(), k=k, target=np.zeros_like(k),
                 weights=np.ones(3),
+            )
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["k", "target", "weights"])
+    def test_non_finite_inputs_rejected(self, coupled_stack, field, bad):
+        k = np.arange(1600.0, 1900.0, 2.0)
+        inputs = {"k": k, "target": np.zeros_like(k), "weights": np.ones_like(k)}
+        inputs[field] = inputs[field].copy()
+        inputs[field][5] = bad
+        with pytest.raises(DomainError, match=rf"^fit {field} must hold finite values"):
+            FitProblem(
+                stack=coupled_stack,
+                free=(FreeParameter("layers[1].thickness", 1500.0, 2500.0),),
+                **inputs,
             )
 
     def test_params_dict_requires_matching_length(self, coupled_stack):
@@ -392,19 +407,39 @@ class TestJacobian:
         assert np.all(np.isfinite(loss_gradient(thickness_only, np.array([500.0]))))
 
 
+def count_kernel_passes(monkeypatch):
+    """A list that gains one entry per call of the stack kernel."""
+    passes = []
+    kernel = tmm._rouard
+
+    def counted(*args, **kwargs):
+        passes.append(1)
+        return kernel(*args, **kwargs)
+
+    monkeypatch.setattr(tmm, "_rouard", counted)
+    return passes
+
+
+def shifted_problem(stack, template, free):
+    """Fit the template values of the (path, lower, upper) triples free
+    against the T of stack itself."""
+    paths = [path for path, _, _ in free]
+    base = small_problem(stack, [])
+    return FitProblem(stack=apply_params(stack, dict(zip(paths, template))),
+                      free=tuple(FreeParameter(*p) for p in free), k=base.k, target=base.target)
+
+
+def assert_same_result(a, b):
+    for field in dataclasses.fields(fit.FitResult):
+        np.testing.assert_array_equal(getattr(a, field.name), getattr(b, field.name))
+
+
 class TestSolve:
     def test_no_finite_difference_model_calls(self, coupled_stack, monkeypatch):
         # every kernel pass inside solve is a value evaluation scipy
-        # counts, plus the template's; a 2-point Jacobian would add
+        # counts, the template's included; a 2-point Jacobian would add
         # n_free passes per Jacobian
-        passes = []
-        kernel = tmm._rouard
-
-        def counted(*args, **kwargs):
-            passes.append(1)
-            return kernel(*args, **kwargs)
-
-        monkeypatch.setattr(tmm, "_rouard", counted)
+        passes = count_kernel_passes(monkeypatch)
         base = small_problem(coupled_stack, [])
         shifted = apply_params(coupled_stack, {"layers[1].thickness": 2050.0,
                                                "materials.gold.damping_multiplier": 2.0})
@@ -417,7 +452,45 @@ class TestSolve:
         passes.clear()
         result = solve(problem, n_starts=2, seed=3)
         assert result.n_evaluations > 2
+        assert len(passes) == result.n_evaluations
+
+    def test_initial_loss_is_the_template_loss(self, coupled_stack, monkeypatch):
+        # values at the middle of their bounds map to x = 0.5 and back
+        # exactly, so start 0's first evaluation is the template point
+        template = np.array([2000.0, 2.5])
+        problem = shifted_problem(coupled_stack, template,
+                                  (("layers[1].thickness", 1500.0, 2500.0),
+                                   ("materials.gold.damping_multiplier", 1.0, 4.0)))
+        passes = count_kernel_passes(monkeypatch)
+        result = solve(problem, n_starts=2, seed=3)
+        assert len(passes) == result.n_evaluations
+        assert result.initial_loss == loss_value(problem, template)
+
+    def test_initial_loss_of_a_template_on_a_bound(self, coupled_stack, monkeypatch):
+        # scipy starts a value on a bound just inside the box, so the
+        # template's loss takes one pass of its own
+        template = np.array([2000.0])
+        problem = shifted_problem(coupled_stack, template,
+                                  (("layers[1].thickness", 2000.0, 2500.0),))
+        passes = count_kernel_passes(monkeypatch)
+        result = solve(problem)
         assert len(passes) == result.n_evaluations + 1
+        assert result.initial_loss == loss_value(problem, template)
+
+    def test_reassigned_problem_solves_like_a_new_one(self, coupled_stack):
+        free = (("layers[1].thickness", 1500.0, 2500.0),
+                ("materials.gold.damping_multiplier", 1.0, 4.0))
+        problem = shifted_problem(coupled_stack, [2050.0, 2.0], free)
+        solve(problem, n_starts=2, seed=3)
+        problem.stack = apply_params(coupled_stack, {"layers[1].thickness": 1850.0,
+                                                     "materials.gold.damping_multiplier": 3.0})
+        fresh = FitProblem(stack=problem.stack, free=problem.free, k=problem.k,
+                           target=problem.target)
+        assert_same_result(solve(problem, n_starts=2, seed=3), solve(fresh, n_starts=2, seed=3))
+        problem.k = problem.k + 1.0
+        fresh = FitProblem(stack=problem.stack, free=problem.free, k=problem.k,
+                           target=problem.target)
+        assert_same_result(solve(problem, n_starts=2, seed=3), solve(fresh, n_starts=2, seed=3))
 
     def test_zero_free_parameters(self, coupled_stack):
         problem = small_problem(coupled_stack, [])
@@ -485,16 +558,20 @@ class TestSolve:
             assert 1500.0 <= params["layers[1].thickness"] <= 2500.0
 
     def test_non_finite_template_loss(self, coupled_stack):
+        # finite inputs whose model overflows at the template: an
+        # oscillator on the grid point 1700 cm^-1, far too strong and
+        # narrow (a non-finite target is rejected by FitProblem itself)
+        stack = apply_params(coupled_stack, {"materials.pvac.oscillators[0].f": 1e308,
+                                             "materials.pvac.oscillators[0].k0": 1700.0,
+                                             "materials.pvac.oscillators[0].gamma": 1e-300})
         k = np.arange(1600.0, 1900.0, 2.0)
-        target = np.zeros_like(k)
-        target[5] = np.nan
         problem = FitProblem(
-            stack=coupled_stack,
+            stack=stack,
             free=(FreeParameter("layers[1].thickness", 1500.0, 2500.0),),
             k=k,
-            target=target,
+            target=np.zeros_like(k),
         )
-        with pytest.raises(FitError):
+        with np.errstate(all="ignore"), pytest.raises(FitError, match="template point"):
             solve(problem)
 
     def test_n_starts_validation(self, coupled_stack):

@@ -504,6 +504,12 @@ class TestAngleScan:
         assert np.all(np.abs(angles) < 90.0)
         assert weights.sum() == pytest.approx(1.0, rel=1e-12)
 
+    @pytest.mark.parametrize("sigma", [0.0, 1.0])
+    @pytest.mark.parametrize("angle", [100.0, math.nan, math.inf, -math.inf])
+    def test_divergence_nodes_reject_out_of_range_angles(self, angle, sigma):
+        with pytest.raises(DomainError, match="incidence angle"):
+            divergence_nodes(angle, sigma)
+
     def test_divergence_smooths_but_preserves_splitting(self, coupled_stack):
         grid = SpectralGrid(1550.0, 1950.0, 0.5)
         sharp = angle_scan(coupled_stack, grid, [0.0], "s")[0]
