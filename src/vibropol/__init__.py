@@ -4,159 +4,65 @@ microcavities.
 Transfer-matrix optics for layered stacks with Lorentz and Drude-Lorentz
 dielectric models, intra-cavity field maps, coupled-mode polariton
 analysis and least-squares fitting of spectra.
+
+The namespace is lazy (PEP 562): `import vibropol` loads no submodule,
+and a public name, or a submodule that defines some, is imported on
+first access, so a program pays only for the modules it uses.
 """
 
-from .config import Config, load_config, parse_config
-from .constants import cm1_to_ev, cm1_to_mev, ev_to_cm1, mev_to_cm1
-from .errors import (
-    ConfigError,
-    DomainError,
-    FitError,
-    PeakCountError,
-    UltrastrongError,
-    VibropolError,
-)
-from .fields import FieldMap, FieldProfile, default_z_grid, field_map, field_profile
-from .fit import (
-    FitProblem,
-    FitResult,
-    FreeParameter,
-    apply_params,
-    loss_gradient,
-    loss_value,
-    model_values,
-    residual_vector,
-    solve,
-)
-from .materials import (
-    BoundTransition,
-    ConstantMedium,
-    DrudeLorentzMetal,
-    LorentzMedium,
-    LorentzOscillator,
-    evaluate_epsilon,
-    gold,
-    refractive_index,
-)
-from .polariton import (
-    AnticrossingCurve,
-    CavityMode,
-    CoupledModeResult,
-    VibrationalMode,
-    anticrossing_dispersion,
-    bond_density,
-    collective_splitting,
-    coupled_frequencies,
-    dephasing_time,
-    effective_concentration,
-    estimate_report,
-    fp_mode_estimate,
-    is_strong_coupling,
-    quality_factor,
-    single_coupling,
-    thermal_occupation,
-    vacuum_field,
-    zero_point_amplitude,
-)
-from .spectra import (
-    CoupledFitResult,
-    DispersionRow,
-    DispersionTable,
-    LorentzianBandFit,
-    Peak,
-    SplittingReport,
-    build_dispersion,
-    extract_splitting,
-    find_peaks,
-    fit_coupled_model,
-    fit_lorentzian_band,
-    load_measured,
-)
-from .tmm import (
-    Layer,
-    LayerStack,
-    SpectralGrid,
-    Spectrum,
-    angle_scan,
-    divergence_nodes,
-    spectrum_scan,
-    stack_response,
-)
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AnticrossingCurve",
-    "BoundTransition",
-    "CavityMode",
-    "Config",
-    "ConfigError",
-    "ConstantMedium",
-    "CoupledFitResult",
-    "CoupledModeResult",
-    "DispersionRow",
-    "DispersionTable",
-    "DomainError",
-    "DrudeLorentzMetal",
-    "FieldMap",
-    "FieldProfile",
-    "FitError",
-    "FitProblem",
-    "FitResult",
-    "FreeParameter",
-    "Layer",
-    "LayerStack",
-    "LorentzMedium",
-    "LorentzOscillator",
-    "LorentzianBandFit",
-    "Peak",
-    "PeakCountError",
-    "SpectralGrid",
-    "Spectrum",
-    "SplittingReport",
-    "UltrastrongError",
-    "VibrationalMode",
-    "VibropolError",
-    "angle_scan",
-    "anticrossing_dispersion",
-    "apply_params",
-    "bond_density",
-    "build_dispersion",
-    "cm1_to_ev",
-    "cm1_to_mev",
-    "collective_splitting",
-    "coupled_frequencies",
-    "default_z_grid",
-    "dephasing_time",
-    "divergence_nodes",
-    "effective_concentration",
-    "estimate_report",
-    "ev_to_cm1",
-    "evaluate_epsilon",
-    "extract_splitting",
-    "field_map",
-    "field_profile",
-    "find_peaks",
-    "fit_coupled_model",
-    "fit_lorentzian_band",
-    "fp_mode_estimate",
-    "gold",
-    "is_strong_coupling",
-    "load_config",
-    "load_measured",
-    "loss_gradient",
-    "loss_value",
-    "mev_to_cm1",
-    "model_values",
-    "parse_config",
-    "quality_factor",
-    "refractive_index",
-    "residual_vector",
-    "single_coupling",
-    "solve",
-    "spectrum_scan",
-    "stack_response",
-    "thermal_occupation",
-    "vacuum_field",
-    "zero_point_amplitude",
-]
+# submodule -> the public names the package re-exports from it
+_EXPORTS = {
+    "config": ("Config", "load_config", "parse_config"),
+    "constants": ("cm1_to_ev", "cm1_to_mev", "ev_to_cm1", "mev_to_cm1"),
+    "errors": (
+        "ConfigError", "DomainError", "FitError", "PeakCountError", "UltrastrongError",
+        "VibropolError",
+    ),
+    "fields": ("FieldMap", "FieldProfile", "default_z_grid", "field_map", "field_profile"),
+    "fit": (
+        "FitProblem", "FitResult", "FreeParameter", "apply_params", "loss_gradient",
+        "loss_value", "model_values", "residual_vector", "solve",
+    ),
+    "materials": (
+        "BoundTransition", "ConstantMedium", "DrudeLorentzMetal", "LorentzMedium",
+        "LorentzOscillator", "evaluate_epsilon", "gold", "refractive_index",
+    ),
+    "polariton": (
+        "AnticrossingCurve", "CavityMode", "CoupledModeResult", "VibrationalMode",
+        "anticrossing_dispersion", "bond_density", "collective_splitting",
+        "coupled_frequencies", "dephasing_time", "effective_concentration", "estimate_report",
+        "fp_mode_estimate", "is_strong_coupling", "quality_factor", "single_coupling",
+        "thermal_occupation", "vacuum_field", "zero_point_amplitude",
+    ),
+    "spectra": (
+        "CoupledFitResult", "DispersionRow", "DispersionTable", "LorentzianBandFit", "Peak",
+        "SplittingReport", "build_dispersion", "extract_splitting", "find_peaks",
+        "fit_coupled_model", "fit_lorentzian_band", "load_measured",
+    ),
+    "tmm": (
+        "Layer", "LayerStack", "SpectralGrid", "Spectrum", "angle_scan", "divergence_nodes",
+        "spectrum_scan", "stack_response",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name):
+    if name in _MODULE_OF:
+        value = getattr(import_module(f".{_MODULE_OF[name]}", __name__), name)
+        globals()[name] = value
+        return value
+    if name in _EXPORTS:
+        # importing a submodule binds it on the package
+        return import_module(f".{name}", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__) | set(_EXPORTS))

@@ -3,6 +3,9 @@
 Exit codes: 0 on success, 2 for configuration problems, 3 for physics
 domain errors raised while running.  All outputs are deterministic, so
 re-running a command overwrites its files byte-identically.
+
+Each command imports the package modules it runs inside its own body,
+so a call loads only what its subcommand needs and `--help` loads none.
 """
 
 from __future__ import annotations
@@ -13,15 +16,7 @@ import sys
 
 import click
 
-from . import fit as fitmod
-from . import io as iomod
-from . import spectra as spectramod
-from .config import ScanSettings, load_config, override, parse_colon_spec, parse_grid_spec
-from .constants import cm1_to_mev
 from .errors import ConfigError, VibropolError
-from .fields import default_z_grid, field_map
-from .polariton import estimate_report
-from .tmm import Spectrum, angle_scan
 
 
 def _translate_errors(fn):
@@ -62,7 +57,10 @@ def _channel_analysis(k, values, window, min_prominence, channel=None):
     n_in = k.size if window is None else int(((k >= window[0]) & (k <= window[1])).sum())
     if n_in < 3:
         return {"analyzed": analyzed, "peaks": [], "splitting": None}
-    peaks = spectramod.find_peaks(k, values, min_prominence=min_prominence, window=window)
+    from .constants import cm1_to_mev
+    from .spectra import find_peaks
+
+    peaks = find_peaks(k, values, min_prominence=min_prominence, window=window)
     splitting = None
     if len(peaks) == 2:
         lower, upper = peaks[0].center, peaks[1].center
@@ -85,6 +83,8 @@ def _spectrum_analysis(spectrum, window, min_prominence):
 
 
 def _emit_report(payload, out_dir, filename):
+    from . import io as iomod
+
     if out_dir is None:
         click.echo(iomod.json_text(payload), nl=False)
     else:
@@ -120,6 +120,10 @@ _out_dir_opt = click.option(
 @_translate_errors
 def simulate(config_path, out_dir, angle, grid_spec, polarization, divergence):
     """T/R/A spectrum of the configured stack at one angle."""
+    from . import io as iomod
+    from .config import load_config, override, parse_grid_spec
+    from .tmm import angle_scan
+
     cfg = load_config(config_path)
     stack = cfg.require_stack()
     grid = parse_grid_spec(grid_spec) if grid_spec else cfg.grid
@@ -147,6 +151,11 @@ def simulate(config_path, out_dir, angle, grid_spec, polarization, divergence):
 @_translate_errors
 def scan_angle(config_path, out_dir):
     """Spectra over the configured angle list plus a dispersion table."""
+    from . import io as iomod
+    from .config import load_config
+    from .spectra import build_dispersion
+    from .tmm import angle_scan
+
     cfg = load_config(config_path)
     stack = cfg.require_stack()
     if not cfg.scan.angles:
@@ -158,7 +167,7 @@ def scan_angle(config_path, out_dir):
     for sp in spectra:
         name = f"spectrum_{sp.angle:+08.3f}.csv"
         iomod.write_spectrum_csv(os.path.join(out_dir, name), sp)
-    table = spectramod.build_dispersion(
+    table = build_dispersion(
         spectra, cfg.scan.channel, window=cfg.scan.window,
         min_prominence=cfg.scan.min_prominence,
     )
@@ -174,6 +183,10 @@ def scan_angle(config_path, out_dir):
 @_translate_errors
 def field_map_cmd(config_path, out_dir, angle):
     """|E(z, k)|^2 across the stack over a wavenumber grid."""
+    from . import io as iomod
+    from .config import load_config, override
+    from .fields import default_z_grid, field_map
+
     cfg = load_config(config_path)
     stack = cfg.require_stack()
     settings = override(cfg.field_map, "field_map", angle=angle)
@@ -204,6 +217,10 @@ def analyze(csv_path, channel, window, min_prominence, out_dir):
 
     Accepts the native k_cm1,T,R,A format or a two-column
     wavenumber,value file, read under the rules of `vibropol.io`."""
+    from . import io as iomod
+    from .config import ScanSettings, override, parse_colon_spec
+    from .tmm import Spectrum
+
     if window is not None:
         window = parse_colon_spec(window, "lo:hi", "--window")
     settings = override(ScanSettings(), "analyze", window=window, min_prominence=min_prominence)
@@ -228,6 +245,9 @@ def analyze(csv_path, channel, window, min_prominence, out_dir):
 @_translate_errors
 def estimate(config_path, out_dir):
     """Scalar coupling estimates from the config's estimate section."""
+    from .config import load_config
+    from .polariton import estimate_report
+
     cfg = load_config(config_path)
     if cfg.estimate is None:
         raise ConfigError("config has no 'estimate' section")
@@ -250,10 +270,15 @@ def estimate(config_path, out_dir):
 @_translate_errors
 def fit(config_path, out_dir, target_path, seed):
     """Fit the config's free stack parameters to measured data."""
+    from . import fit as fitmod
+    from . import io as iomod
+    from .config import load_config
+    from .spectra import load_measured
+
     cfg = load_config(config_path)
     if cfg.fit is None:
         raise ConfigError("config has no 'fit' section")
-    k, target = spectramod.load_measured(target_path)
+    k, target = load_measured(target_path)
     problem = cfg.fit_problem(k, target)
     seed = cfg.fit.seed if seed is None else seed
     result = fitmod.solve(problem, n_starts=cfg.fit.n_starts, seed=seed)

@@ -43,14 +43,16 @@ import math
 import types
 import typing
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
-
-import yaml
+from importlib import import_module
 
 from .errors import ConfigError, DomainError
-from .fit import FitProblem, FreeParameter
 from .materials import ConstantMedium, DrudeLorentzMetal, LorentzMedium
-from .polariton import CavityMode, VibrationalMode
 from .tmm import POLARIZATIONS, LayerStack, SpectralGrid, _check_sigma
+
+if typing.TYPE_CHECKING:
+    # at run time these resolve through _TYPES_FROM
+    from .fit import FreeParameter
+    from .polariton import CavityMode, VibrationalMode
 
 __all__ = [
     "Config",
@@ -214,6 +216,8 @@ class Config:
         """Assemble a FitProblem against measured (k, target) data."""
         if self.fit is None:
             raise ConfigError("this command needs a 'fit' section")
+        from .fit import FitProblem
+
         return _build(
             "fit",
             FitProblem,
@@ -252,10 +256,17 @@ def _non_null(tp):
     return typing.get_args(tp)[0] if typing.get_origin(tp) is types.UnionType else tp
 
 
+# section -> the module that defines its field types, imported when the
+# section is first read, so a config without it never loads the module
+_TYPES_FROM = {EstimateSettings: "polariton", FitSettings: "fit"}
+
+
 @functools.cache
 def _schema(cls):
     """(field, config key, resolved type) for each field of a dataclass."""
-    hints = typing.get_type_hints(cls)
+    module = _TYPES_FROM.get(cls)
+    localns = vars(import_module(f".{module}", __package__)) if module else None
+    hints = typing.get_type_hints(cls, localns=localns)
     return tuple((f, _KEYS.get(f.name, f.name), _non_null(hints[f.name])) for f in fields(cls))
 
 
@@ -377,10 +388,14 @@ def parse_config(raw):
 
 
 def load_config(path):
-    """Parse and validate a YAML config file."""
+    """Parse and validate a YAML config file, with PyYAML's libyaml
+    parser when it is built with one."""
+    import yaml
+
+    loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            raw = yaml.safe_load(fh)
+            raw = yaml.load(fh, Loader=loader)
     except OSError as err:
         raise ConfigError(f"cannot read config {path}: {err}") from err
     except yaml.YAMLError as err:

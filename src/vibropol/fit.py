@@ -34,7 +34,7 @@ template's loss comes from start 0's first evaluation, so every kernel
 pass of a solve is one that SciPy counts in n_evaluations (a template
 value on a bound, which SciPy moves inside the box, costs one pass more).
 Nothing is cached on a FitProblem, so a problem changed between two
-solves is fitted as if it were new.
+solves is checked and fitted as if it were new.
 """
 
 from __future__ import annotations
@@ -265,9 +265,14 @@ class _Plan:
     layer and material and one LayerStack, evaluates the eps and the
     requested d eps / dp of every material that holds a free parameter
     from one set of denominators (the other media's eps are evaluated
-    here, once), and runs the kernel with the tangents resolved here."""
+    here, once), and runs the kernel with the tangents resolved here.
+
+    A FitProblem is mutable, so the plan works from `problem`, a copy
+    built through the constructor: a field changed since construction
+    fails here with the constructor's DomainError, once per plan."""
 
     def __init__(self, problem):
+        self.problem = problem = replace(problem)
         stack, k = problem.stack, problem.k
         self.stack, self.k = stack, k
         self.target, self.weights = problem.target, problem.weights
@@ -340,7 +345,8 @@ class _Plan:
 def _residuals_and_jacobian(problem, values):
     """Weighted residuals at `values` and their exact Jacobian with
     respect to the values, shape (nk, n_free), from one kernel pass."""
-    return _Plan(problem)(problem.params_dict(values).values())
+    plan = _Plan(problem)
+    return plan(plan.problem.params_dict(values).values())
 
 
 def loss_gradient(problem, values):
@@ -377,6 +383,8 @@ def solve(problem, n_starts=1, seed=0, max_nfev=2000):
     if n_starts < 1:
         raise DomainError("n_starts must be >= 1")
 
+    plan = _Plan(problem)
+    problem = plan.problem
     if not problem.free:
         residuals = residual_vector(problem, np.empty(0))
         loss = float(residuals @ residuals)
@@ -386,7 +394,6 @@ def solve(problem, n_starts=1, seed=0, max_nfev=2000):
             start_params=[{}], best_start=0,
         )
 
-    plan = _Plan(problem)
     lower = np.array([p.lower for p in problem.free])
     upper = np.array([p.upper for p in problem.free])
     width = upper - lower

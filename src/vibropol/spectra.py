@@ -15,7 +15,6 @@ import numpy as np
 
 from .constants import cm1_to_mev
 from .errors import DomainError, FitError, PeakCountError
-from .polariton import anticrossing_dispersion
 
 __all__ = [
     "Peak",
@@ -370,6 +369,8 @@ def fit_coupled_model(table, order=1, n_ambient=1.0, x0=None, max_nfev=2000):
         n0 = 1.4
         d0 = 1e7 / (2.0 * n0 * omega_c0)
         x0 = [omega_v0, n0, d0, split0]
+
+    from .polariton import anticrossing_dispersion
 
     def residual(p):
         omega_v, n_eff, d, split = p

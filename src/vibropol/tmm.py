@@ -433,7 +433,11 @@ def divergence_nodes(angle, sigma, n_nodes=11):
     _check_divergence(sigma, n_nodes)
     if sigma == 0.0:
         return np.array([angle]), np.array([1.0])
-    offsets = np.linspace(-3.0 * sigma, 3.0 * sigma, n_nodes)
+    # (i - h) / h is exactly antisymmetric about the middle node, so
+    # mirrored nodes of a 0 deg angle share one s^2 and one kernel pass;
+    # a single node sits at the angle itself
+    h = n_nodes // 2
+    offsets = 3.0 * sigma * ((np.arange(n_nodes) - h) / max(h, 1))
     thetas = angle + offsets
     weights = np.exp(-0.5 * (offsets / sigma) ** 2)
     keep = np.abs(thetas) < 90.0

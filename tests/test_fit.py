@@ -211,6 +211,46 @@ class TestProblem:
         with pytest.raises(DomainError):
             problem.params_dict([1.0, 2.0])
 
+    # a FitProblem is mutable: solve and loss_gradient check it again as it
+    # is now and raise the constructor's error
+    @pytest.mark.parametrize("n_free", [0, 1])
+    @pytest.mark.parametrize(
+        "field, message",
+        [("k", "k and target must be 1-D arrays of equal length"),
+         ("target", "fit target must hold finite values only")],
+        ids=["k", "target"],
+    )
+    def test_fields_changed_after_construction_are_checked(self, coupled_stack, field,
+                                                           message, n_free):
+        free = [FreeParameter("layers[1].thickness", 1500.0, 2500.0)][:n_free]
+        problem = small_problem(coupled_stack, free)
+        if field == "k":
+            problem.k = problem.k[:10]
+        else:
+            problem.target = np.full_like(problem.k, math.nan)
+        with pytest.raises(DomainError, match=f"^{message}$"):
+            solve(problem)
+        if n_free:
+            with pytest.raises(DomainError, match=f"^{message}$"):
+                loss_gradient(problem, [1930.0])
+
+    def test_problem_checked_once_per_solve(self, coupled_stack, monkeypatch):
+        problem = small_problem(
+            coupled_stack, [FreeParameter("layers[1].thickness", 1500.0, 2500.0)]
+        )
+        problem.target = problem.target * 0.9
+        checks = []
+        post_init = FitProblem.__post_init__
+
+        def counting(self):
+            checks.append(1)
+            post_init(self)
+
+        monkeypatch.setattr(FitProblem, "__post_init__", counting)
+        result = solve(problem, n_starts=2)
+        assert result.n_evaluations > 2
+        assert len(checks) == 1
+
     def test_bound_validation(self):
         with pytest.raises(DomainError):
             FreeParameter("layers[1].thickness", 2.0, 1.0)

@@ -1,13 +1,21 @@
 """Which modules the package loads: SciPy only once a fit runs, the file
-formats (and json) only with the CLI, and no thread pool at all."""
+formats (and json) only with the CLI, no thread pool at all, and from a
+CLI call only the modules its subcommand runs."""
 
 import json
 import os
 import subprocess
 import sys
+from importlib import import_module
 from pathlib import Path
 
+import pytest
+import yaml
+
 import vibropol
+from vibropol import ConfigError, load_config
+
+CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.yaml"))
 
 PROBE = """
 import json, sys
@@ -41,13 +49,15 @@ print(json.dumps({"after_import": after_import, "after_solve": scipy_modules(),
 """
 
 
-def run_fresh(code):
-    """Last stdout line of `code` run in a fresh interpreter on this package."""
+def run_fresh(code, *args):
+    """Last stdout line of `code` run with arguments `args` in a fresh
+    interpreter on this package."""
     src = str(Path(vibropol.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        [sys.executable, "-c", code, *map(str, args)], env=env, capture_output=True,
+        text=True, check=True,
     )
     return out.stdout.strip().splitlines()[-1]
 
@@ -66,3 +76,85 @@ def test_package_import_loads_neither_io_nor_json():
         "import sys, vibropol; print(sorted({'vibropol.io', 'json'} & set(sys.modules)))"
     )
     assert loaded == "[]"
+
+
+def test_package_and_cli_import_load_neither_numpy_nor_yaml():
+    loaded = run_fresh(
+        "import sys, vibropol, vibropol.cli; "
+        "print(sorted({'numpy', 'yaml', 'vibropol.tmm'} & set(sys.modules)))"
+    )
+    assert loaded == "[]"
+
+
+# the modules a subcommand must not load; every command runs in a fresh
+# interpreter through the CLI's own entry point
+COMMAND_PROBE = """
+import json, sys
+from vibropol.cli import main
+try:
+    main(args=sys.argv[1:], prog_name="vibropol")
+except SystemExit as exc:
+    if exc.code:
+        raise
+print(json.dumps(sorted(m for m in sys.modules if m in {forbidden!r})))
+"""
+
+
+def test_each_command_loads_only_what_it_runs(tmp_path):
+    configs = {path.stem: path for path in CONFIGS}
+    coupled = configs["cavity_coupled"]
+    cases = [
+        (["simulate", "--config", coupled, "--out-dir", tmp_path],
+         ["vibropol.fit", "vibropol.fields"]),
+        (["estimate", "--config", coupled], ["vibropol.fit", "vibropol.spectra", "vibropol.fields"]),
+        (["field-map", "--config", configs["cavity_uncoupled"], "--out-dir", tmp_path],
+         ["vibropol.fit", "vibropol.spectra", "vibropol.polariton"]),
+        (["analyze", tmp_path / "spectrum.csv", "--window", "1500:2000"],
+         ["yaml", "vibropol.fit", "vibropol.fields", "vibropol.polariton"]),
+    ]
+    for argv, forbidden in cases:
+        loaded = run_fresh(COMMAND_PROBE.format(forbidden=set(forbidden)), *argv)
+        assert json.loads(loaded) == [], argv[0]
+
+
+def test_every_public_name_is_its_defining_modules_object():
+    for name in vibropol.__all__:
+        obj = getattr(vibropol, name)
+        assert obj.__module__.startswith("vibropol."), name
+        assert getattr(import_module(obj.__module__), name) is obj, name
+    assert set(vibropol.__all__) <= set(dir(vibropol))
+    assert vibropol.tmm is import_module("vibropol.tmm")
+    with pytest.raises(AttributeError, match="no_such_name"):
+        vibropol.no_such_name
+
+
+def test_star_import_binds_every_public_name():
+    names = run_fresh(
+        "ns = {}; exec('from vibropol import *', ns); "
+        "print(sorted(n for n in ns if n != '__builtins__'))"
+    )
+    assert names == str(sorted(vibropol.__all__))
+
+
+@pytest.mark.skipif(not hasattr(yaml, "CSafeLoader"), reason="PyYAML built without libyaml")
+@pytest.mark.parametrize("path", CONFIGS, ids=lambda p: p.name)
+def test_libyaml_and_pure_python_loaders_agree(path):
+    text = path.read_text(encoding="utf-8")
+    assert yaml.load(text, Loader=yaml.CSafeLoader) == yaml.load(text, Loader=yaml.SafeLoader)
+
+
+@pytest.mark.parametrize("path", CONFIGS, ids=lambda p: p.name)
+def test_load_config_without_libyaml(path, monkeypatch):
+    expected = load_config(path)
+    monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
+    assert load_config(path) == expected
+
+
+@pytest.mark.parametrize("libyaml", [True, False], ids=["libyaml", "pure-python"])
+def test_invalid_yaml_is_a_config_error_naming_the_line(tmp_path, monkeypatch, libyaml):
+    if not libyaml:
+        monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
+    path = tmp_path / "bad.yaml"
+    path.write_text("grid: {min: 1\nstack: [\n", encoding="utf-8")
+    with pytest.raises(ConfigError, match=r"invalid YAML in .*bad\.yaml(.|\n)*line 2"):
+        load_config(path)

@@ -440,11 +440,10 @@ class TestAngleScan:
                 assert np.array_equal(sp.R, R)
                 assert np.array_equal(sp.A, A)
 
-    # 11 nodes at 0 deg give 9 passes, not 6: the linspace offsets +-0.6,
-    # +-1.8 and +-2.4 differ in their last bit, so only +-1.2 and +-3 mirror
+    # the 11 nodes at 0 deg mirror exactly, so they take 6 passes
     @pytest.mark.parametrize(
         "angles, divergence, passes",
-        [("config", 1.0, 146), ("config", 0.0, 13), ([0.0], 1.0, 9)],
+        [("config", 1.0, 138), ("config", 0.0, 13), ([0.0], 1.0, 6)],
         ids=["dispersion_sigma_1", "dispersion_sigma_0", "normal_sigma_1"],
     )
     def test_one_kernel_pass_per_distinct_sin2(self, monkeypatch, angles, divergence,
@@ -498,6 +497,18 @@ class TestAngleScan:
         assert angles[-1] == pytest.approx(10.0 + 9.0)
         # symmetric Gaussian about the slope center
         np.testing.assert_allclose(weights, weights[::-1], rtol=1e-12)
+
+    @pytest.mark.parametrize("sigma", [0.7, 1.0, 3.0])
+    @pytest.mark.parametrize("n_nodes", [3, 11, 21])
+    def test_divergence_nodes_mirror_exactly(self, sigma, n_nodes):
+        angles, weights = divergence_nodes(0.0, sigma, n_nodes)
+        assert np.array_equal(angles, -angles[::-1])
+        assert np.array_equal(weights, weights[::-1])
+        assert angles[n_nodes // 2] == 0.0
+
+    def test_single_divergence_node_is_the_angle(self):
+        angles, weights = divergence_nodes(10.0, 1.0, 1)
+        assert angles.tolist() == [10.0] and weights.tolist() == [1.0]
 
     def test_divergence_nodes_truncated_at_grazing(self):
         angles, weights = divergence_nodes(88.0, 4.0)
