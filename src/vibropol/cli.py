@@ -272,7 +272,7 @@ def fit(config_path, out_dir, target_path, seed):
     """Fit the config's free stack parameters to measured data."""
     from . import fit as fitmod
     from . import io as iomod
-    from .config import load_config
+    from .config import load_config, override
     from .spectra import load_measured
 
     cfg = load_config(config_path)
@@ -280,8 +280,8 @@ def fit(config_path, out_dir, target_path, seed):
         raise ConfigError("config has no 'fit' section")
     k, target = load_measured(target_path)
     problem = cfg.fit_problem(k, target)
-    seed = cfg.fit.seed if seed is None else seed
-    result = fitmod.solve(problem, n_starts=cfg.fit.n_starts, seed=seed)
+    settings = override(cfg.fit, "fit", seed=seed)
+    result = fitmod.solve(problem, n_starts=settings.n_starts, seed=settings.seed)
 
     model = fitmod.model_values(problem, [result.params[p.path] for p in problem.free])
     iomod.write_csv(os.path.join(out_dir, "fit_curve.csv"), "k_cm1,target,model",
@@ -294,8 +294,8 @@ def fit(config_path, out_dir, target_path, seed):
         "n_evaluations": result.n_evaluations,
         "start_losses": result.start_losses,
         "best_start": result.best_start,
-        "seed": seed,
-        "n_starts": cfg.fit.n_starts,
+        "seed": settings.seed,
+        "n_starts": settings.n_starts,
         "channel": problem.channel,
     }
     iomod.write_json(os.path.join(out_dir, "fit.json"), payload)

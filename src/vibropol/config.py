@@ -45,9 +45,9 @@ import typing
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 from importlib import import_module
 
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, DomainError, _check_choice, _check_range
 from .materials import ConstantMedium, DrudeLorentzMetal, LorentzMedium
-from .tmm import POLARIZATIONS, LayerStack, SpectralGrid, _check_sigma
+from .tmm import CHANNELS, LayerStack, SpectralGrid, _check_polarization, _check_sigma
 
 if typing.TYPE_CHECKING:
     # at run time these resolve through _TYPES_FROM
@@ -65,7 +65,6 @@ __all__ = [
 ]
 
 DEFAULT_GRID = SpectralGrid(400.0, 7400.0, 1.0)
-CHANNELS = ("T", "R", "A")
 _SECTIONS = ("materials", "stack", "grid", "scan", "field_map", "estimate", "fit")
 
 # dataclass field -> config key, where the two differ
@@ -76,11 +75,6 @@ _KEYS = {
     "temperature_k": "temperature_K",
     "density": "bond_density",
 }
-
-
-def _one_of(value, name, allowed):
-    if value not in allowed:
-        raise DomainError(f"{name} must be {', '.join(allowed[:-1])} or {allowed[-1]}")
 
 
 @dataclass(frozen=True)
@@ -104,8 +98,8 @@ class _AngleRange:
     step: float = 5.0
 
     def __post_init__(self):
-        if not (self.step > 0 and self.min <= self.max):
-            raise DomainError("need min <= max and step > 0")
+        _check_range(self.step, "step", gt=0.0, unit="degrees")
+        _check_range(self.max, "max", ge=self.min, unit="degrees")
 
     def angles(self):
         n = math.floor((self.max - self.min) / self.step + 1e-9) + 1
@@ -142,13 +136,15 @@ class ScanSettings:
     min_prominence: float | None = None
 
     def __post_init__(self):
-        _one_of(self.polarization, "polarization", POLARIZATIONS)
-        _one_of(self.channel, "channel", CHANNELS)
+        _check_polarization(self.polarization)
+        _check_choice(self.channel, "channel", CHANNELS)
         _check_sigma(self.divergence)
         if self.window is not None and not (
             len(self.window) == 2 and self.window[0] < self.window[1]
         ):
             raise DomainError("window must be [lo, hi] with lo < hi")
+        if self.min_prominence is not None:
+            _check_range(self.min_prominence, "min_prominence", ge=0.0)
 
 
 @dataclass
@@ -161,11 +157,10 @@ class FieldMapSettings:
     margin_substrate_nm: float = 200.0
 
     def __post_init__(self):
-        _one_of(self.polarization, "polarization", POLARIZATIONS)
-        if not self.z_step > 0:
-            raise DomainError("z_step must be positive")
-        if not (self.margin_ambient_nm >= 0 and self.margin_substrate_nm >= 0):
-            raise DomainError("margins must be non-negative")
+        _check_polarization(self.polarization)
+        _check_range(self.z_step, "z_step", gt=0.0, unit="nm")
+        _check_range(self.margin_ambient_nm, "margin_ambient_nm", ge=0.0, unit="nm")
+        _check_range(self.margin_substrate_nm, "margin_substrate_nm", ge=0.0, unit="nm")
 
 
 @dataclass
@@ -190,10 +185,10 @@ class FitSettings:
     def __post_init__(self):
         if not self.free:
             raise DomainError("free must list at least one parameter")
-        _one_of(self.channel, "channel", CHANNELS)
-        _one_of(self.polarization, "polarization", POLARIZATIONS)
-        if self.n_starts < 1:
-            raise DomainError("n_starts must be a positive integer")
+        _check_choice(self.channel, "channel", CHANNELS)
+        _check_polarization(self.polarization)
+        _check_range(self.n_starts, "n_starts", ge=1, integer=True)
+        _check_range(self.seed, "seed", ge=0, integer=True)
 
 
 @dataclass
@@ -295,9 +290,9 @@ def _read(cls, raw, where, **given):
 def _value(tp, value, where):
     """`value` checked against, and converted to, the field type `tp`."""
     if tp is float:
-        if isinstance(value, bool) or not isinstance(value, (int, float)) \
-                or not math.isfinite(value):
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ConfigError(f"{where}: expected a finite number, got {value!r}")
+        _build(where, _check_range, value, "value")
         return float(value)
     if tp is int or tp is str:
         if isinstance(value, bool) or not isinstance(value, tp):

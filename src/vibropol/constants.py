@@ -3,6 +3,9 @@
 Spectroscopic wavenumbers (cm^-1) are the native frequency unit throughout
 the package; energies cross to eV/meV through the fixed conversion factor
 EV_TO_CM1 so that round trips are exact.
+
+The conversions are exempt from the argument rule of `errors`: they are
+array arithmetic with no domain, so a NaN passes through unchecked.
 """
 
 import math

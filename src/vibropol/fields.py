@@ -23,8 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
-from .tmm import _K_TO_RAD_NM, SpectralGrid, _check_angle, _media, _rouard
+from .errors import DomainError, _check_range
+from .materials import _check_wavenumbers
+from .tmm import _K_TO_RAD_NM, SpectralGrid, _check_angle, _check_polarization, _media, _rouard
 
 __all__ = ["FieldProfile", "FieldMap", "field_profile", "field_map"]
 
@@ -61,12 +62,8 @@ def _fields(stack, k, z, angle, polarization, flux=True):
     One recursion over all of k per polarization, then each medium is
     evaluated on the z samples it contains."""
     _check_angle(angle)
-    if polarization == "unpolarized":
-        pols = ("s", "p")
-    elif polarization in ("s", "p"):
-        pols = (polarization,)
-    else:
-        raise DomainError("polarization must be 's', 'p' or 'unpolarized'")
+    _check_polarization(polarization)
+    pols = ("s", "p") if polarization == "unpolarized" else (polarization,)
     if not np.all(np.isfinite(z)):
         raise DomainError("z samples must be finite (nm)")
     eps = _media(stack, k)
@@ -121,11 +118,9 @@ def field_profile(stack, k, z, angle=0.0, polarization="s"):
 
     Unpolarized input averages the s and p intensities and fluxes.  This
     is the one-row case of `field_map`."""
-    if not (np.isscalar(k) or np.asarray(k).ndim == 0):
+    if np.ndim(k) != 0:
         raise DomainError("field_profile takes a scalar wavenumber")
-    k = float(k)
-    if not (math.isfinite(k) and k > 0.0):
-        raise DomainError("wavenumber must be positive")
+    k = float(_check_wavenumbers(k))
     z = np.asarray(z, dtype=float)
     intensity, poynting = _fields(stack, np.array([k]), z.ravel(), angle, polarization)
     return FieldProfile(
@@ -144,8 +139,9 @@ def _boundaries(stack):
 def default_z_grid(stack, z_step=10.0, margin_ambient=200.0, margin_substrate=200.0):
     """z samples spanning the stack plus margins into the ambient and the
     substrate (all nm)."""
-    if z_step <= 0 or margin_ambient < 0 or margin_substrate < 0:
-        raise DomainError("z_step must be > 0 and margins >= 0")
+    _check_range(z_step, "z_step", gt=0.0, unit="nm")
+    _check_range(margin_ambient, "margin_ambient", ge=0.0, unit="nm")
+    _check_range(margin_substrate, "margin_substrate", ge=0.0, unit="nm")
     total = stack.total_thickness()
     return np.arange(-margin_ambient, total + margin_substrate + 0.5 * z_step, z_step)
 

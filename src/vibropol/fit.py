@@ -23,7 +23,7 @@ one real direction per free thickness and one complex direction per
 material that holds a free parameter, and each material path contributes
 its closed-form d eps / d p.  No finite differences are taken.
 
-solve resolves the paths once per call (loss_gradient once per call too):
+Every public call resolves the paths once, for all its kernel passes:
 their places in the stack, the tangent directions, the permittivities of
 the media no parameter touches, and the grid and angle terms of the
 kernel.  Each evaluation then writes the values into a working copy,
@@ -33,22 +33,22 @@ d eps / d p from one set of denominators, and runs the kernel once.  The
 template's loss comes from start 0's first evaluation, so every kernel
 pass of a solve is one that SciPy counts in n_evaluations (a template
 value on a bound, which SciPy moves inside the box, costs one pass more).
-Nothing is cached on a FitProblem, so a problem changed between two
-solves is checked and fitted as if it were new.
+Nothing is cached on a FitProblem, so each call checks a problem changed
+since construction as if it were new.
 """
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DomainError, FitError
+from .errors import DomainError, FitError, _check_choice, _check_range
 from .materials import ConstantMedium, DrudeLorentzMetal, LorentzMedium
 from .tmm import (
     _K_TO_RAD_NM,
+    CHANNELS,
     LayerStack,
     _check_angle,
     _check_polarization,
@@ -56,7 +56,6 @@ from .tmm import (
     _response,
     _sin2,
     _tangents,
-    stack_response,
 )
 
 __all__ = [
@@ -171,10 +170,8 @@ class FreeParameter:
     upper: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.lower) and math.isfinite(self.upper)):
-            raise DomainError("parameter bounds must be finite")
-        if not self.lower < self.upper:
-            raise DomainError(f"bounds for {self.path!r} must satisfy lower < upper")
+        _check_range(self.lower, f"lower bound of {self.path!r}")
+        _check_range(self.upper, f"upper bound of {self.path!r}", gt=self.lower)
 
 
 @dataclass
@@ -196,13 +193,17 @@ class FitProblem:
         self.target = np.asarray(self.target, dtype=float)
         if self.k.ndim != 1 or self.k.shape != self.target.shape:
             raise DomainError("k and target must be 1-D arrays of equal length")
-        for name in ("k", "target"):
-            if not np.all(np.isfinite(getattr(self, name))):
+        if self.weights is not None:
+            self.weights = np.asarray(self.weights, dtype=float)
+            if self.weights.shape != self.k.shape:
+                raise DomainError("weights must match the target grid")
+        for name in ("k", "target", "weights"):
+            values = getattr(self, name)
+            if values is not None and not np.all(np.isfinite(values)):
                 raise DomainError(f"fit {name} must hold finite values only")
         if np.any(self.k <= 0) or np.any(np.diff(self.k) <= 0):
             raise DomainError("target wavenumbers must be positive and increasing")
-        if self.channel not in ("T", "R", "A"):
-            raise DomainError("fit channel must be T, R or A")
+        _check_choice(self.channel, "fit channel", CHANNELS)
         _check_angle(self.angle)
         _check_polarization(self.polarization)
         seen = set()
@@ -219,12 +220,6 @@ class FitProblem:
                     raise DomainError(
                         f"{name} bound {bound!r} of {p.path!r} is outside its domain: {err}"
                     ) from err
-        if self.weights is not None:
-            self.weights = np.asarray(self.weights, dtype=float)
-            if self.weights.shape != self.k.shape:
-                raise DomainError("weights must match the target grid")
-            if not np.all(np.isfinite(self.weights)):
-                raise DomainError("fit weights must hold finite values only")
 
     def params_dict(self, values):
         values = np.asarray(values, dtype=float)
@@ -236,17 +231,12 @@ class FitProblem:
 def model_values(problem, values):
     """Model channel evaluated on the target grid for the given parameter
     values (physical units, ordered like problem.free)."""
-    stack = apply_params(problem.stack, problem.params_dict(values))
-    T, R, A = stack_response(stack, problem.k, problem.angle, problem.polarization)
-    return {"T": T, "R": R, "A": A}[problem.channel]
+    return _Plan(problem).model(values)[0]
 
 
 def residual_vector(problem, values):
     """Weighted (model - target) on the target grid."""
-    res = model_values(problem, values) - problem.target
-    if problem.weights is not None:
-        res = res * problem.weights
-    return res
+    return _Plan(problem)(values)[0]
 
 
 def loss_value(problem, values):
@@ -259,7 +249,7 @@ class _Plan:
     """A problem's free parameters resolved against its stack and grid
     once, for the kernel passes of one solve.  The plan holds the
     problem's pieces as they were when it was made, so it lives no longer
-    than one solve or loss_gradient call.
+    than the one public call that evaluates through it.
 
     A pass writes the values into a working copy, builds each touched
     layer and material and one LayerStack, evaluates the eps and the
@@ -275,8 +265,6 @@ class _Plan:
         self.problem = problem = replace(problem)
         stack, k = problem.stack, problem.k
         self.stack, self.k = stack, k
-        self.target, self.weights = problem.target, problem.weights
-        self.channel, self.polarization = problem.channel, problem.polarization
         located = [_locate(stack, p.path) for p in problem.free]
         self.template = np.array([value for value, _, _ in located])
         # one kernel direction per free thickness and per material that
@@ -305,13 +293,13 @@ class _Plan:
         self.k0 = _K_TO_RAD_NM * k
         self.sin2 = _sin2(stack, problem.angle)
 
-    def __call__(self, values):
-        """Weighted residuals at `values` (physical units, ordered like
-        the free parameters) and their exact Jacobian with respect to the
+    def model(self, values):
+        """The fitted channel at `values` (physical units, ordered like
+        the free parameters) and its exact Jacobian with respect to the
         values, shape (nk, n_free), from one kernel pass."""
         writes = {}
-        for (key, field), v in zip(self.writes, values):
-            writes.setdefault(key, {})[field] = float(v)
+        for (key, field), v in zip(self.writes, self.problem.params_dict(values).values()):
+            writes.setdefault(key, {})[field] = v
         stack = _build(self.stack, writes)
         eps, derivs = dict(self.fixed), {}
         for name, fields in self.fields.items():
@@ -320,11 +308,11 @@ class _Plan:
             )
         media = [self.ambient] + [eps[name] for name in self.names]
         T, R, S_T, S_R = _response(
-            stack, media, self.k0, self.sin2, self.polarization, self.tangents
+            stack, media, self.k0, self.sin2, self.problem.polarization, self.tangents
         )
-        if self.channel == "T":
+        if self.problem.channel == "T":
             model, sens = T, S_T
-        elif self.channel == "R":
+        elif self.problem.channel == "R":
             model, sens = R, S_R
         else:
             model, sens = 1.0 - T - R, -(S_T + S_R)
@@ -335,24 +323,22 @@ class _Plan:
         for col, (row, name, i) in enumerate(self.columns):
             s = sens[row]
             jac[:, col] = np.real(s if name is None else s * derivs[name][i])
-        res = model - self.target
-        if self.weights is not None:
-            res = res * self.weights
-            jac *= self.weights[:, None]
+        return model, jac
+
+    def __call__(self, values):
+        """Weighted residuals and their Jacobian, from one kernel pass."""
+        model, jac = self.model(values)
+        res, weights = model - self.problem.target, self.problem.weights
+        if weights is not None:
+            res = res * weights
+            jac *= weights[:, None]
         return res, jac
-
-
-def _residuals_and_jacobian(problem, values):
-    """Weighted residuals at `values` and their exact Jacobian with
-    respect to the values, shape (nk, n_free), from one kernel pass."""
-    plan = _Plan(problem)
-    return plan(plan.problem.params_dict(values).values())
 
 
 def loss_gradient(problem, values):
     """d(loss)/d(values) = 2 J^T r, with the exact residual Jacobian J
     from the same kernel pass as the residuals r."""
-    res, jac = _residuals_and_jacobian(problem, values)
+    res, jac = _Plan(problem)(values)
     return 2.0 * jac.T @ res
 
 
@@ -380,13 +366,14 @@ def solve(problem, n_starts=1, seed=0, max_nfev=2000):
     taken from start 0's first evaluation; a non-finite one raises
     FitError.
     """
-    if n_starts < 1:
-        raise DomainError("n_starts must be >= 1")
+    _check_range(n_starts, "n_starts", ge=1, integer=True)
+    _check_range(seed, "seed", ge=0, integer=True)
+    _check_range(max_nfev, "max_nfev", ge=1, integer=True)
 
     plan = _Plan(problem)
     problem = plan.problem
     if not problem.free:
-        residuals = residual_vector(problem, np.empty(0))
+        residuals, _ = plan(())
         loss = float(residuals @ residuals)
         return FitResult(
             params={}, loss=loss, initial_loss=loss, success=True,

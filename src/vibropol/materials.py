@@ -15,13 +15,12 @@ ConstantMedium returns a 0-d eps, as the stack kernel keeps it.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .constants import EV_TO_CM1
-from .errors import DomainError
+from .errors import DomainError, _check_range
 
 __all__ = [
     "LorentzOscillator",
@@ -54,12 +53,9 @@ class LorentzOscillator:
     gamma: float
 
     def __post_init__(self):
-        if not (self.f >= 0.0 and math.isfinite(self.f)):
-            raise DomainError("oscillator strength f must be >= 0")
-        if not (self.k0 > 0.0 and math.isfinite(self.k0)):
-            raise DomainError("oscillator center k0 must be > 0")
-        if not (self.gamma > 0.0 and math.isfinite(self.gamma)):
-            raise DomainError("oscillator damping gamma must be > 0")
+        _check_range(self.f, "oscillator strength f", ge=0.0, unit="cm^-2")
+        _check_range(self.k0, "oscillator center k0", gt=0.0, unit="cm^-1")
+        _check_range(self.gamma, "oscillator damping gamma", gt=0.0, unit="cm^-1")
 
 
 @dataclass(frozen=True)
@@ -75,8 +71,7 @@ class LorentzMedium:
     oscillators: tuple[LorentzOscillator, ...] = ()
 
     def __post_init__(self):
-        if not (self.eps_b >= 1.0 and math.isfinite(self.eps_b)):
-            raise DomainError("background permittivity eps_b must be >= 1")
+        _check_range(self.eps_b, "background permittivity eps_b", ge=1.0)
         object.__setattr__(self, "oscillators", tuple(self.oscillators))
 
     def epsilon(self, k):
@@ -115,10 +110,8 @@ class ConstantMedium:
 
     def __post_init__(self):
         eps = complex(self.eps)
-        if not (np.isfinite(eps.real) and np.isfinite(eps.imag)):
-            raise DomainError("constant permittivity must be finite")
-        if eps.imag < 0.0:
-            raise DomainError("constant permittivity must have Im(eps) >= 0")
+        _check_range(eps.real, "constant permittivity Re(eps)")
+        _check_range(eps.imag, "constant permittivity Im(eps)", ge=0.0)
         if eps == 0:
             raise DomainError("constant permittivity must be nonzero")
         object.__setattr__(self, "eps", eps)
@@ -143,8 +136,9 @@ class BoundTransition:
     omega0: float
 
     def __post_init__(self):
-        if self.f < 0.0 or self.gamma <= 0.0 or self.omega0 <= 0.0:
-            raise DomainError("bound transition requires f >= 0, gamma > 0 and omega0 > 0")
+        _check_range(self.f, "bound transition strength f", ge=0.0)
+        _check_range(self.gamma, "bound transition linewidth gamma", gt=0.0, unit="eV")
+        _check_range(self.omega0, "bound transition center omega0", gt=0.0, unit="eV")
 
 
 # Tabulated Drude-Lorentz parameters for gold (eV).
@@ -176,10 +170,10 @@ class DrudeLorentzMetal:
     damping_multiplier: float = 2.5
 
     def __post_init__(self):
-        if self.omega_p <= 0.0 or self.f0 < 0.0 or self.gamma0 <= 0.0:
-            raise DomainError("metal requires omega_p > 0, f0 >= 0, gamma0 > 0")
-        if self.damping_multiplier < 1.0:
-            raise DomainError("damping multiplier must be >= 1")
+        _check_range(self.omega_p, "plasma energy omega_p", gt=0.0, unit="eV")
+        _check_range(self.f0, "free-electron strength f0", ge=0.0)
+        _check_range(self.gamma0, "free-electron damping gamma0", gt=0.0, unit="eV")
+        _check_range(self.damping_multiplier, "damping multiplier", ge=1.0)
         object.__setattr__(self, "bound", tuple(self.bound))
 
     @property
@@ -238,6 +232,8 @@ def refractive_index(model_or_eps, k=None):
         eps = model_or_eps.epsilon(k)
     else:
         eps = np.asarray(model_or_eps, dtype=complex)
+        if not np.all(np.isfinite(eps)):
+            raise DomainError("permittivity must be finite")
     n = np.sqrt(eps)
     n = np.where(n.imag < 0.0, -n, n)
     n = np.where((n.imag == 0.0) & (n.real < 0.0), -n, n)

@@ -14,7 +14,8 @@ import numpy as np
 
 from . import constants as const
 from .constants import cm1_to_mev, cm1_to_joule, cm1_to_rad_s
-from .errors import DomainError, UltrastrongError
+from .errors import DomainError, UltrastrongError, _check_choice, _check_range
+from .tmm import _check_angle
 
 __all__ = [
     "VibrationalMode",
@@ -38,12 +39,6 @@ __all__ = [
 ]
 
 
-def _require_positive(value, name):
-    if not (math.isfinite(value) and value > 0.0):
-        raise DomainError(f"{name} must be finite and positive")
-    return value
-
-
 @dataclass(frozen=True)
 class VibrationalMode:
     """A molecular vibration: center, transition dipole and linewidth."""
@@ -54,11 +49,11 @@ class VibrationalMode:
     reduced_mass_amu: float | None = None
 
     def __post_init__(self):
-        _require_positive(self.omega_cm1, "vibration frequency")
-        if self.dipole_debye < 0.0 or self.damping_fwhm_mev < 0.0:
-            raise DomainError("dipole and damping must be >= 0")
+        _check_range(self.omega_cm1, "vibration frequency", gt=0.0, unit="cm^-1")
+        _check_range(self.dipole_debye, "transition dipole", ge=0.0, unit="D")
+        _check_range(self.damping_fwhm_mev, "vibration linewidth", ge=0.0, unit="meV")
         if self.reduced_mass_amu is not None:
-            _require_positive(self.reduced_mass_amu, "reduced mass")
+            _check_range(self.reduced_mass_amu, "reduced mass", gt=0.0, unit="amu")
 
     @property
     def omega_mev(self):
@@ -76,12 +71,11 @@ class CavityMode:
     mode_volume_m3: float | None = None
 
     def __post_init__(self):
-        _require_positive(self.omega_cm1, "cavity frequency")
-        _require_positive(self.background_index, "background index")
-        if self.kappa_fwhm_mev < 0.0:
-            raise DomainError("cavity linewidth must be >= 0")
+        _check_range(self.omega_cm1, "cavity frequency", gt=0.0, unit="cm^-1")
+        _check_range(self.kappa_fwhm_mev, "cavity linewidth", ge=0.0, unit="meV")
+        _check_range(self.background_index, "background index", gt=0.0)
         if self.mode_volume_m3 is not None:
-            _require_positive(self.mode_volume_m3, "mode volume")
+            _check_range(self.mode_volume_m3, "mode volume", gt=0.0, unit="m^3")
 
     @property
     def omega_mev(self):
@@ -97,15 +91,15 @@ class CavityMode:
 
 def vacuum_field(omega_cm1, volume_m3):
     """RMS vacuum field sqrt(hbar omega / 2 eps0 V) in V/m."""
-    _require_positive(omega_cm1, "frequency")
-    _require_positive(volume_m3, "mode volume")
+    _check_range(omega_cm1, "frequency", gt=0.0, unit="cm^-1")
+    _check_range(volume_m3, "mode volume", gt=0.0, unit="m^3")
     return math.sqrt(cm1_to_joule(omega_cm1) / (2.0 * const.EPS0_F_M * volume_m3))
 
 
 def zero_point_amplitude(reduced_mass_amu, omega_cm1):
     """Zero-point displacement sqrt(hbar / 2 mu omega) in m."""
-    _require_positive(reduced_mass_amu, "reduced mass")
-    _require_positive(omega_cm1, "frequency")
+    _check_range(reduced_mass_amu, "reduced mass", gt=0.0, unit="amu")
+    _check_range(omega_cm1, "frequency", gt=0.0, unit="cm^-1")
     mu = reduced_mass_amu * const.AMU_KG
     return math.sqrt(const.HBAR_J_S / (2.0 * mu * cm1_to_rad_s(omega_cm1)))
 
@@ -114,25 +108,24 @@ def single_coupling(dipole_debye, omega_cm1, volume_m3):
     """Single-molecule coupling energy d * E_vac, returned in eV.
 
     A zero dipole is allowed and gives exactly 0."""
-    if dipole_debye < 0.0 or not math.isfinite(dipole_debye):
-        raise DomainError("transition dipole must be >= 0")
+    _check_range(dipole_debye, "transition dipole", ge=0.0, unit="D")
     e_vac = vacuum_field(omega_cm1, volume_m3)
     return dipole_debye * const.DEBYE_C_M * e_vac / const.E_CHARGE_C
 
 
 def collective_splitting(single_ev, n_molecules):
     """Collective Rabi splitting single * sqrt(N), same unit as input."""
-    if n_molecules < 0:
-        raise DomainError("molecule number must be >= 0")
+    _check_range(single_ev, "single-molecule coupling", ge=0.0)
+    _check_range(n_molecules, "molecule number", ge=0.0)
     return single_ev * math.sqrt(n_molecules)
 
 
 def effective_concentration(observed_splitting_ev, single_ev, volume_m3):
     """Concentration (cm^-3) that reproduces an observed splitting:
     N_eff = (Omega_R / Omega)^2 coupled dipoles in the mode volume."""
-    _require_positive(observed_splitting_ev, "observed splitting")
-    _require_positive(single_ev, "single-molecule coupling")
-    _require_positive(volume_m3, "mode volume")
+    _check_range(observed_splitting_ev, "observed splitting", gt=0.0, unit="eV")
+    _check_range(single_ev, "single-molecule coupling", gt=0.0, unit="eV")
+    _check_range(volume_m3, "mode volume", gt=0.0, unit="m^3")
     n_eff = (observed_splitting_ev / single_ev) ** 2
     return n_eff / (volume_m3 * 1e6)
 
@@ -140,18 +133,16 @@ def effective_concentration(observed_splitting_ev, single_ev, volume_m3):
 def bond_density(mass_density_g_cm3, monomer_mass_g_mol, bonds_per_monomer=1.0):
     """Oscillator number density in cm^-3 from bulk density and the molar
     mass of the repeat unit."""
-    _require_positive(mass_density_g_cm3, "mass density")
-    _require_positive(monomer_mass_g_mol, "monomer mass")
-    if bonds_per_monomer <= 0:
-        raise DomainError("bonds per monomer must be > 0")
+    _check_range(mass_density_g_cm3, "mass density", gt=0.0, unit="g/cm^3")
+    _check_range(monomer_mass_g_mol, "monomer mass", gt=0.0, unit="g/mol")
+    _check_range(bonds_per_monomer, "bonds per monomer", gt=0.0)
     return mass_density_g_cm3 * const.AVOGADRO / monomer_mass_g_mol * bonds_per_monomer
 
 
 def thermal_occupation(omega_cm1, temperature_k):
     """Boltzmann factor exp(-hbar omega / kB T); 0 at T = 0."""
-    _require_positive(omega_cm1, "frequency")
-    if temperature_k < 0.0 or not math.isfinite(temperature_k):
-        raise DomainError("temperature must be >= 0 K")
+    _check_range(omega_cm1, "frequency", gt=0.0, unit="cm^-1")
+    _check_range(temperature_k, "temperature", ge=0.0, unit="K")
     if temperature_k == 0.0:
         return 0.0
     return math.exp(-cm1_to_joule(omega_cm1) / (const.KB_J_K * temperature_k))
@@ -159,21 +150,22 @@ def thermal_occupation(omega_cm1, temperature_k):
 
 def quality_factor(omega, fwhm):
     """Q = omega / FWHM for any shared unit."""
-    _require_positive(omega, "frequency")
-    _require_positive(fwhm, "linewidth")
+    _check_range(omega, "frequency", gt=0.0)
+    _check_range(fwhm, "linewidth", gt=0.0)
     return omega / fwhm
 
 
 def dephasing_time(fwhm_mev):
     """Lifetime hbar / FWHM in ps, linewidth in meV."""
-    _require_positive(fwhm_mev, "linewidth")
+    _check_range(fwhm_mev, "linewidth", gt=0.0, unit="meV")
     return const.HBAR_MEV_PS / fwhm_mev
 
 
 def is_strong_coupling(splitting_mev, vibration_fwhm_mev, cavity_fwhm_mev):
     """True when the splitting exceeds the mean of the two linewidths."""
-    if splitting_mev < 0 or vibration_fwhm_mev < 0 or cavity_fwhm_mev < 0:
-        raise DomainError("linewidths and splitting must be >= 0")
+    _check_range(splitting_mev, "splitting", ge=0.0, unit="meV")
+    _check_range(vibration_fwhm_mev, "vibration linewidth", ge=0.0, unit="meV")
+    _check_range(cavity_fwhm_mev, "cavity linewidth", ge=0.0, unit="meV")
     return splitting_mev > 0.5 * (vibration_fwhm_mev + cavity_fwhm_mev)
 
 
@@ -183,12 +175,11 @@ def fp_mode_estimate(n_eff, thickness_nm, order=1, angle=0.0, n_ambient=1.0):
         k = order * 1e7 / (2 n d[nm] cos(theta_int)),
 
     with the internal angle from Snell's law out of the ambient."""
-    _require_positive(n_eff, "effective index")
-    _require_positive(thickness_nm, "thickness")
-    if order < 1 or int(order) != order:
-        raise DomainError("mode order must be a positive integer")
-    if not (math.isfinite(angle) and abs(angle) < 90.0):
-        raise DomainError("angle must satisfy |angle| < 90 degrees")
+    _check_range(n_eff, "effective index", gt=0.0)
+    _check_range(thickness_nm, "thickness", gt=0.0, unit="nm")
+    _check_range(order, "mode order", ge=1, integer=True)
+    _check_angle(angle)
+    _check_range(n_ambient, "ambient index", ge=1.0)
     sin_int = n_ambient * math.sin(math.radians(angle)) / n_eff
     if abs(sin_int) >= 1.0:
         raise DomainError("angle is beyond total internal reflection for this index")
@@ -234,16 +225,16 @@ def coupled_frequencies(omega_c, omega_v, splitting, model="rwa"):
     Omega_R^2 omega_c omega_v.  Mixing weights always come from the
     2x2 eigenvectors.
     """
-    _require_positive(omega_c, "cavity frequency")
-    _require_positive(omega_v, "vibration frequency")
-    if splitting < 0.0 or not math.isfinite(splitting):
-        raise DomainError("splitting must be >= 0")
+    _check_range(omega_c, "cavity frequency", gt=0.0, unit="cm^-1")
+    _check_range(omega_v, "vibration frequency", gt=0.0, unit="cm^-1")
+    _check_range(splitting, "splitting", ge=0.0, unit="cm^-1")
+    _check_choice(model, "model", ("rwa", "full"))
     delta = omega_c - omega_v
     if model == "rwa":
         half = 0.5 * math.hypot(delta, splitting)
         mean = 0.5 * (omega_c + omega_v)
         upper, lower = mean + half, mean - half
-    elif model == "full":
+    else:
         if splitting**2 >= omega_c * omega_v:
             raise UltrastrongError(
                 "splitting^2 >= omega_c * omega_v: lower branch frequency "
@@ -253,8 +244,6 @@ def coupled_frequencies(omega_c, omega_v, splitting, model="rwa"):
         disc = math.sqrt((omega_c**2 - omega_v**2) ** 2 + 4.0 * splitting**2 * omega_c * omega_v)
         upper = math.sqrt(0.5 * (s + disc))
         lower = math.sqrt(0.5 * (s - disc))
-    else:
-        raise DomainError("model must be 'rwa' or 'full'")
     split = upper - lower
     return CoupledModeResult(
         omega_upper=upper,

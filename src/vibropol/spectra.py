@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import cm1_to_mev
-from .errors import DomainError, FitError, PeakCountError
+from .errors import DomainError, FitError, PeakCountError, _check_range
 
 __all__ = [
     "Peak",
@@ -48,6 +48,8 @@ def _windowed(k, values, window):
     values = np.asarray(values, dtype=float)
     if k.shape != values.shape or k.ndim != 1:
         raise DomainError("k and values must be 1-D arrays of equal length")
+    if not np.all(np.isfinite(k)):
+        raise DomainError("wavenumbers must be finite")
     if window is not None:
         lo, hi = window
         if not lo < hi:
@@ -57,6 +59,9 @@ def _windowed(k, values, window):
     if k.size < 3:
         where = "window" if window is not None else "spectrum"
         raise DomainError(f"{where} contains fewer than 3 samples")
+    n_bad = int(np.count_nonzero(~np.isfinite(values)))
+    if n_bad:
+        raise DomainError(f"{n_bad} non-finite sample(s) in the peak search window")
     return k, values
 
 
@@ -172,12 +177,11 @@ def find_peaks(k, values, min_prominence=None, window=None):
     infinite sample.
     """
     k, values = _windowed(k, values, window)
-    n_bad = int(np.count_nonzero(~np.isfinite(values)))
-    if n_bad:
-        raise DomainError(f"{n_bad} non-finite sample(s) in the peak search window")
     if min_prominence is None:
         span = float(values.max() - values.min())
         min_prominence = 0.05 * span if span > 0.0 else np.inf
+    else:
+        _check_range(min_prominence, "min_prominence", ge=0.0)
     idx, prominences = _prominent_peaks(values, min_prominence)
     peaks = []
     for i, prominence in zip(idx, prominences):
@@ -282,11 +286,14 @@ def fit_lorentzian_band(k, values, window=None, p0=None, max_nfev=2000):
     p0 = np.asarray(p0, dtype=float)
     if p0.shape != (4,):
         raise DomainError("p0 must be (f, k0, gamma, baseline)")
+    lower = [0.0, k[0], 1e-12, -np.inf]
+    upper = [np.inf, k[-1], np.inf, np.inf]
+    for name, value, lo, hi in zip(("f", "k0", "gamma", "baseline"), p0, lower, upper):
+        _check_range(value, f"p0 {name}", ge=lo, le=hi)
+    _check_range(max_nfev, "max_nfev", ge=1, integer=True)
 
     import scipy.optimize
 
-    lower = [0.0, k[0], 1e-12, -np.inf]
-    upper = [np.inf, k[-1], np.inf, np.inf]
     res = scipy.optimize.least_squares(
         lambda p: _band_model(p, k) - values,
         p0, bounds=(lower, upper), method="trf", ftol=1e-12, xtol=1e-12,
@@ -369,6 +376,11 @@ def fit_coupled_model(table, order=1, n_ambient=1.0, x0=None, max_nfev=2000):
         n0 = 1.4
         d0 = 1e7 / (2.0 * n0 * omega_c0)
         x0 = [omega_v0, n0, d0, split0]
+    _check_range(x0[0], "x0 omega_v", gt=0.0, unit="cm^-1")
+    _check_range(x0[1], "x0 n_eff", ge=1.0, le=5.0)
+    _check_range(x0[2], "x0 thickness", gt=0.0, unit="nm")
+    _check_range(x0[3], "x0 splitting", ge=0.0, unit="cm^-1")
+    _check_range(max_nfev, "max_nfev", ge=1, integer=True)
 
     from .polariton import anticrossing_dispersion
 

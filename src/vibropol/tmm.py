@@ -37,7 +37,6 @@ parameter p moves the channel by Re(S deps/dp).
 from __future__ import annotations
 
 import math
-import numbers
 from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass
@@ -45,7 +44,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, _check_choice, _check_range
 from .materials import ConstantMedium, _check_wavenumbers, evaluate_epsilon
 
 __all__ = [
@@ -60,6 +59,7 @@ __all__ = [
 ]
 
 POLARIZATIONS = ("s", "p", "unpolarized")
+CHANNELS = ("T", "R", "A")
 
 # cm^-1 -> rad/nm
 _K_TO_RAD_NM = 2.0e-7 * math.pi
@@ -76,8 +76,7 @@ class Layer:
     def __post_init__(self):
         if not isinstance(self.material, str) or not self.material:
             raise DomainError("layer material must be a non-empty name")
-        if not (math.isfinite(self.thickness) and self.thickness > 0.0):
-            raise DomainError("layer thickness must be finite and positive (nm)")
+        _check_range(self.thickness, "layer thickness", gt=0.0, unit="nm")
 
 
 @dataclass(frozen=True)
@@ -102,10 +101,8 @@ class LayerStack:
     def __post_init__(self):
         object.__setattr__(self, "materials", MappingProxyType(dict(self.materials)))
         object.__setattr__(self, "layers", tuple(self.layers))
-        if not (math.isfinite(self.n_ambient) and self.n_ambient >= 1.0):
-            raise DomainError("ambient index must be real and >= 1")
-        if self.substrate_mode not in ("coherent", "incoherent_to_air"):
-            raise DomainError("substrate_mode must be 'coherent' or 'incoherent_to_air'")
+        _check_range(self.n_ambient, "ambient index", ge=1.0)
+        _check_choice(self.substrate_mode, "substrate_mode", ("coherent", "incoherent_to_air"))
         missing = [ly.material for ly in self.layers if ly.material not in self.materials]
         if self.substrate not in self.materials:
             missing.append(self.substrate)
@@ -145,10 +142,10 @@ class SpectralGrid:
     step: float = 1.0
 
     def __post_init__(self):
-        if not (0.0 < self.k_min <= self.k_max) or not math.isfinite(self.k_max):
-            raise DomainError("grid requires 0 < k_min <= k_max")
-        if not (self.step > 0.0 and math.isfinite(self.step)):
-            raise DomainError("grid step must be positive")
+        _check_range(self.k_min, "grid min", gt=0.0, unit="cm^-1")
+        _check_range(self.k_max, "grid max", ge=self.k_min, unit="cm^-1")
+        _check_range(self.step, "grid step", gt=0.0, unit="cm^-1")
+        _check_range((self.k_max - self.k_min) / self.step, "grid (max - min) / step")
 
     @property
     def points(self):
@@ -168,10 +165,8 @@ class Spectrum:
     polarization: str = "s"
 
     def channel(self, name):
-        try:
-            return {"T": self.T, "R": self.R, "A": self.A}[name]
-        except KeyError:
-            raise DomainError(f"unknown channel {name!r}, expected T, R or A") from None
+        _check_choice(name, "channel", CHANNELS)
+        return getattr(self, name)
 
 
 def _reduced_kz(eps, sin2):
@@ -192,13 +187,11 @@ def _sin2(stack, angle):
 
 
 def _check_angle(angle):
-    if not (math.isfinite(angle) and abs(angle) < 90.0):
-        raise DomainError("incidence angle must satisfy |angle| < 90 degrees")
+    _check_range(angle, "incidence angle", gt=-90.0, lt=90.0, unit="degrees")
 
 
 def _check_polarization(polarization):
-    if polarization not in POLARIZATIONS:
-        raise DomainError(f"polarization must be one of {POLARIZATIONS}")
+    _check_choice(polarization, "polarization", POLARIZATIONS)
 
 
 def _media(stack, k):
@@ -413,14 +406,14 @@ def spectrum_scan(stack, grid, angle=0.0, polarization="s"):
 
 
 def _check_sigma(sigma):
-    if not (math.isfinite(sigma) and 0.0 <= sigma <= 30.0):
-        raise DomainError(f"divergence must be between 0 and 30 degrees, got {sigma!r}")
+    _check_range(sigma, "divergence", ge=0.0, le=30.0, unit="degrees")
 
 
 def _check_divergence(sigma, n_nodes):
     _check_sigma(sigma)
-    if not (isinstance(n_nodes, numbers.Integral) and n_nodes >= 1 and n_nodes % 2 == 1):
-        raise DomainError(f"n_nodes must be an odd integer >= 1, got {n_nodes!r}")
+    _check_range(n_nodes, "n_nodes", ge=1, integer=True)
+    if n_nodes % 2 == 0:
+        raise DomainError(f"n_nodes must be odd, got {n_nodes}")
 
 
 def divergence_nodes(angle, sigma, n_nodes=11):
@@ -462,8 +455,6 @@ def angle_scan(stack, grid, angles, polarization="s", divergence=0.0, n_nodes=11
     k = grid.points if isinstance(grid, SpectralGrid) else np.asarray(grid, dtype=float)
     k = np.atleast_1d(k)
     angles = [float(a) for a in angles]
-    for a in angles:
-        _check_angle(a)
     _check_polarization(polarization)
     _check_divergence(divergence, n_nodes)
     nodes = []

@@ -242,6 +242,16 @@ class TestSimulateCommand:
         assert len(rows) == 4  # two comments, header, one sample
         assert rows[3].startswith("1740.0,")
 
+    def test_overflowing_grid_exits_2(self, runner, tmp_path):
+        cfg = write_config(tmp_path, BASE_CONFIG)
+        result = runner.invoke(
+            main,
+            ["simulate", "--config", cfg, "--out-dir", str(tmp_path), "--grid", "1:1e300:1e-300"],
+        )
+        assert result.exit_code == 2, result.output
+        assert "--grid" in result.output
+        assert not (tmp_path / "summary.json").exists()
+
     def test_reruns_are_byte_identical(self, runner, tmp_path):
         cfg = write_config(tmp_path, BASE_CONFIG)
         out = tmp_path / "out"
@@ -480,6 +490,12 @@ class TestAnalyzeCommand:
         assert len(peaks[0]) == 2
         assert peaks[0] == peaks[1] == peaks[2]
 
+    def test_negative_min_prominence_exits_2_in_both_formats(self, runner, tmp_path):
+        for path in both_formats(runner, tmp_path):
+            result = runner.invoke(main, ["analyze", path, "--min-prominence", "-1"])
+            assert result.exit_code == 2, result.output
+            assert "min_prominence" in result.output
+
     @pytest.mark.parametrize("window", ["2000:1500", "nan:2000"])
     def test_bad_window_values_exit_2_in_both_formats(self, runner, tmp_path, window):
         for path in both_formats(runner, tmp_path):
@@ -603,6 +619,22 @@ class TestFitCommand:
         assert payload["seed"] == 7
         assert payload["n_starts"] == 2
         assert len(payload["start_losses"]) == 2
+
+    def test_negative_seed_override_exits_2(self, runner, tmp_path):
+        target = make_target_csv(tmp_path)
+        raw = yaml.safe_load(BASE_CONFIG)
+        raw["fit"] = {
+            "free": [{"path": "layers[1].thickness", "lower": 1800.0, "upper": 2200.0}]
+        }
+        cfg = write_config(tmp_path, yaml.safe_dump(raw))
+        out = tmp_path / "out"
+        result = runner.invoke(
+            main,
+            ["fit", "--config", cfg, "--out-dir", str(out), "--target", target, "--seed", "-1"],
+        )
+        assert result.exit_code == 2, result.output
+        assert "fit: seed" in result.output
+        assert not out.exists()
 
     def test_non_numeric_target_cell_exits_3(self, runner, tmp_path):
         target = tmp_path / "target.csv"

@@ -4,6 +4,7 @@ least-squares fitting."""
 import dataclasses
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,16 +21,20 @@ from vibropol import (
     LayerStack,
     apply_params,
     gold,
+    load_config,
     loss_gradient,
     loss_value,
     model_values,
     residual_vector,
     solve,
+    stack_response,
 )
 from vibropol import fit, tmm
 from vibropol.fit import _locate
 
 from conftest import make_stack, CO_BAND, hard_stacks
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def small_problem(stack, free, channel="T", target=None, weights=None):
@@ -234,6 +239,27 @@ class TestProblem:
             with pytest.raises(DomainError, match=f"^{message}$"):
                 loss_gradient(problem, [1930.0])
 
+    # model_values, residual_vector and loss_value evaluate through the same
+    # plan as solve, so they raise the constructor's error too
+    @pytest.mark.parametrize("evaluate", [model_values, residual_vector, loss_value])
+    @pytest.mark.parametrize("n_free", [0, 1])
+    @pytest.mark.parametrize(
+        "field, message",
+        [("k", "k and target must be 1-D arrays of equal length"),
+         ("target", "fit target must hold finite values only")],
+        ids=["k", "target"],
+    )
+    def test_single_evaluations_check_a_changed_problem(self, coupled_stack, field, message,
+                                                         n_free, evaluate):
+        free = [FreeParameter("layers[1].thickness", 1500.0, 2500.0)][:n_free]
+        problem = small_problem(coupled_stack, free)
+        if field == "k":
+            problem.k = problem.k[:10]
+        else:
+            problem.target = np.full_like(problem.k, math.nan)
+        with pytest.raises(DomainError, match=f"^{message}$"):
+            evaluate(problem, [1930.0][:n_free])
+
     def test_problem_checked_once_per_solve(self, coupled_stack, monkeypatch):
         problem = small_problem(
             coupled_stack, [FreeParameter("layers[1].thickness", 1500.0, 2500.0)]
@@ -279,6 +305,22 @@ class TestResiduals:
         )
         assert loss_value(weighted, np.empty(0)) == pytest.approx(4.0 * k.size * 1e-4, rel=1e-9)
 
+    # the fit's one evaluation path gives stack_response's values bit for bit
+    @pytest.mark.parametrize("config", ["film_absorption", "cavity_coupled"])
+    @pytest.mark.parametrize("polarization", ["s", "p", "unpolarized"])
+    @pytest.mark.parametrize("channel", ["T", "R", "A"])
+    def test_model_values_equal_stack_response(self, config, polarization, channel):
+        stack = load_config(CONFIGS / f"{config}.yaml").require_stack()
+        k = np.linspace(1600.0, 1900.0, 61)
+        thickness = (FreeParameter("layers[0].thickness", 5.0, 3000.0),)
+        for free, values in (((), []), (thickness, [stack.layers[0].thickness * 1.01])):
+            problem = FitProblem(stack=stack, free=free, k=k, target=np.zeros_like(k),
+                                 channel=channel, angle=20.0, polarization=polarization)
+            moved = apply_params(stack, problem.params_dict(values))
+            T, R, A = stack_response(moved, k, 20.0, polarization)
+            np.testing.assert_array_equal(model_values(problem, values),
+                                          {"T": T, "R": R, "A": A}[channel])
+
     def test_gradient_matches_central_difference(self, coupled_stack):
         free = [
             FreeParameter("layers[1].thickness", 1500.0, 2500.0),
@@ -305,7 +347,7 @@ class TestResiduals:
 
 
 def exact_jacobian(problem, values):
-    return fit._residuals_and_jacobian(problem, values)[1]
+    return fit._Plan(problem)(values)[1]
 
 
 def central_jacobian(problem, values, rel_step):

@@ -99,6 +99,20 @@ class TestFindPeaks:
         with pytest.raises(DomainError, match="^4 non-finite sample"):
             find_peaks(k, y)
 
+    @pytest.mark.parametrize("window", [None, (1600.0, 1900.0)])
+    def test_non_finite_wavenumber_raises(self, window):
+        k = np.arange(1500.0, 2000.0, 0.25)
+        y = lorentz_band(k, 5.0e4, 1739.0, 13.0)
+        k[960] = np.nan
+        with pytest.raises(DomainError, match="wavenumbers must be finite"):
+            find_peaks(k, y, window=window)
+
+    @pytest.mark.parametrize("min_prominence", [np.nan, np.inf, -0.1])
+    def test_bad_min_prominence_raises(self, min_prominence):
+        k = np.arange(1500.0, 2000.0, 0.25)
+        with pytest.raises(DomainError, match="min_prominence"):
+            find_peaks(k, lorentz_band(k, 5.0e4, 1739.0, 13.0), min_prominence=min_prominence)
+
     def test_non_finite_sample_outside_window_is_ignored(self):
         k = np.arange(1500.0, 2000.0, 0.25)
         y = lorentz_band(k, 5.0e4, 1739.0, 13.0)

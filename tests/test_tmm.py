@@ -389,7 +389,9 @@ class TestSpectralGrid:
 
     def test_invalid_grids_rejected(self):
         for args in ((0.0, 100.0, 1.0), (-5.0, 100.0, 1.0), (200.0, 100.0, 1.0),
-                     (100.0, 200.0, 0.0), (100.0, 200.0, -1.0)):
+                     (100.0, 200.0, 0.0), (100.0, 200.0, -1.0),
+                     # (max - min) / step overflows
+                     (1.0, 1e300, 1e-300)):
             with pytest.raises(DomainError):
                 SpectralGrid(*args)
 
