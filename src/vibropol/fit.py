@@ -14,8 +14,9 @@ as a metal's gamma_total or bound, are not paths, and a FitProblem
 rejects a path listed twice.
 
 Each path has box bounds; internally every parameter is scaled to [0, 1]
-by its bound width so the optimizer sees O(1) variables.  The model is
-evaluated exactly on the wavenumbers of the target data.
+by its bound width so the optimizer sees O(1) variables.  The optimizer
+is the package's projected Levenberg-Marquardt solver, `_lsq`.  The
+model is evaluated exactly on the wavenumbers of the target data.
 
 The Jacobian is exact for all five forms: the stack kernel carries
 forward-mode tangents through the same pass that computes the model,
@@ -31,10 +32,9 @@ builds each touched layer and material and one LayerStack, so every
 constructor's check still runs, evaluates a touched material's eps and
 d eps / d p from one set of denominators, and runs the kernel once.  The
 template's loss comes from start 0's first evaluation, so every kernel
-pass of a solve is one that SciPy counts in n_evaluations (a template
-value on a bound, which SciPy moves inside the box, costs one pass more).
-Nothing is cached on a FitProblem, so each call checks a problem changed
-since construction as if it were new.
+pass of a solve is counted in n_evaluations.  Nothing is cached on a
+FitProblem, so each call checks a problem changed since construction as
+if it were new.
 """
 
 from __future__ import annotations
@@ -44,7 +44,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DomainError, FitError, _check_choice, _check_range
+from ._lsq import least_squares
+from .errors import DomainError, _check_choice, _check_range
 from .materials import ConstantMedium, DrudeLorentzMetal, LorentzMedium
 from .tmm import (
     _K_TO_RAD_NM,
@@ -388,58 +389,31 @@ def solve(problem, n_starts=1, seed=0, max_nfev=2000):
     def to_physical(x):
         return lower + x * width
 
-    x0_template = np.clip((plan.template - lower) / width, 0.0, 1.0)
-    last, initial = {}, []
-
-    def fun(x):
-        # one pass gives the residuals and the Jacobian jac asks for next
+    def fun_jac(x):
         res, jac = plan(to_physical(x))
-        if not initial:
-            # start 0's first evaluation is the template point, unless
-            # scipy moved a template value that sits on a bound inwards
-            at_template = res if np.array_equal(x, x0_template) else plan(
-                to_physical(x0_template))[0]
-            initial.append(float(at_template @ at_template))
-            if not np.isfinite(initial[0]):
-                raise FitError("loss is non-finite at the template point")
-        last.update(x=x.copy(), jac=jac * width)
-        return res
-
-    def jac(x):
-        if not np.array_equal(x, last.get("x")):
-            fun(x)
-        return last["jac"]
+        return res, jac * width
 
     rng = np.random.default_rng(seed)
-    starts = [x0_template]
+    starts = [np.clip((plan.template - lower) / width, 0.0, 1.0)]
     for _ in range(n_starts - 1):
         starts.append(rng.uniform(0.0, 1.0, size=len(problem.free)))
 
-    import scipy.optimize
-
-    best = None
-    start_losses = []
-    start_params = []
-    total_nfev = 0
-    for idx, x0 in enumerate(starts):
-        res = scipy.optimize.least_squares(
-            fun, x0, jac=jac, bounds=(np.zeros_like(x0), np.ones_like(x0)),
-            method="trf", ftol=1e-8, max_nfev=max_nfev,
-        )
-        loss = float(2.0 * res.cost)
-        start_losses.append(loss)
-        start_params.append(problem.params_dict(to_physical(res.x)))
-        total_nfev += int(res.nfev)
-        if best is None or loss < best[0]:
-            best = (loss, idx, res)
-    loss, idx, res = best
+    solutions = [
+        least_squares(fun_jac, x0, 0.0, 1.0, ftol=1e-8, max_nfev=max_nfev,
+                      name="fit from the template point" if idx == 0 else f"fit from start {idx}")
+        for idx, x0 in enumerate(starts)
+    ]
+    start_losses = [float(res.fun @ res.fun) for res in solutions]
+    start_params = [problem.params_dict(to_physical(res.x)) for res in solutions]
+    idx = start_losses.index(min(start_losses))
+    best = solutions[idx]
     return FitResult(
-        params=problem.params_dict(to_physical(res.x)),
-        loss=loss,
-        initial_loss=initial[0],
-        success=bool(res.status > 0),
-        n_evaluations=total_nfev,
-        residuals=res.fun.copy(),
+        params=dict(start_params[idx]),
+        loss=start_losses[idx],
+        initial_loss=solutions[0].initial_loss,
+        success=best.status > 0,
+        n_evaluations=sum(res.nfev for res in solutions),
+        residuals=best.fun,
         start_losses=start_losses,
         start_params=start_params,
         best_start=idx,

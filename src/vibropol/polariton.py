@@ -7,8 +7,9 @@ linewidths cross to meV through the fixed eV <-> cm^-1 conversion.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 
 import numpy as np
 
@@ -37,6 +38,31 @@ __all__ = [
     "anticrossing_dispersion",
     "estimate_report",
 ]
+
+
+def _in_float_range(estimator):
+    """The estimator, raising DomainError that names it when a number in
+    its result is not finite (numpy overflows quietly in here), or when a
+    step towards the result fails: `**` past the largest float
+    (OverflowError) or a divisor that underflowed to 0
+    (ZeroDivisionError)."""
+
+    @functools.wraps(estimator)
+    def checked(*args, **kwargs):
+        try:
+            with np.errstate(all="ignore"):
+                result = estimator(*args, **kwargs)
+        except (OverflowError, ZeroDivisionError):
+            result = math.inf
+        parts = [getattr(result, f.name) for f in fields(result)] if is_dataclass(result) \
+            else [result]
+        numbers = np.concatenate([np.ravel(p) for p in parts if not isinstance(p, dict)])
+        bad = numbers[~np.isfinite(numbers)]
+        if bad.size:
+            _check_range(float(bad[0]), f"the result of {estimator.__name__}")
+        return result
+
+    return checked
 
 
 @dataclass(frozen=True)
@@ -96,6 +122,7 @@ def vacuum_field(omega_cm1, volume_m3):
     return math.sqrt(cm1_to_joule(omega_cm1) / (2.0 * const.EPS0_F_M * volume_m3))
 
 
+@_in_float_range
 def zero_point_amplitude(reduced_mass_amu, omega_cm1):
     """Zero-point displacement sqrt(hbar / 2 mu omega) in m."""
     _check_range(reduced_mass_amu, "reduced mass", gt=0.0, unit="amu")
@@ -113,6 +140,7 @@ def single_coupling(dipole_debye, omega_cm1, volume_m3):
     return dipole_debye * const.DEBYE_C_M * e_vac / const.E_CHARGE_C
 
 
+@_in_float_range
 def collective_splitting(single_ev, n_molecules):
     """Collective Rabi splitting single * sqrt(N), same unit as input."""
     _check_range(single_ev, "single-molecule coupling", ge=0.0)
@@ -120,6 +148,7 @@ def collective_splitting(single_ev, n_molecules):
     return single_ev * math.sqrt(n_molecules)
 
 
+@_in_float_range
 def effective_concentration(observed_splitting_ev, single_ev, volume_m3):
     """Concentration (cm^-3) that reproduces an observed splitting:
     N_eff = (Omega_R / Omega)^2 coupled dipoles in the mode volume."""
@@ -130,6 +159,7 @@ def effective_concentration(observed_splitting_ev, single_ev, volume_m3):
     return n_eff / (volume_m3 * 1e6)
 
 
+@_in_float_range
 def bond_density(mass_density_g_cm3, monomer_mass_g_mol, bonds_per_monomer=1.0):
     """Oscillator number density in cm^-3 from bulk density and the molar
     mass of the repeat unit."""
@@ -169,22 +199,58 @@ def is_strong_coupling(splitting_mev, vibration_fwhm_mev, cavity_fwhm_mev):
     return splitting_mev > 0.5 * (vibration_fwhm_mev + cavity_fwhm_mev)
 
 
+@_in_float_range
 def fp_mode_estimate(n_eff, thickness_nm, order=1, angle=0.0, n_ambient=1.0):
     """Fabry-Perot resonance estimate in cm^-1:
 
         k = order * 1e7 / (2 n d[nm] cos(theta_int)),
 
     with the internal angle from Snell's law out of the ambient."""
+    angle = np.asarray(angle, dtype=float)
+    return float(_cavity_modes(n_eff, thickness_nm, order, angle, n_ambient)[0])
+
+
+def _cavity_modes(n_eff, thickness_nm, order, angles, n_ambient):
+    """fp_mode_estimate at every angle of the array `angles`, and cos^2 of
+    the internal angles, with which d omega_c / d n_eff = -omega_c /
+    (n_eff cos^2) and d omega_c / d thickness = -omega_c / thickness."""
     _check_range(n_eff, "effective index", gt=0.0)
     _check_range(thickness_nm, "thickness", gt=0.0, unit="nm")
     _check_range(order, "mode order", ge=1, integer=True)
-    _check_angle(angle)
+    outside = angles[~(np.abs(angles) < 90.0)]
+    if outside.size:
+        _check_angle(float(outside.flat[0]))
     _check_range(n_ambient, "ambient index", ge=1.0)
-    sin_int = n_ambient * math.sin(math.radians(angle)) / n_eff
-    if abs(sin_int) >= 1.0:
+    sin_int = n_ambient * np.sin(np.radians(angles)) / n_eff
+    if np.any(np.abs(sin_int) >= 1.0):
         raise DomainError("angle is beyond total internal reflection for this index")
-    cos_int = math.sqrt(1.0 - sin_int**2)
-    return order * 1e7 / (2.0 * n_eff * thickness_nm * cos_int)
+    cos2 = 1.0 - sin_int**2
+    return order * 1e7 / (2.0 * n_eff * thickness_nm * np.sqrt(cos2)), cos2
+
+
+def _branches(omega_c, omega_v, splitting, model="rwa"):
+    """The branches of coupled_frequencies for a cavity frequency or an
+    array of them: (upper, lower, cos, sin), where (cos, sin) = (delta,
+    splitting) / sqrt(delta^2 + splitting^2) is the 2x2 mixing under either
+    model.  Under the RWA, d upper / d omega_c = (1 + cos) / 2, the upper
+    branch's photon fraction, and d upper / d splitting = sin / 2; at
+    delta = splitting = 0, cos = 0 and sin = 1, the derivatives towards
+    splitting > 0."""
+    delta = omega_c - omega_v
+    root = np.hypot(delta, splitting)
+    safe = np.where(root > 0.0, root, 1.0)
+    cos, sin = delta / safe, np.where(root > 0.0, splitting / safe, 1.0)
+    if model == "rwa":
+        mean = 0.5 * (omega_c + omega_v)
+        return mean + 0.5 * root, mean - 0.5 * root, cos, sin
+    if np.any(splitting**2 >= omega_c * omega_v):
+        raise UltrastrongError(
+            "splitting^2 >= omega_c * omega_v: lower branch frequency "
+            "would be imaginary in the full two-oscillator model"
+        )
+    s = omega_c**2 + omega_v**2
+    disc = np.sqrt((omega_c**2 - omega_v**2) ** 2 + 4.0 * splitting**2 * omega_c * omega_v)
+    return np.sqrt(0.5 * (s + disc)), np.sqrt(0.5 * (s - disc)), cos, sin
 
 
 @dataclass(frozen=True)
@@ -203,18 +269,7 @@ class CoupledModeResult:
         return self.omega_lower, self.omega_upper
 
 
-def _rwa_weights(delta, splitting):
-    d = math.hypot(delta, splitting)
-    if d == 0.0:
-        up_photon = 0.5
-    else:
-        up_photon = 0.5 * (1.0 + delta / d)
-    return {
-        "upper": {"photon": up_photon, "vibration": 1.0 - up_photon},
-        "lower": {"photon": 1.0 - up_photon, "vibration": up_photon},
-    }
-
-
+@_in_float_range
 def coupled_frequencies(omega_c, omega_v, splitting, model="rwa"):
     """Polariton branches of one cavity mode and one vibration.
 
@@ -229,28 +284,18 @@ def coupled_frequencies(omega_c, omega_v, splitting, model="rwa"):
     _check_range(omega_v, "vibration frequency", gt=0.0, unit="cm^-1")
     _check_range(splitting, "splitting", ge=0.0, unit="cm^-1")
     _check_choice(model, "model", ("rwa", "full"))
-    delta = omega_c - omega_v
-    if model == "rwa":
-        half = 0.5 * math.hypot(delta, splitting)
-        mean = 0.5 * (omega_c + omega_v)
-        upper, lower = mean + half, mean - half
-    else:
-        if splitting**2 >= omega_c * omega_v:
-            raise UltrastrongError(
-                "splitting^2 >= omega_c * omega_v: lower branch frequency "
-                "would be imaginary in the full two-oscillator model"
-            )
-        s = omega_c**2 + omega_v**2
-        disc = math.sqrt((omega_c**2 - omega_v**2) ** 2 + 4.0 * splitting**2 * omega_c * omega_v)
-        upper = math.sqrt(0.5 * (s + disc))
-        lower = math.sqrt(0.5 * (s - disc))
+    upper, lower, cos, _ = map(float, _branches(omega_c, omega_v, splitting, model))
+    up_photon = 0.5 * (1.0 + cos)
     split = upper - lower
     return CoupledModeResult(
         omega_upper=upper,
         omega_lower=lower,
         splitting_cm1=split,
         splitting_mev=cm1_to_mev(split),
-        weights=_rwa_weights(delta, splitting),
+        weights={
+            "upper": {"photon": up_photon, "vibration": 1.0 - up_photon},
+            "lower": {"photon": 1.0 - up_photon, "vibration": up_photon},
+        },
     )
 
 
@@ -265,20 +310,19 @@ class AnticrossingCurve:
     omega_vibration: float
 
 
+@_in_float_range
 def anticrossing_dispersion(
     omega_v, splitting, n_eff, thickness_nm, angles, order=1, n_ambient=1.0, model="rwa"
 ):
     """Polariton branches versus angle for a Fabry-Perot cavity mode
-    crossing one vibration."""
+    crossing one vibration: fp_mode_estimate and coupled_frequencies at
+    every angle."""
     angles = np.asarray(angles, dtype=float)
-    omega_c = np.array(
-        [fp_mode_estimate(n_eff, thickness_nm, order, a, n_ambient) for a in angles]
-    )
-    upper = np.empty_like(omega_c)
-    lower = np.empty_like(omega_c)
-    for i, wc in enumerate(omega_c):
-        res = coupled_frequencies(wc, omega_v, splitting, model=model)
-        upper[i], lower[i] = res.omega_upper, res.omega_lower
+    omega_c, _ = _cavity_modes(n_eff, thickness_nm, order, angles, n_ambient)
+    _check_range(omega_v, "vibration frequency", gt=0.0, unit="cm^-1")
+    _check_range(splitting, "splitting", ge=0.0, unit="cm^-1")
+    _check_choice(model, "model", ("rwa", "full"))
+    upper, lower, _, _ = _branches(omega_c, omega_v, splitting, model)
     return AnticrossingCurve(
         angles=angles, omega_cavity=omega_c, upper=upper, lower=lower, omega_vibration=omega_v
     )

@@ -260,8 +260,18 @@ class LorentzianBandFit:
 
 
 def _band_model(p, k):
+    """The band profile at parameters p = (f, k0, gamma, baseline) and its
+    Jacobian with respect to p, shape (k.size, 4)."""
     f, k0, gamma, base = p
-    return base + f * k * gamma / ((k**2 - k0**2) ** 2 + (k * gamma) ** 2)
+    detune = k**2 - k0**2
+    denom = detune**2 + (k * gamma) ** 2
+    shape = k * gamma / denom  # d model / d f
+    jac = np.empty((k.size, 4))
+    jac[:, 0] = shape
+    jac[:, 1] = 4.0 * f * shape * k0 * detune / denom
+    jac[:, 2] = f * k * (detune**2 - (k * gamma) ** 2) / denom**2
+    jac[:, 3] = 1.0
+    return base + f * k * gamma / denom, jac
 
 
 def fit_lorentzian_band(k, values, window=None, p0=None, max_nfev=2000):
@@ -286,19 +296,22 @@ def fit_lorentzian_band(k, values, window=None, p0=None, max_nfev=2000):
     p0 = np.asarray(p0, dtype=float)
     if p0.shape != (4,):
         raise DomainError("p0 must be (f, k0, gamma, baseline)")
-    lower = [0.0, k[0], 1e-12, -np.inf]
-    upper = [np.inf, k[-1], np.inf, np.inf]
+    lower = np.array([0.0, k[0], 1e-12, -np.inf])
+    upper = np.array([np.inf, k[-1], np.inf, np.inf])
     for name, value, lo, hi in zip(("f", "k0", "gamma", "baseline"), p0, lower, upper):
         _check_range(value, f"p0 {name}", ge=lo, le=hi)
     _check_range(max_nfev, "max_nfev", ge=1, integer=True)
 
-    import scipy.optimize
+    # imported here, like the coupled model's terms, so that a command that
+    # only finds peaks loads no solver
+    from ._lsq import least_squares
 
-    res = scipy.optimize.least_squares(
-        lambda p: _band_model(p, k) - values,
-        p0, bounds=(lower, upper), method="trf", ftol=1e-12, xtol=1e-12,
-        max_nfev=max_nfev,
-    )
+    def fun_jac(p):
+        model, jac = _band_model(p, k)
+        return model - values, jac
+
+    res = least_squares(fun_jac, p0, lower, upper, ftol=1e-12, xtol=1e-12, max_nfev=max_nfev,
+                        name="band fit")
     fit = LorentzianBandFit(
         f=float(res.x[0]),
         k0=float(res.x[1]),
@@ -346,6 +359,24 @@ def build_dispersion(spectra, channel="T", window=None, min_prominence=None):
     return DispersionTable(rows=rows, channel=channel)
 
 
+def _coupled_model(p, angles, order, n_ambient):
+    """The RWA branches of anticrossing_dispersion at p = (omega_v, n_eff,
+    thickness_nm, splitting), upper then lower, and their Jacobian with
+    respect to p, shape (2 angles.size, 4)."""
+    from .polariton import _branches, _cavity_modes
+
+    omega_v, n_eff, d, split = p
+    omega_c, cos2 = _cavity_modes(n_eff, d, order, angles, n_ambient)
+    upper, lower, cos, sin = _branches(omega_c, omega_v, split)
+    # row 0 the upper branch, row 1 the lower: d branch / d omega_c, and
+    # the chain rule through omega_c(n_eff, d)
+    sign = np.array([[1.0], [-1.0]])
+    by_cavity = 0.5 * (1.0 + sign * cos)
+    jac = np.stack([1.0 - by_cavity, by_cavity * (-omega_c / (n_eff * cos2)),
+                    by_cavity * (-omega_c / d), 0.5 * sign * sin], axis=-1)
+    return np.concatenate([upper, lower]), jac.reshape(-1, 4)
+
+
 @dataclass
 class CoupledFitResult:
     omega_v: float
@@ -367,6 +398,7 @@ def fit_coupled_model(table, order=1, n_ambient=1.0, x0=None, max_nfev=2000):
     angles = np.array([r.angle for r in rows])
     up = np.array([r.omega_upper for r in rows])
     lp = np.array([r.omega_lower for r in rows])
+    measured = np.concatenate([up, lp])
 
     if x0 is None:
         i0 = int(np.argmin(np.abs(angles)))
@@ -382,21 +414,16 @@ def fit_coupled_model(table, order=1, n_ambient=1.0, x0=None, max_nfev=2000):
     _check_range(x0[3], "x0 splitting", ge=0.0, unit="cm^-1")
     _check_range(max_nfev, "max_nfev", ge=1, integer=True)
 
-    from .polariton import anticrossing_dispersion
+    from ._lsq import least_squares
 
-    def residual(p):
-        omega_v, n_eff, d, split = p
-        curve = anticrossing_dispersion(omega_v, split, n_eff, d, angles, order, n_ambient)
-        return np.concatenate([curve.upper - up, curve.lower - lp])
+    def fun_jac(p):
+        branches, jac = _coupled_model(p, angles, order, n_ambient)
+        return branches - measured, jac
 
-    import scipy.optimize
-
-    lo = [x0[0] * 0.5, 1.0, x0[2] * 0.2, 0.0]
-    hi = [x0[0] * 1.5, 5.0, x0[2] * 5.0, x0[3] * 5.0 + 10.0]
-    res = scipy.optimize.least_squares(
-        residual, x0, bounds=(lo, hi), method="trf", x_scale="jac",
-        ftol=1e-10, max_nfev=max_nfev,
-    )
+    lo = np.array([x0[0] * 0.5, 1.0, x0[2] * 0.2, 0.0])
+    hi = np.array([x0[0] * 1.5, 5.0, x0[2] * 5.0, x0[3] * 5.0 + 10.0])
+    res = least_squares(fun_jac, x0, lo, hi, ftol=1e-10, max_nfev=max_nfev,
+                        name="coupled-mode fit")
     rms = float(np.sqrt(np.mean(res.fun**2)))
     n = len(rows)
     per_row = np.sqrt(0.5 * (res.fun[:n] ** 2 + res.fun[n:] ** 2))

@@ -518,7 +518,7 @@ def assert_same_result(a, b):
 
 class TestSolve:
     def test_no_finite_difference_model_calls(self, coupled_stack, monkeypatch):
-        # every kernel pass inside solve is a value evaluation scipy
+        # every kernel pass inside solve is an evaluation n_evaluations
         # counts, the template's included; a 2-point Jacobian would add
         # n_free passes per Jacobian
         passes = count_kernel_passes(monkeypatch)
@@ -549,14 +549,14 @@ class TestSolve:
         assert result.initial_loss == loss_value(problem, template)
 
     def test_initial_loss_of_a_template_on_a_bound(self, coupled_stack, monkeypatch):
-        # scipy starts a value on a bound just inside the box, so the
-        # template's loss takes one pass of its own
+        # the solver starts on the bound itself, so the template's loss is
+        # start 0's first evaluation here too
         template = np.array([2000.0])
         problem = shifted_problem(coupled_stack, template,
                                   (("layers[1].thickness", 2000.0, 2500.0),))
         passes = count_kernel_passes(monkeypatch)
         result = solve(problem)
-        assert len(passes) == result.n_evaluations + 1
+        assert len(passes) == result.n_evaluations
         assert result.initial_loss == loss_value(problem, template)
 
     def test_reassigned_problem_solves_like_a_new_one(self, coupled_stack):

@@ -1,6 +1,6 @@
-"""Which modules the package loads: SciPy only once a fit runs, the file
-formats (and json) only with the CLI, no thread pool at all, and from a
-CLI call only the modules its subcommand runs."""
+"""Which modules the package loads: never SciPy, not even in a fit, the
+file formats (and json) only with the CLI, no thread pool at all, and
+from a CLI call only the modules its subcommand runs."""
 
 import json
 import os
@@ -19,17 +19,32 @@ CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.yaml"
 
 PROBE = """
 import json, sys
+
+
+class RefuseScipy:
+    # a finder ahead of every other: any import of scipy fails
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            raise ImportError(f"{name} is refused")
+
+
+sys.meta_path.insert(0, RefuseScipy())
 import vibropol, vibropol.cli
 import numpy as np
 from vibropol import (
-    ConstantMedium, FitProblem, FreeParameter, Layer, LayerStack, model_values, solve,
+    ConstantMedium, DispersionRow, DispersionTable, FitProblem, FreeParameter, Layer,
+    LayerStack, anticrossing_dispersion, fit_coupled_model, fit_lorentzian_band, model_values,
+    solve,
 )
 
-def scipy_modules():
-    return sorted(m for m in sys.modules if m.startswith("scipy"))
-
-after_import = scipy_modules()
 concurrent = sorted(m for m in sys.modules if m.split(".")[0] == "concurrent")
+config, target, out_dir = sys.argv[1:]
+try:
+    vibropol.cli.main(args=["fit", "--config", config, "--target", target,
+                            "--out-dir", out_dir], prog_name="vibropol")
+except SystemExit as exc:
+    if exc.code:
+        raise
 stack = LayerStack(
     materials={"film": ConstantMedium(eps=2.25), "sub": ConstantMedium(eps=1.0)},
     layers=(Layer("film", 1000.0),),
@@ -43,8 +58,17 @@ problem = FitProblem(
     stack=stack, free=(FreeParameter("layers[0].thickness", 800.0, 1200.0),),
     k=k, target=target,
 )
-solve(problem)
-print(json.dumps({"after_import": after_import, "after_solve": scipy_modules(),
+assert solve(problem).success
+k = np.arange(1600.0, 1900.0, 1.0)
+band = 0.02 + 5.0e4 * k * 13.0 / ((k**2 - 1739.0**2) ** 2 + (k * 13.0) ** 2)
+fit_lorentzian_band(k, band)
+curve = anticrossing_dispersion(1740.0, 167.0, 1.41, 2038.0, np.arange(0.0, 61.0, 5.0))
+table = DispersionTable(
+    [DispersionRow(a, lo, up, "ok") for a, lo, up in zip(curve.angles, curve.lower, curve.upper)],
+    "T",
+)
+assert fit_coupled_model(table).success
+print(json.dumps({"scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy"),
                   "concurrent": concurrent}))
 """
 
@@ -62,11 +86,18 @@ def run_fresh(code, *args):
     return out.stdout.strip().splitlines()[-1]
 
 
-def test_cli_import_loads_no_scipy_until_a_fit_runs():
-    loaded = json.loads(run_fresh(PROBE))
-    assert loaded["after_import"] == []
-    assert "scipy.optimize" in loaded["after_solve"]
-    assert loaded["concurrent"] == []
+def test_no_fit_loads_scipy(tmp_path):
+    # the CLI fit and the three fit functions run with every import of
+    # scipy refused, and leave no scipy module loaded
+    config = next(path for path in CONFIGS if path.stem == "film_absorption")
+    cfg = load_config(config)
+    k = cfg.grid.points
+    absorption = vibropol.stack_response(cfg.require_stack(), k)[2]
+    target = tmp_path / "target.csv"
+    target.write_text("".join(f"{x},{y}\n" for x, y in zip(k, absorption)))
+    loaded = json.loads(run_fresh(PROBE, config, target, tmp_path / "fit"))
+    assert loaded == {"scipy": [], "concurrent": []}
+    assert json.loads((tmp_path / "fit" / "fit.json").read_text())["success"]
 
 
 def test_package_import_loads_neither_io_nor_json():
@@ -105,12 +136,12 @@ def test_each_command_loads_only_what_it_runs(tmp_path):
     coupled = configs["cavity_coupled"]
     cases = [
         (["simulate", "--config", coupled, "--out-dir", tmp_path],
-         ["vibropol.fit", "vibropol.fields"]),
+         ["vibropol.fit", "vibropol._lsq", "vibropol.fields"]),
         (["estimate", "--config", coupled], ["vibropol.fit", "vibropol.spectra", "vibropol.fields"]),
         (["field-map", "--config", configs["cavity_uncoupled"], "--out-dir", tmp_path],
          ["vibropol.fit", "vibropol.spectra", "vibropol.polariton"]),
         (["analyze", tmp_path / "spectrum.csv", "--window", "1500:2000"],
-         ["yaml", "vibropol.fit", "vibropol.fields", "vibropol.polariton"]),
+         ["yaml", "vibropol.fit", "vibropol._lsq", "vibropol.fields", "vibropol.polariton"]),
     ]
     for argv, forbidden in cases:
         loaded = run_fresh(COMMAND_PROBE.format(forbidden=set(forbidden)), *argv)

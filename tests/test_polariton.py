@@ -255,6 +255,73 @@ class TestAnticrossing:
         assert np.all(curve.upper > np.maximum(curve.omega_cavity, 1740.0))
         assert np.all(curve.lower < np.minimum(curve.omega_cavity, 1740.0))
 
+    @pytest.mark.parametrize("model", ["rwa", "full"])
+    @pytest.mark.parametrize(
+        "omega_v, splitting, n_eff, thickness, order, n_ambient",
+        [(1740.0, 167.0, 1.41, 1e7 / (2.0 * 1.41 * 1740.0), 1, 1.0),
+         (1700.0, 80.0, 1.6, 1900.0, 2, 1.3), (1739.0, 0.0, 1.41, 2000.0, 1, 1.0)],
+    )
+    def test_matches_the_scalar_formulas_at_every_angle(self, model, omega_v, splitting,
+                                                        n_eff, thickness, order, n_ambient):
+        # the per-angle formulas in math are the reference; numpy's and
+        # math's sin and hypot may differ in the last bit
+        angles = np.concatenate([np.arange(0.0, 61.0, 5.0), [-35.0, -7.5]])
+        curve = anticrossing_dispersion(omega_v, splitting, n_eff, thickness, angles, order,
+                                        n_ambient, model)
+        for i, angle in enumerate(angles):
+            sin_int = n_ambient * math.sin(math.radians(angle)) / n_eff
+            wc = order * 1e7 / (2.0 * n_eff * thickness * math.sqrt(1.0 - sin_int**2))
+            if model == "rwa":
+                half = 0.5 * math.hypot(wc - omega_v, splitting)
+                upper, lower = 0.5 * (wc + omega_v) + half, 0.5 * (wc + omega_v) - half
+            else:
+                s = wc**2 + omega_v**2
+                disc = math.sqrt((wc**2 - omega_v**2) ** 2 + 4.0 * splitting**2 * wc * omega_v)
+                upper, lower = math.sqrt(0.5 * (s + disc)), math.sqrt(0.5 * (s - disc))
+            scalar = coupled_frequencies(wc, omega_v, splitting, model)
+            for got, want in [(curve.omega_cavity[i], wc), (curve.upper[i], upper),
+                              (curve.lower[i], lower), (scalar.omega_upper, upper),
+                              (scalar.omega_lower, lower),
+                              (fp_mode_estimate(n_eff, thickness, order, angle, n_ambient), wc)]:
+                assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    def test_total_internal_reflection_raises(self):
+        with pytest.raises(DomainError, match="total internal reflection"):
+            anticrossing_dispersion(1740.0, 167.0, 1.2, 2000.0, [0.0, 20.0, 60.0],
+                                    n_ambient=1.5)
+
+    def test_ultrastrong_full_model_raises(self):
+        # omega_c rises with the angle, so splitting^2 >= omega_c omega_v
+        # holds at normal incidence only
+        angles = [60.0, 30.0, 0.0]
+        curve = anticrossing_dispersion(1740.0, 1850.0, 1.41, 2000.0, angles[:1], model="full")
+        assert np.all(np.isfinite(curve.lower))
+        with pytest.raises(UltrastrongError):
+            anticrossing_dispersion(1740.0, 1850.0, 1.41, 2000.0, angles, model="full")
+
+    @pytest.mark.parametrize("angle", [90.0, -95.0, math.nan])
+    def test_an_angle_outside_the_half_space_raises(self, angle):
+        with pytest.raises(DomainError, match="incidence angle"):
+            anticrossing_dispersion(1740.0, 167.0, 1.41, 2000.0, [0.0, angle, 10.0])
+
+
+class TestFloatRange:
+    @pytest.mark.parametrize(
+        "estimator, args",
+        [(bond_density, (1e300, 86.09)), (bond_density, (1.19, 1e-300)),
+         (collective_splitting, (1e300, 1e20)), (effective_concentration, (1e300, 1e-7, 1e-15)),
+         (effective_concentration, (0.02, 1e-300, 1e-15)),
+         (coupled_frequencies, (1e300, 1739.0, 160.0, "full")),
+         (coupled_frequencies, (1.7e308, 1.7e308, 160.0)),
+         (zero_point_amplitude, (1e-300, 1739.0)), (fp_mode_estimate, (1e-300, 1e-300)),
+         (anticrossing_dispersion, (1739.0, 160.0, 1e-300, 1e-300, [0.0, 0.0]))],
+        ids=lambda v: getattr(v, "__name__", None),
+    )
+    def test_a_result_beyond_the_float_range_names_the_estimator(self, estimator, args):
+        message = f"^the result of {estimator.__name__} must be finite"
+        with pytest.raises(DomainError, match=message):
+            estimator(*args)
+
 
 class TestEstimateReport:
     def test_full_report(self):

@@ -65,21 +65,6 @@ KNOWN = {
     ("field_profile", "k", 1e300), ("field_profile", "k", 1e-300),
     ("refractive_index", "k[15]", 1e300), ("spectrum_scan", "grid[15]", 1e300),
     ("spectrum_scan", "grid[15]", 1e-300), ("stack_response", "k[15]", 1e300),
-    # least squares overflows on residuals or parameters of ~1e300
-    ("fit_coupled_model", "x0[0]", 1e300), ("fit_coupled_model", "x0[2]", 1e300),
-    ("fit_coupled_model", "x0[2]", 1e-300), ("fit_coupled_model", "x0[3]", 1e300),
-    ("fit_lorentzian_band", "values[45]", 1e300), ("fit_lorentzian_band", "values[45]", -1e300),
-    ("fit_lorentzian_band", "p0[0]", 1e300), ("fit_lorentzian_band", "p0[2]", 1e300),
-    ("fit_lorentzian_band", "p0[3]", 1e300), ("fit_lorentzian_band", "p0[3]", -1e300),
-    # the scalar estimators leave the float range
-    ("bond_density", "mass_density_g_cm3", 1e300), ("bond_density", "monomer_mass_g_mol", 1e-300),
-    ("bond_density", "bonds_per_monomer", 1e300), ("collective_splitting", "single_ev", 1e300),
-    ("coupled_frequencies", "omega_c", 1e300), ("coupled_frequencies", "omega_v", 1e300),
-    ("coupled_frequencies", "splitting", 1e300),
-    ("effective_concentration", "observed_splitting_ev", 1e300),
-    ("effective_concentration", "single_ev", 1e-300),
-    ("estimate_report", "observed_splitting_mev", 1e300),
-    ("zero_point_amplitude", "reduced_mass_amu", 1e-300),
 }
 
 

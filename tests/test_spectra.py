@@ -18,13 +18,20 @@ from vibropol import (
     find_peaks,
     fit_coupled_model,
     fit_lorentzian_band,
+    anticrossing_dispersion,
     fp_mode_estimate,
     load_config,
     load_measured,
     coupled_frequencies,
     spectrum_scan,
 )
-from vibropol.spectra import DispersionRow, DispersionTable, _prominent_peaks
+from vibropol.spectra import (
+    DispersionRow,
+    DispersionTable,
+    _band_model,
+    _coupled_model,
+    _prominent_peaks,
+)
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -232,6 +239,43 @@ class TestLorentzianBandFit:
         k = np.arange(1600.0, 1900.0, 1.0)
         with pytest.raises(FitError):
             fit_lorentzian_band(k, np.full_like(k, 0.4))
+
+
+def assert_jacobian_matches_central_differences(model, p, jac):
+    """Each column of jac against a central difference of model with a
+    step of 1e-6 of that parameter, to 1e-6 of the column's largest entry."""
+    for i, value in enumerate(p):
+        h = 1e-6 * abs(value)
+        up, down = np.array(p, dtype=float), np.array(p, dtype=float)
+        up[i] += h
+        down[i] -= h
+        central = (model(up) - model(down)) / (2.0 * h)
+        np.testing.assert_allclose(jac[:, i], central, rtol=0.0,
+                                   atol=1e-6 * np.abs(central).max(), err_msg=f"column {i}")
+
+
+class TestModelJacobians:
+    """The closed-form Jacobians the two fits give the solver."""
+
+    @pytest.mark.parametrize("p", [(5.0e4, 1739.0, 13.0, 0.02), (2.0e4, 1700.0, 40.0, -0.1)])
+    def test_band_model(self, p):
+        k = np.arange(1600.0, 1900.0, 0.5)
+        model, jac = _band_model(p, k)
+        np.testing.assert_array_equal(model, lorentz_band(k, *p))
+        assert_jacobian_matches_central_differences(lambda q: _band_model(q, k)[0], p, jac)
+
+    @pytest.mark.parametrize(
+        "p, order, n_ambient",
+        [((1740.0, 1.41, 2038.0, 167.0), 1, 1.0), ((1700.0, 1.6, 3900.0, 60.0), 2, 1.3),
+         ((1773.0, 1.41, 2000.0, 0.5), 1, 1.0)],
+    )
+    def test_coupled_model(self, p, order, n_ambient):
+        angles = np.concatenate([np.arange(0.0, 61.0, 5.0), [-20.0]])
+        branches, jac = _coupled_model(p, angles, order, n_ambient)
+        curve = anticrossing_dispersion(p[0], p[3], p[1], p[2], angles, order, n_ambient)
+        np.testing.assert_array_equal(branches, np.concatenate([curve.upper, curve.lower]))
+        assert_jacobian_matches_central_differences(
+            lambda q: _coupled_model(q, angles, order, n_ambient)[0], p, jac)
 
 
 def synthetic_table(omega_v, n_eff, d_nm, split, angles, jitter=None, rng=None):
