@@ -1,37 +1,19 @@
 """Command-line interface.
 
-Exit codes: 0 on success, 2 for configuration problems, 3 for physics
-domain errors raised while running.  All outputs are deterministic, so
-re-running a command overwrites its files byte-identically.
+Exit codes: 0 on success, 2 for usage errors (argparse's own) and
+configuration problems, 3 for physics domain errors raised while
+running.  All outputs are deterministic, so re-running a command
+overwrites its files byte-identically.
 
 Each command imports the package modules it runs inside its own body,
 so a call loads only what its subcommand needs and `--help` loads none.
 """
 
-from __future__ import annotations
-
-import functools
+import argparse
 import os
 import sys
 
-import click
-
 from .errors import ConfigError, VibropolError
-
-
-def _translate_errors(fn):
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
-        try:
-            return fn(*args, **kwargs)
-        except ConfigError as err:
-            click.echo(f"config error: {err}", err=True)
-            sys.exit(2)
-        except VibropolError as err:
-            click.echo(f"physics error: {err}", err=True)
-            sys.exit(3)
-
-    return wrapper
 
 
 # wavenumbers in JSON summaries are rounded to 0.1 cm^-1 for display;
@@ -86,53 +68,28 @@ def _emit_report(payload, out_dir, filename):
     from . import io as iomod
 
     if out_dir is None:
-        click.echo(iomod.json_text(payload), nl=False)
+        print(iomod.json_text(payload), end="")
     else:
         path = os.path.join(out_dir, filename)
         iomod.write_json(path, payload)
-        click.echo(path)
+        print(path)
 
 
-@click.group()
-def main():
-    """Vibrational strong coupling in planar microcavities: simulate,
-    map fields and analyze polariton spectra."""
-
-
-_config_opt = click.option(
-    "--config", "config_path", required=True,
-    type=click.Path(exists=True, dir_okay=False), help="YAML run configuration.",
-)
-_out_dir_opt = click.option(
-    "--out-dir", default=".", show_default=True,
-    type=click.Path(file_okay=False), help="Directory for output files.",
-)
-
-
-@main.command()
-@_config_opt
-@_out_dir_opt
-@click.option("--angle", type=float, default=None, help="Override the scan angle (deg).")
-@click.option("--grid", "grid_spec", default=None, help="Override grid as min:max:step (cm^-1).")
-@click.option("--polarization", type=click.Choice(["s", "p", "unpolarized"]), default=None)
-@click.option("--divergence", type=float, default=None,
-              help="Gaussian angular spread, one sigma in degrees.")
-@_translate_errors
-def simulate(config_path, out_dir, angle, grid_spec, polarization, divergence):
+def simulate(args):
     """T/R/A spectrum of the configured stack at one angle."""
     from . import io as iomod
     from .config import load_config, override, parse_grid_spec
     from .tmm import angle_scan
 
-    cfg = load_config(config_path)
+    cfg = load_config(args.config)
     stack = cfg.require_stack()
-    grid = parse_grid_spec(grid_spec) if grid_spec else cfg.grid
-    scan = override(cfg.scan, "scan", angle=angle, polarization=polarization,
-                    divergence=divergence)
+    grid = parse_grid_spec(args.grid) if args.grid else cfg.grid
+    scan = override(cfg.scan, "scan", angle=args.angle, polarization=args.polarization,
+                    divergence=args.divergence)
     spectrum = angle_scan(stack, grid, [scan.angle], scan.polarization,
                           divergence=scan.divergence)[0]
 
-    iomod.write_spectrum_csv(os.path.join(out_dir, "spectrum.csv"), spectrum)
+    iomod.write_spectrum_csv(os.path.join(args.out_dir, "spectrum.csv"), spectrum)
     summary = {
         "angle_deg": scan.angle,
         "polarization": scan.polarization,
@@ -140,23 +97,19 @@ def simulate(config_path, out_dir, angle, grid_spec, polarization, divergence):
         "grid": {"min": grid.k_min, "max": grid.k_max, "step": grid.step},
         "channels": _spectrum_analysis(spectrum, scan.window, scan.min_prominence),
     }
-    iomod.write_json(os.path.join(out_dir, "summary.json"), summary)
-    click.echo(os.path.join(out_dir, "spectrum.csv"))
-    click.echo(os.path.join(out_dir, "summary.json"))
+    iomod.write_json(os.path.join(args.out_dir, "summary.json"), summary)
+    print(os.path.join(args.out_dir, "spectrum.csv"))
+    print(os.path.join(args.out_dir, "summary.json"))
 
 
-@main.command("scan-angle")
-@_config_opt
-@_out_dir_opt
-@_translate_errors
-def scan_angle(config_path, out_dir):
+def scan_angle(args):
     """Spectra over the configured angle list plus a dispersion table."""
     from . import io as iomod
     from .config import load_config
     from .spectra import build_dispersion
     from .tmm import angle_scan
 
-    cfg = load_config(config_path)
+    cfg = load_config(args.config)
     stack = cfg.require_stack()
     if not cfg.scan.angles:
         raise ConfigError("scan.angles is required for scan-angle")
@@ -166,30 +119,25 @@ def scan_angle(config_path, out_dir):
     )
     for sp in spectra:
         name = f"spectrum_{sp.angle:+08.3f}.csv"
-        iomod.write_spectrum_csv(os.path.join(out_dir, name), sp)
+        iomod.write_spectrum_csv(os.path.join(args.out_dir, name), sp)
     table = build_dispersion(
         spectra, cfg.scan.channel, window=cfg.scan.window,
         min_prominence=cfg.scan.min_prominence,
     )
-    path = os.path.join(out_dir, "dispersion.csv")
+    path = os.path.join(args.out_dir, "dispersion.csv")
     iomod.write_dispersion_csv(path, table)
-    click.echo(path)
+    print(path)
 
 
-@main.command("field-map")
-@_config_opt
-@_out_dir_opt
-@click.option("--angle", type=float, default=None, help="Override the field-map angle (deg).")
-@_translate_errors
-def field_map_cmd(config_path, out_dir, angle):
+def field_map_cmd(args):
     """|E(z, k)|^2 across the stack over a wavenumber grid."""
     from . import io as iomod
     from .config import load_config, override
     from .fields import default_z_grid, field_map
 
-    cfg = load_config(config_path)
+    cfg = load_config(args.config)
     stack = cfg.require_stack()
-    settings = override(cfg.field_map, "field_map", angle=angle)
+    settings = override(cfg.field_map, "field_map", angle=args.angle)
     z = default_z_grid(
         stack,
         z_step=settings.z_step,
@@ -198,21 +146,12 @@ def field_map_cmd(config_path, out_dir, angle):
     )
     fmap = field_map(stack, settings.grid, z=z, angle=settings.angle,
                      polarization=settings.polarization)
-    path = os.path.join(out_dir, "field_map.csv")
+    path = os.path.join(args.out_dir, "field_map.csv")
     iomod.write_field_map_csv(path, fmap)
-    click.echo(path)
+    print(path)
 
 
-@main.command()
-@click.argument("csv_path", type=click.Path(exists=True, dir_okay=False))
-@click.option("--channel", type=click.Choice(["T", "R", "A"]), default="T", show_default=True)
-@click.option("--window", default=None, help="Restrict analysis to lo:hi (cm^-1).")
-@click.option("--min-prominence", type=float, default=None,
-              help="Absolute prominence threshold (default: 5% of range).")
-@click.option("--out-dir", default=None, type=click.Path(file_okay=False),
-              help="Write analysis.json here instead of stdout.")
-@_translate_errors
-def analyze(csv_path, channel, window, min_prominence, out_dir):
+def analyze(args):
     """Peaks and splittings of a spectrum CSV.
 
     Accepts the native k_cm1,T,R,A format or a two-column
@@ -221,34 +160,29 @@ def analyze(csv_path, channel, window, min_prominence, out_dir):
     from .config import ScanSettings, override, parse_colon_spec
     from .tmm import Spectrum
 
-    if window is not None:
-        window = parse_colon_spec(window, "lo:hi", "--window")
-    settings = override(ScanSettings(), "analyze", window=window, min_prominence=min_prominence)
+    window = None if args.window is None else parse_colon_spec(args.window, "lo:hi", "--window")
+    settings = override(ScanSettings(), "analyze", window=window,
+                        min_prominence=args.min_prominence)
 
-    data = iomod.read_spectrum_csv(csv_path)
-    payload = {"source": os.path.basename(csv_path)}
+    data = iomod.read_spectrum_csv(args.csv_path)
+    payload = {"source": os.path.basename(args.csv_path)}
     if isinstance(data, Spectrum):
         payload.update(angle_deg=data.angle, polarization=data.polarization,
-                       channel_requested=channel,
+                       channel_requested=args.channel,
                        channels=_spectrum_analysis(data, settings.window, settings.min_prominence))
     else:
         payload["channels"] = {
             "value": _channel_analysis(*data, settings.window, settings.min_prominence)
         }
-    _emit_report(payload, out_dir, "analysis.json")
+    _emit_report(payload, args.out_dir, "analysis.json")
 
 
-@main.command()
-@_config_opt
-@click.option("--out-dir", default=None, type=click.Path(file_okay=False),
-              help="Write estimate.json here instead of stdout.")
-@_translate_errors
-def estimate(config_path, out_dir):
+def estimate(args):
     """Scalar coupling estimates from the config's estimate section."""
     from .config import load_config
     from .polariton import estimate_report
 
-    cfg = load_config(config_path)
+    cfg = load_config(args.config)
     if cfg.estimate is None:
         raise ConfigError("config has no 'estimate' section")
     est = cfg.estimate
@@ -257,34 +191,26 @@ def estimate(config_path, out_dir):
         density=est.density, observed_splitting_mev=est.observed_splitting_mev,
         polariton_fwhm_mev=est.polariton_fwhm_mev,
     )
-    _emit_report(payload, out_dir, "estimate.json")
+    _emit_report(payload, args.out_dir, "estimate.json")
 
 
-@main.command()
-@_config_opt
-@_out_dir_opt
-@click.option("--target", "target_path", required=True,
-              type=click.Path(exists=True, dir_okay=False),
-              help="Measured two-column CSV (wavenumber, value).")
-@click.option("--seed", type=int, default=None, help="Override the multi-start seed.")
-@_translate_errors
-def fit(config_path, out_dir, target_path, seed):
+def fit(args):
     """Fit the config's free stack parameters to measured data."""
     from . import fit as fitmod
     from . import io as iomod
     from .config import load_config, override
     from .spectra import load_measured
 
-    cfg = load_config(config_path)
+    cfg = load_config(args.config)
     if cfg.fit is None:
         raise ConfigError("config has no 'fit' section")
-    k, target = load_measured(target_path)
+    k, target = load_measured(args.target)
     problem = cfg.fit_problem(k, target)
-    settings = override(cfg.fit, "fit", seed=seed)
+    settings = override(cfg.fit, "fit", seed=args.seed)
     result = fitmod.solve(problem, n_starts=settings.n_starts, seed=settings.seed)
 
     model = fitmod.model_values(problem, [result.params[p.path] for p in problem.free])
-    iomod.write_csv(os.path.join(out_dir, "fit_curve.csv"), "k_cm1,target,model",
+    iomod.write_csv(os.path.join(args.out_dir, "fit_curve.csv"), "k_cm1,target,model",
                     zip(k, target, model))
 
     payload = {
@@ -298,8 +224,75 @@ def fit(config_path, out_dir, target_path, seed):
         "n_starts": settings.n_starts,
         "channel": problem.channel,
     }
-    iomod.write_json(os.path.join(out_dir, "fit.json"), payload)
-    click.echo(os.path.join(out_dir, "fit.json"))
+    iomod.write_json(os.path.join(args.out_dir, "fit.json"), payload)
+    print(os.path.join(args.out_dir, "fit.json"))
+
+
+def _input_file(path):
+    """argparse type of an input path: it must name an existing file."""
+    if not os.path.exists(path) or os.path.isdir(path):
+        raise argparse.ArgumentTypeError(f"{path!r} is not an existing file")
+    return path
+
+
+def _output_dir(path):
+    """argparse type of --out-dir: any path but an existing file."""
+    if os.path.isfile(path):
+        raise argparse.ArgumentTypeError(f"{path!r} is a file, not a directory")
+    return path
+
+
+def _parser(prog):
+    parser = argparse.ArgumentParser(prog=prog, description=main.__doc__, allow_abbrev=False)
+    commands = parser.add_subparsers(metavar="COMMAND", required=True)
+
+    def command(name, run, config=True, report=None):
+        sub = commands.add_parser(name, help=run.__doc__.splitlines()[0], description=run.__doc__,
+                                  allow_abbrev=False)
+        sub.set_defaults(run=run)
+        if config:
+            sub.add_argument("--config", required=True, type=_input_file,
+                             help="YAML run configuration.")
+        sub.add_argument("--out-dir", default=None if report else ".", type=_output_dir,
+                         help=f"Write {report} here instead of stdout." if report
+                         else "Directory for output files (default: .).")
+        return sub
+
+    sub = command("simulate", simulate)
+    sub.add_argument("--angle", type=float, help="Override the scan angle (deg).")
+    sub.add_argument("--grid", help="Override grid as min:max:step (cm^-1).")
+    sub.add_argument("--polarization", choices=["s", "p", "unpolarized"])
+    sub.add_argument("--divergence", type=float,
+                     help="Gaussian angular spread, one sigma in degrees.")
+    command("scan-angle", scan_angle)
+    sub = command("field-map", field_map_cmd)
+    sub.add_argument("--angle", type=float, help="Override the field-map angle (deg).")
+    sub = command("analyze", analyze, config=False, report="analysis.json")
+    sub.add_argument("csv_path", type=_input_file)
+    sub.add_argument("--channel", choices=["T", "R", "A"], default="T", help="(default: T)")
+    sub.add_argument("--window", help="Restrict analysis to lo:hi (cm^-1).")
+    sub.add_argument("--min-prominence", type=float,
+                     help="Absolute prominence threshold (default: 5%% of range).")
+    command("estimate", estimate, report="estimate.json")
+    sub = command("fit", fit)
+    sub.add_argument("--target", required=True, type=_input_file,
+                     help="Measured two-column CSV (wavenumber, value).")
+    sub.add_argument("--seed", type=int, help="Override the multi-start seed.")
+    return parser
+
+
+def main(args=None, prog_name=None):
+    """Vibrational strong coupling in planar microcavities: simulate,
+    map fields and analyze polariton spectra."""
+    parsed = _parser(prog_name).parse_args(args)
+    try:
+        parsed.run(parsed)
+    except ConfigError as err:
+        print(f"config error: {err}", file=sys.stderr)
+        sys.exit(2)
+    except VibropolError as err:
+        print(f"physics error: {err}", file=sys.stderr)
+        sys.exit(3)
 
 
 if __name__ == "__main__":

@@ -45,7 +45,7 @@ import typing
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 from importlib import import_module
 
-from .errors import ConfigError, DomainError, _check_choice, _check_range
+from .errors import _MAX_POINTS, ConfigError, DomainError, _check_choice, _check_range
 from .materials import ConstantMedium, DrudeLorentzMetal, LorentzMedium
 from .tmm import CHANNELS, LayerStack, SpectralGrid, _check_polarization, _check_sigma
 
@@ -100,6 +100,7 @@ class _AngleRange:
     def __post_init__(self):
         _check_range(self.step, "step", gt=0.0, unit="degrees")
         _check_range(self.max, "max", ge=self.min, unit="degrees")
+        _check_range((self.max - self.min) / self.step, "(max - min) / step", lt=_MAX_POINTS)
 
     def angles(self):
         n = math.floor((self.max - self.min) / self.step + 1e-9) + 1

@@ -5,6 +5,9 @@ or raises DomainError; the unit conversions in `constants` are exempt."""
 
 import math
 
+# the most samples a grid, a depth axis or an angle range may hold
+_MAX_POINTS = 10**6
+
 
 class VibropolError(Exception):
     """Base class for package errors."""

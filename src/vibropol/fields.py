@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, _check_range
+from .errors import _MAX_POINTS, DomainError, _check_range
 from .materials import _check_wavenumbers
 from .tmm import _K_TO_RAD_NM, SpectralGrid, _check_angle, _check_polarization, _media, _rouard
 
@@ -138,11 +138,13 @@ def _boundaries(stack):
 
 def default_z_grid(stack, z_step=10.0, margin_ambient=200.0, margin_substrate=200.0):
     """z samples spanning the stack plus margins into the ambient and the
-    substrate (all nm)."""
+    substrate (all nm); the span over z_step must be below 10^6."""
     _check_range(z_step, "z_step", gt=0.0, unit="nm")
     _check_range(margin_ambient, "margin_ambient", ge=0.0, unit="nm")
     _check_range(margin_substrate, "margin_substrate", ge=0.0, unit="nm")
     total = stack.total_thickness()
+    _check_range((margin_ambient + total + margin_substrate) / z_step,
+                 "z span / z_step", lt=_MAX_POINTS)
     return np.arange(-margin_ambient, total + margin_substrate + 0.5 * z_step, z_step)
 
 

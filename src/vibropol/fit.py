@@ -365,7 +365,8 @@ def solve(problem, n_starts=1, seed=0, max_nfev=2000):
     index.  Hitting the iteration cap flags the result non-converged
     instead of raising.  initial_loss is the loss at the template point,
     taken from start 0's first evaluation; a non-finite one raises
-    FitError.
+    FitError.  With no free parameter each start stops at its first
+    evaluation: n_starts equal starts and n_evaluations == n_starts.
     """
     _check_range(n_starts, "n_starts", ge=1, integer=True)
     _check_range(seed, "seed", ge=0, integer=True)
@@ -373,15 +374,6 @@ def solve(problem, n_starts=1, seed=0, max_nfev=2000):
 
     plan = _Plan(problem)
     problem = plan.problem
-    if not problem.free:
-        residuals, _ = plan(())
-        loss = float(residuals @ residuals)
-        return FitResult(
-            params={}, loss=loss, initial_loss=loss, success=True,
-            n_evaluations=1, residuals=residuals, start_losses=[loss],
-            start_params=[{}], best_start=0,
-        )
-
     lower = np.array([p.lower for p in problem.free])
     upper = np.array([p.upper for p in problem.free])
     width = upper - lower

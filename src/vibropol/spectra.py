@@ -391,7 +391,10 @@ class CoupledFitResult:
 
 def fit_coupled_model(table, order=1, n_ambient=1.0, x0=None, max_nfev=2000):
     """Fit (omega_v, n_eff, d, Omega_R) of the coupled-mode dispersion to
-    a measured DispersionTable; both branches enter the residual."""
+    a measured DispersionTable; both branches enter the residual.  The
+    search box comes from x0: omega_v in [0.5, 1.5] x0, n_eff in [1, 5],
+    d in [0.2, 5] x0 and Omega_R in [0, 5 x0 + 10]; success needs
+    convergence with every parameter strictly inside it."""
     rows = table.good_rows()
     if len(rows) < 4:
         raise FitError(f"need >= 4 usable dispersion rows, have {len(rows)}")
@@ -434,7 +437,7 @@ def fit_coupled_model(table, order=1, n_ambient=1.0, x0=None, max_nfev=2000):
         splitting_cm1=float(res.x[3]),
         residual_rms=rms,
         row_residuals=per_row,
-        success=bool(res.status > 0),
+        success=bool(res.status > 0 and np.all((lo < res.x) & (res.x < hi))),
     )
 
 

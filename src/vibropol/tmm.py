@@ -44,7 +44,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .errors import DomainError, _check_choice, _check_range
+from .errors import _MAX_POINTS, DomainError, _check_choice, _check_range
 from .materials import ConstantMedium, _check_wavenumbers, evaluate_epsilon
 
 __all__ = [
@@ -145,7 +145,8 @@ class SpectralGrid:
         _check_range(self.k_min, "grid min", gt=0.0, unit="cm^-1")
         _check_range(self.k_max, "grid max", ge=self.k_min, unit="cm^-1")
         _check_range(self.step, "grid step", gt=0.0, unit="cm^-1")
-        _check_range((self.k_max - self.k_min) / self.step, "grid (max - min) / step")
+        _check_range((self.k_max - self.k_min) / self.step, "grid (max - min) / step",
+                     lt=_MAX_POINTS)
 
     @property
     def points(self):

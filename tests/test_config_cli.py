@@ -1,15 +1,17 @@
 """Config parsing and the command-line surface."""
 
+import contextlib
 import copy
+import io
 import json
 import re
 import textwrap
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 import yaml
-from click.testing import CliRunner
 
 from vibropol import ConfigError, SpectralGrid, load_config, parse_config, spectrum_scan
 from vibropol.cli import main
@@ -151,6 +153,12 @@ class TestConfigParsing:
         assert cfg.scan.angles[0] == -60.0
         assert cfg.scan.angles[-1] == 60.0
 
+    def test_angle_range_beyond_the_point_limit(self):
+        raw = yaml.safe_load(BASE_CONFIG)
+        raw["scan"]["angles"] = {"min": -60.0, "max": 60.0, "step": 1e-12}
+        with pytest.raises(ConfigError, match=r"scan\.angles: \(max - min\) / step must be"):
+            parse_config(raw)
+
     def test_scan_validation(self):
         raw = yaml.safe_load(BASE_CONFIG)
         raw["scan"] = {"polarization": "circular"}
@@ -211,9 +219,27 @@ class TestConfigParsing:
                 parse_grid_spec(bad)
 
 
+class InProcessRunner:
+    """Runs the CLI in this process with stdout and stderr captured into
+    one buffer, as a console shows them."""
+
+    @staticmethod
+    def invoke(cli, args):
+        buffer, code, exception = io.StringIO(), 0, None
+        with contextlib.redirect_stdout(buffer), contextlib.redirect_stderr(buffer):
+            try:
+                cli(args=[str(a) for a in args], prog_name="vibropol")
+            except SystemExit as exc:
+                code = exc.code or 0
+                exception = exc if code else None
+            except Exception as exc:  # noqa: BLE001  (reported like a crash, exit 1)
+                code, exception = 1, exc
+        return SimpleNamespace(exit_code=code, output=buffer.getvalue(), exception=exception)
+
+
 @pytest.fixture()
 def runner():
-    return CliRunner()
+    return InProcessRunner()
 
 
 class TestSimulateCommand:
@@ -250,6 +276,17 @@ class TestSimulateCommand:
         )
         assert result.exit_code == 2, result.output
         assert "--grid" in result.output
+        assert not (tmp_path / "summary.json").exists()
+
+    def test_grid_beyond_the_point_limit_exits_2(self, runner, tmp_path):
+        cfg = write_config(tmp_path, BASE_CONFIG)
+        result = runner.invoke(
+            main,
+            ["simulate", "--config", cfg, "--out-dir", str(tmp_path), "--grid", "1700:1800:1e-12"],
+        )
+        assert result.exit_code == 2, result.output
+        assert "--grid: grid (max - min) / step must be finite and < 1e+06" in result.output
+        assert "Traceback" not in result.output
         assert not (tmp_path / "summary.json").exists()
 
     def test_reruns_are_byte_identical(self, runner, tmp_path):
@@ -725,6 +762,46 @@ class TestFitCommand:
              str(tmp_path / "absent.csv")],
         )
         assert result.exit_code == 2
+
+
+# argparse's own checks: a usage message and exit 2, before any file is read
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ([], "the following arguments are required: COMMAND"),
+        (["simulate"], "the following arguments are required: --config"),
+        (["simulate", "--config", "absent.yaml"], "'absent.yaml' is not an existing file"),
+        (["analyze", "."], "'.' is not an existing file"),
+        (["simulate", "--config", "CFG", "--polarization", "x"], "invalid choice: 'x'"),
+        (["analyze", "CFG", "--channel", "t"], "invalid choice: 't'"),
+        (["simulate", "--config", "CFG", "--out-dir", "CFG"], "is a file, not a directory"),
+        (["estimate", "--config", "CFG", "--out-dir", "CFG"], "is a file, not a directory"),
+        (["simulate", "--config", "CFG", "--angle", "ten"], "invalid float value: 'ten'"),
+        (["fit", "--config", "CFG", "--target", "CFG", "--seed", "1.5"], "invalid int value"),
+        # no prefix matching, as with click
+        (["simulate", "--config", "CFG", "--out", "x"], "unrecognized arguments: --out x"),
+        # a value that starts with '-' and is no number is written --window=-5:3
+        (["analyze", "CFG", "--window", "-5:3"], "argument --window: expected one argument"),
+    ],
+)
+def test_usage_error_exits_2(runner, tmp_path, monkeypatch, argv, message):
+    monkeypatch.chdir(tmp_path)
+    cfg = write_config(tmp_path, BASE_CONFIG)
+    result = runner.invoke(main, [cfg if arg == "CFG" else arg for arg in argv])
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert "usage: vibropol" in result.output
+    assert message in result.output
+    assert "Traceback" not in result.output
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.yaml"]
+
+
+def test_help_lists_every_command(runner):
+    result = runner.invoke(main, ["--help"])
+    assert result.exit_code == 0, result.output
+    for command in ("simulate", "scan-angle", "field-map", "analyze", "estimate", "fit"):
+        assert command in result.output
+        assert runner.invoke(main, [command, "--help"]).exit_code == 0
 
 
 def reference_keys():

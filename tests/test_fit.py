@@ -582,6 +582,21 @@ class TestSolve:
         assert result.loss == pytest.approx(0.0, abs=1e-25)
         assert result.loss == result.initial_loss
 
+    @pytest.mark.parametrize("n_starts", [1, 3])
+    def test_zero_free_parameters_solved_like_any_problem(self, coupled_stack, n_starts):
+        # each start stops at its first evaluation, on the gradient test
+        problem = small_problem(coupled_stack, [])
+        problem.target = problem.target + 0.01
+        result = solve(problem, n_starts=n_starts, seed=5)
+        assert result.success
+        assert result.n_evaluations == n_starts
+        assert result.start_params == [{}] * n_starts
+        assert result.start_losses == [result.loss] * n_starts
+        assert result.best_start == 0
+        residuals = model_values(problem, []) - problem.target
+        np.testing.assert_array_equal(result.residuals, residuals)
+        assert result.loss == result.initial_loss == residuals @ residuals
+
     def test_template_already_optimal(self, coupled_stack):
         problem = small_problem(
             coupled_stack, [FreeParameter("layers[1].thickness", 1500.0, 2500.0)]

@@ -112,7 +112,7 @@ def test_package_import_loads_neither_io_nor_json():
 def test_package_and_cli_import_load_neither_numpy_nor_yaml():
     loaded = run_fresh(
         "import sys, vibropol, vibropol.cli; "
-        "print(sorted({'numpy', 'yaml', 'vibropol.tmm'} & set(sys.modules)))"
+        "print(sorted({'numpy', 'yaml', 'vibropol.tmm', 'click'} & set(sys.modules)))"
     )
     assert loaded == "[]"
 

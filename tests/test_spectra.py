@@ -341,6 +341,16 @@ class TestDispersion:
         assert fit.row_residuals.shape == (13,)
         assert fit.row_residuals.max() < 2.0
 
+    @pytest.mark.parametrize("x0", [[1739.0, 1.41, 1e5, 160.0], [1700.0, 1.5, 1500.0, 100.0]],
+                             ids=["far-thickness", "near-start"])
+    def test_fit_ending_on_an_edge_of_its_box_is_no_success(self, x0):
+        # both starts end with the splitting on its lower bound, 0
+        table = synthetic_table(1739.0, 1.41, 1930.0, 160.0, np.arange(-20.0, 21.0, 10.0))
+        fit = fit_coupled_model(table, x0=x0)
+        assert fit.splitting_cm1 == 0.0
+        assert fit.residual_rms > 1.0
+        assert not fit.success
+
     def test_zero_splitting_table(self):
         d_true = 1e7 / (2.0 * 1.41 * 1740.0)
         table = synthetic_table(1740.0, 1.41, d_true, 0.0, np.arange(5.0, 61.0, 5.0))

@@ -390,8 +390,8 @@ class TestSpectralGrid:
     def test_invalid_grids_rejected(self):
         for args in ((0.0, 100.0, 1.0), (-5.0, 100.0, 1.0), (200.0, 100.0, 1.0),
                      (100.0, 200.0, 0.0), (100.0, 200.0, -1.0),
-                     # (max - min) / step overflows
-                     (1.0, 1e300, 1e-300)):
+                     # (max - min) / step overflows, or exceeds the point limit
+                     (1.0, 1e300, 1e-300), (1700.0, 1800.0, 1e-12), (1.0, 1e6 + 1.0, 1.0)):
             with pytest.raises(DomainError):
                 SpectralGrid(*args)
 
