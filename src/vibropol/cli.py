@@ -132,12 +132,13 @@ def scan_angle(args):
 def field_map_cmd(args):
     """|E(z, k)|^2 across the stack over a wavenumber grid."""
     from . import io as iomod
-    from .config import load_config, override
+    from .config import _check_field_map, load_config, override
     from .fields import default_z_grid, field_map
 
     cfg = load_config(args.config)
     stack = cfg.require_stack()
     settings = override(cfg.field_map, "field_map", angle=args.angle)
+    _check_field_map(stack, settings)
     z = default_z_grid(
         stack,
         z_step=settings.z_step,

@@ -5,7 +5,8 @@ or raises DomainError; the unit conversions in `constants` are exempt."""
 
 import math
 
-# the most samples a grid, a depth axis or an angle range may hold
+# the most samples a grid, a depth axis or an angle range may hold, and
+# the most cells a field map may hold
 _MAX_POINTS = 10**6
 
 

@@ -14,6 +14,15 @@ exponentials decay into the layer and thick lossy layers stay finite.
 The intensity |E(z)|^2 / |E_inc|^2 follows directly (for p polarization
 from E_x = V and E_z = -kx U / (k0 eps)).  z = 0 is the front face of
 the first layer and grows toward the substrate.
+
+The recursion runs once over the whole wavenumber grid, but each medium's
+z columns are filled over blocks of k rows of about `_BLOCK_CELLS`
+cells.  The per-cell arithmetic is that of a whole-map pass, so every
+row is bit-identical to `field_profile` at its wavenumber, while the
+complex temporaries stay a few hundred kB instead of several times the
+map: a map's working memory is then little more than its output.  V is
+formed only where it is used, for p polarization and for the flux.  A
+map holds at most 10^6 cells (`tmm._check_cells`).
 """
 
 from __future__ import annotations
@@ -23,11 +32,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import _MAX_POINTS, DomainError, _check_range
+from .errors import DomainError
 from .materials import _check_wavenumbers
-from .tmm import _K_TO_RAD_NM, SpectralGrid, _check_angle, _check_polarization, _media, _rouard
+from .tmm import (
+    _K_TO_RAD_NM, SpectralGrid, _check_angle, _check_cells, _check_polarization, _media, _rouard,
+    _z_count,
+)
 
 __all__ = ["FieldProfile", "FieldMap", "field_profile", "field_map"]
+
+# cells of one row block: each per-cell temporary of `_fields` stays a
+# few hundred kB, so a map's working memory stays a small multiple of its
+# output however long its k axis is
+_BLOCK_CELLS = 2**14
 
 
 @dataclass
@@ -60,9 +77,10 @@ def _fields(stack, k, z, angle, polarization, flux=True):
     every (k, z), shape (nk, nz); unpolarized averages s and p.
 
     One recursion over all of k per polarization, then each medium is
-    evaluated on the z samples it contains."""
+    evaluated on the z samples it contains, a block of k rows at a time."""
     _check_angle(angle)
     _check_polarization(polarization)
+    _check_cells(k.size, z.size)
     pols = ("s", "p") if polarization == "unpolarized" else (polarization,)
     if not np.all(np.isfinite(z)):
         raise DomainError("z samples must be finite (nm)")
@@ -82,42 +100,53 @@ def _fields(stack, k, z, angle, polarization, flux=True):
 
     def per_k(x):
         # constant media keep 0-d values
-        return np.broadcast_to(x, k.shape)[:, None]
+        return np.broadcast_to(x, k.shape)
 
     for pol in pols:
         _, _, qz, q, fwd, bwd, _ = _rouard(eps, thickness, k0_rad, sin_amb**2, pol)
         amp = 1.0 if pol == "s" else stack.n_ambient
+        need_v = flux or pol == "p"
         for j, cols in enumerate(columns):
             if cols.size == 0:
                 continue
             zj = z[cols]
-            kzj, qj = per_k(k0_rad * qz[j]), per_k(q[j])
             z_entry, z_exit = faces[j]
-            wave_p = (amp * fwd[j])[:, None] * np.exp(1j * kzj * (zj - z_entry))
-            if z_exit is None:
-                U = wave_p
-                V = qj * wave_p
-            else:
-                wave_m = (amp * bwd[j])[:, None] * np.exp(1j * kzj * (z_exit - zj))
-                U = wave_p + wave_m
-                V = qj * (wave_p - wave_m)
-            if pol == "s":
-                intensity[:, cols] += np.abs(U) ** 2
-            else:
-                # E_x = V, E_z = -(kx/k0) U / eps, already per unit E_inc
-                ez = sin_amb * U / per_k(eps[j])
-                intensity[:, cols] += np.abs(V) ** 2 + np.abs(ez) ** 2
-            if flux:
-                poynting[:, cols] += np.real(U * np.conj(V)) / (np.real(q[0]) * amp**2)
-    n = len(pols)
-    return intensity / n, (poynting / n if flux else None)
+            kz, qj, epsj = per_k(k0_rad * qz[j]), per_k(q[j]), per_k(eps[j])
+            fwd_j, bwd_j = amp * fwd[j], amp * bwd[j]
+            step = max(1, _BLOCK_CELLS // cols.size)
+            for r0 in range(0, k.size, step):
+                rows = slice(r0, r0 + step)
+                kzj = kz[rows, None]
+                wave_p = fwd_j[rows, None] * np.exp(1j * kzj * (zj - z_entry))
+                # V / q = u+ - u-, formed only where V is used
+                U = V = wave_p
+                if z_exit is not None:
+                    wave_m = bwd_j[rows, None] * np.exp(1j * kzj * (z_exit - zj))
+                    U = wave_p + wave_m
+                    if need_v:
+                        V = wave_p - wave_m
+                if need_v:
+                    V = qj[rows, None] * V
+                if pol == "s":
+                    intensity[rows, cols] += np.abs(U) ** 2
+                else:
+                    # E_x = V, E_z = -(kx/k0) U / eps, already per unit E_inc
+                    ez = sin_amb * U / epsj[rows, None]
+                    intensity[rows, cols] += np.abs(V) ** 2 + np.abs(ez) ** 2
+                if flux:
+                    poynting[rows, cols] += np.real(U * np.conj(V)) / (np.real(q[0]) * amp**2)
+    if len(pols) == 2:
+        intensity /= 2
+        if flux:
+            poynting /= 2
+    return intensity, poynting
 
 
 def field_profile(stack, k, z, angle=0.0, polarization="s"):
     """Field intensity profile at one wavenumber (cm^-1) on a z grid (nm).
 
     Unpolarized input averages the s and p intensities and fluxes.  This
-    is the one-row case of `field_map`."""
+    is the one-row case of `field_map`, so z holds at most 10^6 samples."""
     if np.ndim(k) != 0:
         raise DomainError("field_profile takes a scalar wavenumber")
     k = float(_check_wavenumbers(k))
@@ -139,12 +168,8 @@ def _boundaries(stack):
 def default_z_grid(stack, z_step=10.0, margin_ambient=200.0, margin_substrate=200.0):
     """z samples spanning the stack plus margins into the ambient and the
     substrate (all nm); the span over z_step must be below 10^6."""
-    _check_range(z_step, "z_step", gt=0.0, unit="nm")
-    _check_range(margin_ambient, "margin_ambient", ge=0.0, unit="nm")
-    _check_range(margin_substrate, "margin_substrate", ge=0.0, unit="nm")
     total = stack.total_thickness()
-    _check_range((margin_ambient + total + margin_substrate) / z_step,
-                 "z span / z_step", lt=_MAX_POINTS)
+    _z_count(total, z_step, margin_ambient, margin_substrate)
     return np.arange(-margin_ambient, total + margin_substrate + 0.5 * z_step, z_step)
 
 
@@ -152,7 +177,8 @@ def field_map(stack, grid, z=None, angle=0.0, polarization="s"):
     """|E(z, k)|^2 over a wavenumber grid; rows follow the grid order.
 
     The whole grid goes through one stack recursion per polarization, so
-    each row equals `field_profile` at that wavenumber."""
+    each row equals `field_profile` at that wavenumber.  A map of more
+    than 10^6 cells raises DomainError before it is allocated."""
     k = grid.points if isinstance(grid, SpectralGrid) else np.asarray(grid, dtype=float)
     z = default_z_grid(stack) if z is None else np.asarray(z, dtype=float)
     k = np.atleast_1d(k)

@@ -82,17 +82,18 @@ def _parabolic_vertex(k, y, i):
 
 
 def _half_crossing(k, y, i_peak, half, direction):
-    i = i_peak
-    while 0 <= i + direction < len(y):
-        j = i + direction
-        if y[j] <= half:
-            # linear interpolation between samples j and i
-            if y[i] == y[j]:
-                return k[j]
-            frac = (y[i] - half) / (y[i] - y[j])
-            return k[i] + frac * (k[j] - k[i])
-        i = j
-    return None
+    """k where y first falls to `half` or below walking from sample i_peak
+    in `direction` (-1 or +1), interpolated linearly from the sample
+    before; None if it never does."""
+    below = np.flatnonzero((y[:i_peak] if direction < 0 else y[i_peak + 1:]) <= half)
+    if below.size == 0:
+        return None
+    j = below[-1] if direction < 0 else i_peak + 1 + below[0]
+    i = j - direction
+    if y[i] == y[j]:
+        return k[j]
+    frac = (y[i] - half) / (y[i] - y[j])
+    return k[i] + frac * (k[j] - k[i])
 
 
 def _prominences(x, peaks):

@@ -181,6 +181,20 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             parse_config(raw)
 
+    def test_field_map_size_is_checked_when_set(self):
+        raw = yaml.safe_load(BASE_CONFIG)
+        raw["field_map"] = {"z_step": 0.0001}
+        with pytest.raises(ConfigError, match=r"field_map\.z_step: z span / z_step must be"):
+            parse_config(raw)
+        # a default field map takes the top-level grid, which a spectrum
+        # may fill beyond the map's cell limit
+        raw = yaml.safe_load(BASE_CONFIG)
+        raw["grid"]["step"] = 0.1
+        assert parse_config(raw).grid.points.size == 5001
+        raw["field_map"] = {"angle": 30.0}
+        with pytest.raises(ConfigError, match=r"field_map\.grid: field map of 5001 wavenumbers"):
+            parse_config(raw)
+
     def test_fit_section_validation(self):
         raw = yaml.safe_load(BASE_CONFIG)
         raw["fit"] = {"free": []}
@@ -410,6 +424,43 @@ class TestFieldMapCommand:
         assert set(data[:, 0]) == {1700.0, 1740.0, 1780.0}
         assert data[0, 1] == -200.0
         assert np.all(data[:, 2] >= 0.0)
+
+    @pytest.mark.parametrize(
+        "section, message",
+        [
+            ({"z_step": 0.0001},
+             "config error: field_map.z_step: z span / z_step must be finite and < 1e+06, "
+             "got 23500000.0"),
+            ({"grid": {"min": 1000.0, "max": 2000.0, "step": 0.01}, "z_step": 0.05},
+             "config error: field_map.grid: field map of 100001 wavenumbers x 47001 depths "
+             "must hold at most 1e+06 cells"),
+        ],
+        ids=["long-z-axis", "too-many-cells"],
+    )
+    def test_oversized_map_exits_2(self, runner, tmp_path, section, message):
+        raw = yaml.safe_load(BASE_CONFIG)
+        raw["field_map"] = section
+        cfg = write_config(tmp_path, yaml.safe_dump(raw))
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["field-map", "--config", cfg, "--out-dir", str(out)])
+        assert result.exit_code == 2, result.output
+        assert message in result.output
+        assert "Traceback" not in result.output
+        assert not (out / "field_map.csv").exists()
+
+    def test_default_map_beyond_the_cell_limit_exits_2(self, runner, tmp_path):
+        # with no field_map section the map takes the top-level grid: the
+        # spectrum commands may use it, the field map may not
+        raw = yaml.safe_load(BASE_CONFIG)
+        raw["grid"]["step"] = 0.1
+        assert parse_config(raw).field_map.grid.points.size == 5001
+        cfg = write_config(tmp_path, yaml.safe_dump(raw))
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["field-map", "--config", cfg, "--out-dir", str(out)])
+        assert result.exit_code == 2, result.output
+        assert ("config error: field_map.grid: field map of 5001 wavenumbers x 236 depths"
+                in result.output)
+        assert not (out / "field_map.csv").exists()
 
     def test_empty_stack_is_uniform(self, runner, tmp_path):
         empty = textwrap.dedent(

@@ -1,6 +1,8 @@
 """Intra-cavity field reconstruction: continuity, flux and mode shapes."""
 
 import math
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,9 +19,11 @@ from vibropol import (
     field_profile,
     find_peaks,
     gold,
+    load_config,
     spectrum_scan,
     stack_response,
 )
+from vibropol import fields
 
 from conftest import THICK_GOLD_NM, hard_stacks, local_maxima
 
@@ -27,6 +31,8 @@ from conftest import THICK_GOLD_NM, hard_stacks, local_maxima
 # transmission maxima on a 0.25 cm^-1 grid
 MODE1 = 1741.6
 MODE2 = 3497.5
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def test_free_space_is_unit_intensity():
@@ -167,6 +173,48 @@ def test_field_map_rows_match_profiles(coupled_stack):
     for i, k in enumerate(fmap.k):
         prof = field_profile(coupled_stack, float(k), z=z)
         np.testing.assert_array_equal(fmap.intensity[i], prof.intensity)
+
+    # the polymer layer holds enough z samples that the map fills it in
+    # several row blocks and a remainder; a profile is always one block
+    z = np.linspace(-100.0, 2050.0, 600)
+    rows = fields._BLOCK_CELLS // np.count_nonzero((z >= 10.0) & (z < 1940.0))
+    grid = SpectralGrid(1600.0, 1900.0, 2.5)
+    assert grid.points.size > 2 * rows and grid.points.size % rows
+    for pol in ("s", "p", "unpolarized"):
+        fmap = field_map(coupled_stack, grid, z=z, angle=35.0, polarization=pol)
+        for i, k in enumerate(fmap.k):
+            prof = field_profile(coupled_stack, float(k), z=z, angle=35.0, polarization=pol)
+            np.testing.assert_array_equal(fmap.intensity[i], prof.intensity)
+
+
+@pytest.mark.parametrize("pol", ["s", "p", "unpolarized"])
+def test_field_map_working_memory_is_bounded(pol):
+    # 385 x 784 cells; rebuilding each medium over all rows at once took
+    # about ten times the output
+    cfg = load_config(CONFIGS / "cavity_coupled.yaml")
+    stack = cfg.require_stack()
+    grid, z = SpectralGrid(1500.0, 2000.0, 1.3), default_z_grid(stack, z_step=3.0)
+    field_map(stack, grid, z=z, polarization=pol)
+    tracemalloc.start()
+    try:
+        fmap = field_map(stack, grid, z=z, polarization=pol)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert fmap.intensity.shape == (385, 784)
+    assert peak < 3 * fmap.intensity.nbytes
+
+
+def test_field_map_cell_limit(coupled_stack):
+    # each axis is within the point limit, their product is not; nothing
+    # of the map's size is allocated before the check
+    z = np.zeros(47001)
+    with pytest.raises(DomainError, match="field map of 100001 wavenumbers x 47001 depths"):
+        field_map(coupled_stack, SpectralGrid(1000.0, 2000.0, 0.01), z=z)
+    with pytest.raises(DomainError, match="field map of 1 wavenumbers x 1000001 depths"):
+        field_profile(coupled_stack, 1740.0, z=np.zeros(10**6 + 1))
+    k, z = np.linspace(1500.0, 2000.0, 1000), np.linspace(-100.0, 2050.0, 1000)
+    assert field_map(coupled_stack, k, z=z).intensity.shape == (1000, 1000)
 
 
 def test_non_finite_z_rejected(coupled_stack):

@@ -30,6 +30,7 @@ from vibropol.spectra import (
     DispersionTable,
     _band_model,
     _coupled_model,
+    _half_crossing,
     _prominent_peaks,
 )
 
@@ -136,6 +137,37 @@ def assert_same_as_scipy(values, prominence):
     ref_idx, ref = scipy.signal.find_peaks(values, prominence=prominence)
     np.testing.assert_array_equal(idx, ref_idx)
     np.testing.assert_array_equal(prom, ref["prominences"])
+
+
+def half_crossing_walk(k, y, i_peak, half, direction):
+    """The sample-by-sample walk that `_half_crossing` replaces."""
+    i = i_peak
+    while 0 <= i + direction < len(y):
+        j = i + direction
+        if y[j] <= half:
+            if y[i] == y[j]:
+                return k[j]
+            frac = (y[i] - half) / (y[i] - y[j])
+            return k[i] + frac * (k[j] - k[i])
+        i = j
+    return None
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    values=st.one_of(
+        arrays(np.float64, st.integers(1, 40), elements=st.floats(-1e6, 1e6)),
+        # small integers: samples equal to the half level and to each other
+        arrays(np.float64, st.integers(1, 40), elements=st.integers(-3, 3).map(float)),
+    ),
+    half=st.one_of(st.integers(-3, 3).map(float), st.floats(-1e6, 1e6)),
+)
+def test_half_crossing_matches_the_walk(values, half):
+    k = 1500.0 + 0.7 * np.arange(values.size)
+    for i_peak in range(values.size):
+        for direction in (-1, 1):
+            assert _half_crossing(k, values, i_peak, half, direction) == \
+                half_crossing_walk(k, values, i_peak, half, direction)
 
 
 class TestPeakFinderOracle:
