@@ -32,25 +32,21 @@ def _channel_analysis(k, values, window, min_prominence, channel=None):
     splitting.  `channel` names a channel of a native spectrum (R is
     analyzed as its dips, 1 - R); None marks the value column of a
     two-column file."""
-    if channel == "R":
-        values = 1.0 - values
     analyzed = "value" if channel is None else "1-R" if channel == "R" else channel
     # peak search needs >= 3 samples; a sparser run still gets its CSV
     n_in = k.size if window is None else int(((k >= window[0]) & (k <= window[1])).sum())
     if n_in < 3:
         return {"analyzed": analyzed, "peaks": [], "splitting": None}
-    from .constants import cm1_to_mev
-    from .spectra import find_peaks
+    from .spectra import _channel_peaks
 
-    peaks = find_peaks(k, values, min_prominence=min_prominence, window=window)
+    peaks, report = _channel_peaks(k, values, channel, window, min_prominence)
     splitting = None
-    if len(peaks) == 2:
-        lower, upper = peaks[0].center, peaks[1].center
+    if report is not None:
         splitting = {
-            "omega_lower_cm1": round(lower, 1),
-            "omega_upper_cm1": round(upper, 1),
-            "splitting_cm1": round(upper - lower, 1),
-            "splitting_mev": round(cm1_to_mev(upper - lower), 2),
+            "omega_lower_cm1": round(report.omega_lower, 1),
+            "omega_upper_cm1": round(report.omega_upper, 1),
+            "splitting_cm1": round(report.splitting_cm1, 1),
+            "splitting_mev": round(report.splitting_mev, 2),
         }
         if channel is not None:
             splitting["channel"] = channel

@@ -50,7 +50,8 @@ from importlib import import_module
 from .errors import _MAX_POINTS, ConfigError, DomainError, _check_choice, _check_range
 from .materials import ConstantMedium, DrudeLorentzMetal, LorentzMedium
 from .tmm import (
-    CHANNELS, LayerStack, SpectralGrid, _check_cells, _check_polarization, _check_sigma, _z_count,
+    CHANNELS, LayerStack, SpectralGrid, _check_angle, _check_cells, _check_polarization,
+    _check_sigma, _z_count,
 )
 
 if typing.TYPE_CHECKING:
@@ -141,6 +142,9 @@ class ScanSettings:
     min_prominence: float | None = None
 
     def __post_init__(self):
+        _check_angle(self.angle, "angle")
+        for i, angle in enumerate(self.angles):
+            _check_angle(angle, f"angles[{i}]")
         _check_polarization(self.polarization)
         _check_choice(self.channel, "channel", CHANNELS)
         _check_sigma(self.divergence)
@@ -162,6 +166,7 @@ class FieldMapSettings:
     margin_substrate_nm: float = 200.0
 
     def __post_init__(self):
+        _check_angle(self.angle, "angle")
         _check_polarization(self.polarization)
         _check_range(self.z_step, "z_step", gt=0.0, unit="nm")
         _check_range(self.margin_ambient_nm, "margin_ambient_nm", ge=0.0, unit="nm")
@@ -191,6 +196,7 @@ class FitSettings:
         if not self.free:
             raise DomainError("free must list at least one parameter")
         _check_choice(self.channel, "channel", CHANNELS)
+        _check_angle(self.angle, "angle")
         _check_polarization(self.polarization)
         _check_range(self.n_starts, "n_starts", ge=1, integer=True)
         _check_range(self.seed, "seed", ge=0, integer=True)
@@ -410,7 +416,7 @@ def load_config(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = yaml.load(fh, Loader=loader)
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         raise ConfigError(f"cannot read config {path}: {err}") from err
     except yaml.YAMLError as err:
         raise ConfigError(f"invalid YAML in {path}: {err}") from err

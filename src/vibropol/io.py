@@ -11,7 +11,8 @@ is a header, native if it reads ``k_cm1,T,R,A`` in any case; every row
 has the column count of the first, at least two; every cell is a finite
 number; wavenumbers are positive and distinct, and come back sorted;
 ``angle_deg`` and ``polarization`` pass the stack model's checks.  Each
-defect is a DomainError naming the file and line.
+defect is a DomainError naming the file and line; a file that is not
+UTF-8 text is a DomainError naming the file.
 """
 
 from __future__ import annotations
@@ -72,7 +73,7 @@ def read_spectrum_csv(path):
     angle, polarization = 0.0, "s"
     header, width, rows, lines = None, None, [], []
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
+        for lineno, line in enumerate(_utf8_lines(fh, path), 1):
             text, _, comment = line.partition("#")
             text = text.strip()
             if not text:
@@ -113,6 +114,15 @@ def read_spectrum_csv(path):
     if header == NATIVE_HEADER.lower():
         return Spectrum(*cols, angle=angle, polarization=polarization)
     return cols[0], cols[1]
+
+
+def _utf8_lines(fh, path):
+    """The lines of the text file fh, opened as UTF-8; DomainError naming
+    the file at the first bytes that are not UTF-8."""
+    try:
+        yield from fh
+    except UnicodeDecodeError as err:
+        raise DomainError(f"{path}: not UTF-8 text ({err.reason})") from None
 
 
 def write_field_map_csv(path, fmap):

@@ -234,7 +234,15 @@ def refractive_index(model_or_eps, k=None):
         eps = np.asarray(model_or_eps, dtype=complex)
         if not np.all(np.isfinite(eps)):
             raise DomainError("permittivity must be finite")
-    n = np.sqrt(eps)
-    n = np.where(n.imag < 0.0, -n, n)
-    n = np.where((n.imag == 0.0) & (n.real < 0.0), -n, n)
-    return n
+    return _decaying_sqrt(eps)
+
+
+def _decaying_sqrt(x):
+    """sqrt(x) on the branch Im >= 0, where a wave decays into the medium;
+    on the real axis numpy's principal root, Re >= 0.  0-d for a 0-d x."""
+    root = np.sqrt(x)
+    if np.ndim(root) == 0:
+        return np.where(root.imag < 0.0, -root, root)
+    # passive media rarely need the flip, so only those elements change
+    np.negative(root, out=root, where=root.imag < 0.0)
+    return root

@@ -84,7 +84,11 @@ def _parabolic_vertex(k, y, i):
 def _half_crossing(k, y, i_peak, half, direction):
     """k where y first falls to `half` or below walking from sample i_peak
     in `direction` (-1 or +1), interpolated linearly from the sample
-    before; None if it never does."""
+    before; None if it never does, or if sample i_peak is itself at or
+    below `half` (a peak whose vertex is <= 0 or at least twice its
+    sample), where there is no crossing to interpolate."""
+    if y[i_peak] <= half:
+        return None
     below = np.flatnonzero((y[:i_peak] if direction < 0 else y[i_peak + 1:]) <= half)
     if below.size == 0:
         return None
@@ -210,29 +214,32 @@ class SplittingReport:
     peaks: tuple[Peak, Peak]
 
 
+def _channel_peaks(k, values, channel, window, min_prominence):
+    """Peaks of one channel, R searched as its dips 1 - R, and their
+    SplittingReport when there are exactly two, else None.  channel is
+    T, R or A, or None for the value column of a two-column file."""
+    if channel == "R":
+        values = 1.0 - values
+    peaks = find_peaks(k, values, min_prominence=min_prominence, window=window)
+    if len(peaks) != 2:
+        return peaks, None
+    lo, hi = peaks[0].center, peaks[1].center
+    return peaks, SplittingReport(channel, lo, hi, hi - lo, cm1_to_mev(hi - lo),
+                                  (peaks[0], peaks[1]))
+
+
 def extract_splitting(spectrum, channel="T", window=None, min_prominence=None):
     """Polariton splitting from a Spectrum: peak pair of T or A, or of
     1 - R (reflection dips).  Exactly two peaks are required."""
-    values = spectrum.channel(channel)
-    if channel == "R":
-        values = 1.0 - values
-    peaks = find_peaks(spectrum.k, values, min_prominence=min_prominence, window=window)
-    if len(peaks) != 2:
+    peaks, report = _channel_peaks(spectrum.k, spectrum.channel(channel), channel,
+                                   window, min_prominence)
+    if report is None:
         raise PeakCountError(
             f"expected 2 peaks in channel {channel}, found {len(peaks)} "
             f"at {[round(p.center, 2) for p in peaks]}",
             peaks,
         )
-    lo, hi = peaks[0].center, peaks[1].center
-    split = hi - lo
-    return SplittingReport(
-        channel=channel,
-        omega_lower=lo,
-        omega_upper=hi,
-        splitting_cm1=split,
-        splitting_mev=cm1_to_mev(split),
-        peaks=(peaks[0], peaks[1]),
-    )
+    return report
 
 
 @dataclass
@@ -251,10 +258,7 @@ class LorentzianBandFit:
     n_evaluations: int
 
     def evaluate(self, k):
-        k = np.asarray(k, dtype=float)
-        return self.baseline + self.f * k * self.gamma / (
-            (k**2 - self.k0**2) ** 2 + (k * self.gamma) ** 2
-        )
+        return _band_model(self.params(), np.asarray(k, dtype=float))[0]
 
     def params(self):
         return np.array([self.f, self.k0, self.gamma, self.baseline])
@@ -262,16 +266,16 @@ class LorentzianBandFit:
 
 def _band_model(p, k):
     """The band profile at parameters p = (f, k0, gamma, baseline) and its
-    Jacobian with respect to p, shape (k.size, 4)."""
+    Jacobian with respect to p, shape k.shape + (4,)."""
     f, k0, gamma, base = p
     detune = k**2 - k0**2
     denom = detune**2 + (k * gamma) ** 2
     shape = k * gamma / denom  # d model / d f
-    jac = np.empty((k.size, 4))
-    jac[:, 0] = shape
-    jac[:, 1] = 4.0 * f * shape * k0 * detune / denom
-    jac[:, 2] = f * k * (detune**2 - (k * gamma) ** 2) / denom**2
-    jac[:, 3] = 1.0
+    jac = np.empty(k.shape + (4,))
+    jac[..., 0] = shape
+    jac[..., 1] = 4.0 * f * shape * k0 * detune / denom
+    jac[..., 2] = f * k * (detune**2 - (k * gamma) ** 2) / denom**2
+    jac[..., 3] = 1.0
     return base + f * k * gamma / denom, jac
 
 
@@ -352,11 +356,11 @@ def build_dispersion(spectra, channel="T", window=None, min_prominence=None):
     kept with a flag instead of failing the whole table."""
     rows = []
     for sp in spectra:
-        try:
-            rep = extract_splitting(sp, channel, window=window, min_prominence=min_prominence)
+        peaks, rep = _channel_peaks(sp.k, sp.channel(channel), channel, window, min_prominence)
+        if rep is None:
+            rows.append(DispersionRow(sp.angle, None, None, f"peaks={len(peaks)}"))
+        else:
             rows.append(DispersionRow(sp.angle, rep.omega_lower, rep.omega_upper, "ok"))
-        except PeakCountError as err:
-            rows.append(DispersionRow(sp.angle, None, None, f"peaks={len(err.peaks)}"))
     return DispersionTable(rows=rows, channel=channel)
 
 

@@ -45,7 +45,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .errors import _MAX_POINTS, DomainError, _check_choice, _check_range
-from .materials import ConstantMedium, _check_wavenumbers, evaluate_epsilon
+from .materials import ConstantMedium, _check_wavenumbers, _decaying_sqrt, evaluate_epsilon
 
 __all__ = [
     "Layer",
@@ -109,27 +109,8 @@ class LayerStack:
         if missing:
             raise DomainError(f"unknown material name(s): {sorted(set(missing))}")
 
-    def epsilon_of(self, name, k):
-        return evaluate_epsilon(self.materials[name], k)
-
     def total_thickness(self):
         return sum(ly.thickness for ly in self.layers)
-
-    def reversed(self):
-        """Stack traversed from the substrate side.  Only meaningful when
-        the substrate is lossless; the new ambient takes its index."""
-        sub = self.materials[self.substrate]
-        if not isinstance(sub, ConstantMedium) or sub.eps.imag != 0.0:
-            raise DomainError("can only reverse onto a lossless constant substrate")
-        mats = dict(self.materials)
-        mats.setdefault("_reversed_exit", ConstantMedium(self.n_ambient**2))
-        return LayerStack(
-            materials=mats,
-            layers=tuple(reversed(self.layers)),
-            substrate="_reversed_exit",
-            n_ambient=math.sqrt(sub.eps.real),
-            substrate_mode="coherent",
-        )
 
 
 @dataclass(frozen=True)
@@ -173,12 +154,7 @@ class Spectrum:
 def _reduced_kz(eps, sin2):
     """qz = sqrt(eps - sin2) on the branch Im(qz) >= 0, Re(qz) >= 0 on
     the real axis; 0-d for a 0-d eps."""
-    qz = np.sqrt(eps - sin2)
-    if np.ndim(qz) == 0:
-        return np.where(qz.imag < 0.0, -qz, qz)
-    # passive media rarely need the flip, so only those elements change
-    np.negative(qz, out=qz, where=qz.imag < 0.0)
-    return qz
+    return _decaying_sqrt(eps - sin2)
 
 
 def _sin2(stack, angle):
@@ -187,8 +163,8 @@ def _sin2(stack, angle):
     return (stack.n_ambient * math.sin(math.radians(angle))) ** 2
 
 
-def _check_angle(angle):
-    _check_range(angle, "incidence angle", gt=-90.0, lt=90.0, unit="degrees")
+def _check_angle(angle, name="incidence angle"):
+    _check_range(angle, name, gt=-90.0, lt=90.0, unit="degrees")
 
 
 def _check_polarization(polarization):
@@ -227,7 +203,7 @@ def _media(stack, k):
         if name not in eps:
             model = stack.materials[name]
             const = isinstance(model, ConstantMedium)
-            eps[name] = model.eps if const else stack.epsilon_of(name, k)
+            eps[name] = model.eps if const else evaluate_epsilon(model, k)
     return (
         [complex(stack.n_ambient**2)]
         + [eps[ly.material] for ly in stack.layers]

@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 
-from vibropol import DomainError, evaluate_epsilon
+from vibropol import ConstantMedium, DomainError, LayerStack, evaluate_epsilon
 
 K_TO_RAD_NM = 2.0e-7 * math.pi
 
@@ -82,3 +82,21 @@ def matrix_response(stack, k, angle, polarization):
     t = 2.0 * q_amb / (q_amb * b + c)
     r = (q_amb * b - c) / (q_amb * b + c)
     return np.real(q_sub) / np.real(q_amb) * np.abs(t) ** 2, np.abs(r) ** 2
+
+
+def reversed_stack(stack):
+    """The stack traversed from the substrate side, for reciprocity
+    checks.  Only meaningful when the substrate is lossless; the new
+    ambient takes its index."""
+    sub = stack.materials[stack.substrate]
+    if not isinstance(sub, ConstantMedium) or sub.eps.imag != 0.0:
+        raise DomainError("can only reverse onto a lossless constant substrate")
+    mats = dict(stack.materials)
+    mats.setdefault("_reversed_exit", ConstantMedium(stack.n_ambient**2))
+    return LayerStack(
+        materials=mats,
+        layers=tuple(reversed(stack.layers)),
+        substrate="_reversed_exit",
+        n_ambient=math.sqrt(sub.eps.real),
+        substrate_mode="coherent",
+    )

@@ -364,12 +364,48 @@ class TestSimulateCommand:
         assert not (tmp_path / "summary.json").exists()
 
     def test_physics_error_exits_3(self, runner, tmp_path):
-        cfg = write_config(tmp_path, BASE_CONFIG)
-        result = runner.invoke(
-            main,
-            ["simulate", "--config", cfg, "--out-dir", str(tmp_path), "--angle", "95.0"],
-        )
+        path = tmp_path / "measured.csv"
+        path.write_text("1600.0,0.1\n1700,abc\n1800.0,0.1\n")
+        result = runner.invoke(main, ["analyze", str(path)])
         assert result.exit_code == 3
+        assert "physics error: " in result.output
+
+    @pytest.mark.parametrize(
+        "command, keys, value, args, message",
+        [
+            ("simulate", ("scan", "angle"), 95.0, [], "scan: angle"),
+            ("scan-angle", ("scan", "angles"), [0.0, 95.0], [], "scan: angles[1]"),
+            ("scan-angle", ("scan", "angles"), {"min": 0.0, "max": 95.0, "step": 5.0}, [],
+             "scan: angles[18]"),
+            ("field-map", ("field_map", "angle"), 95.0, [], "field_map: angle"),
+            ("simulate", None, None, ["--angle", "95"], "scan: angle"),
+            ("field-map", None, None, ["--angle", "95"], "field_map: angle"),
+            ("simulate", ("fit", "angle"), 95.0, [], "fit: angle"),
+        ],
+        ids=["scan.angle", "scan.angles", "scan.angles-range", "field_map.angle",
+             "simulate--angle", "field-map--angle", "fit.angle"],
+    )
+    def test_out_of_range_angle_exits_2_naming_its_key(self, runner, tmp_path, command, keys,
+                                                       value, args, message):
+        raw = full_raw()
+        raw["scan"]["angles"] = [0.0, 30.0]
+        if keys is not None:
+            raw = with_value(raw, keys, value)
+        cfg = write_config(tmp_path, yaml.safe_dump(raw))
+        out = tmp_path / "out"
+        result = runner.invoke(main, [command, "--config", cfg, "--out-dir", str(out), *args])
+        assert result.exit_code == 2, result.output
+        assert f"config error: {message} must be finite and > -90 and < 90 degrees" \
+            in result.output
+        assert not out.exists()
+
+    def test_non_utf8_config_exits_2(self, runner, tmp_path):
+        cfg = tmp_path / "run.yaml"
+        cfg.write_bytes(BASE_CONFIG.encode() + b"# \xff\n")
+        result = runner.invoke(main, ["simulate", "--config", cfg, "--out-dir", str(tmp_path)])
+        assert result.exit_code == 2, result.output
+        assert "config error: cannot read config" in result.output
+        assert "Traceback" not in result.output
 
 
 class TestScanAngleCommand:
@@ -557,6 +593,14 @@ class TestAnalyzeCommand:
         assert "bad.csv, line 3: non-numeric cell" in result.output
         assert "Traceback" not in result.output
 
+    def test_non_utf8_file_exits_3_naming_the_file(self, runner, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"# \xff\n1600.0,0.1\n1700.0,0.2\n1800.0,0.1\n")
+        result = runner.invoke(main, ["analyze", str(path)])
+        assert result.exit_code == 3, result.output
+        assert "bad.csv: not UTF-8 text" in result.output
+        assert "Traceback" not in result.output
+
     @pytest.mark.parametrize("content, message", FILE_DEFECTS.values(), ids=FILE_DEFECTS)
     def test_file_defect_exits_3_naming_the_line(self, runner, tmp_path, content, message):
         path = tmp_path / "bad.csv"
@@ -737,6 +781,21 @@ class TestFitCommand:
         )
         assert result.exit_code == 3, result.output
         assert "target.csv, line 2: non-numeric cell" in result.output
+        assert "Traceback" not in result.output
+
+    def test_non_utf8_target_exits_3(self, runner, tmp_path):
+        target = tmp_path / "target.csv"
+        target.write_bytes(b"1600.0,0.5\n1700.0,0.5\xff\n1800.0,0.5\n")
+        raw = yaml.safe_load(BASE_CONFIG)
+        raw["fit"] = {
+            "free": [{"path": "layers[1].thickness", "lower": 1800.0, "upper": 2200.0}]
+        }
+        cfg = write_config(tmp_path, yaml.safe_dump(raw))
+        result = runner.invoke(
+            main, ["fit", "--config", cfg, "--out-dir", str(tmp_path), "--target", str(target)]
+        )
+        assert result.exit_code == 3, result.output
+        assert "target.csv: not UTF-8 text" in result.output
         assert "Traceback" not in result.output
 
     def test_bad_free_path_exits_2(self, runner, tmp_path):

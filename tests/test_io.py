@@ -77,6 +77,15 @@ def test_reader_defect_names_the_file_and_line(tmp_path, content, message):
     assert f"bad.csv{message}" in str(err.value)
 
 
+@pytest.mark.parametrize("rows_before", [0, 5000], ids=["first-line", "past-the-first-read"])
+def test_non_utf8_file_names_the_file(tmp_path, rows_before):
+    path = tmp_path / "latin1.csv"
+    rows = "".join(f"{1000 + i},0.1\n" for i in range(rows_before)).encode()
+    path.write_bytes(rows + b"# exported by \xe9tude\n9000,0.1\n9001,0.2\n")
+    with pytest.raises(DomainError, match=r"latin1\.csv: not UTF-8 text"):
+        read_spectrum_csv(path)
+
+
 def test_spectrum_round_trip_is_bit_exact(tmp_path):
     spectrum = Spectrum(
         k=np.array([1500.0, 1700.0 + 1e-3, 1e4 / 3.0]),

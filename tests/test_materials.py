@@ -137,6 +137,30 @@ class TestRefractiveIndex:
         assert n * n == pytest.approx(eps, rel=1e-12, abs=1e-12)
 
 
+def three_line_index(eps):
+    """The branch rule refractive_index was first written with."""
+    n = np.sqrt(np.asarray(eps, dtype=complex))
+    n = np.where(n.imag < 0.0, -n, n)
+    return np.where((n.imag == 0.0) & (n.real < 0.0), -n, n)
+
+
+# finite doubles of every sign and magnitude, with both zeros spelled out
+_PARTS = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]),
+                   st.floats(allow_nan=False, allow_infinity=False))
+
+
+@settings(max_examples=300)
+@given(parts=st.lists(st.tuples(_PARTS, _PARTS), min_size=1, max_size=20))
+def test_index_branch_is_bitwise_the_three_line_rule(parts):
+    eps = np.array([complex(re, im) for re, im in parts])
+    n = refractive_index(eps)
+    assert n.tobytes() == three_line_index(eps).tobytes()
+    for e in eps:
+        one = refractive_index(e)
+        assert type(one) is np.ndarray and one.shape == ()
+        assert one.tobytes() == three_line_index(e).tobytes()
+
+
 @settings(max_examples=60)
 @given(
     f=st.floats(0.0, 1.0e5),

@@ -1,10 +1,11 @@
 """Peak finding, splittings, dispersion tables and model fits."""
 
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from vibropol import (
@@ -19,6 +20,7 @@ from vibropol import (
     fit_coupled_model,
     fit_lorentzian_band,
     anticrossing_dispersion,
+    angle_scan,
     fp_mode_estimate,
     load_config,
     load_measured,
@@ -73,6 +75,17 @@ class TestFindPeaks:
         only_right = find_peaks(k, y, min_prominence=1e-3, window=(2000.0, 2800.0))
         assert len(only_right) == 1
         assert only_right[0].center == pytest.approx(2400.0, abs=0.5)
+
+    def test_negative_peak_has_no_width(self):
+        # half of a negative vertex lies above every sample: no crossing
+        k = np.arange(1500.0, 2000.0, 0.5)
+        y = lorentz_band(k, 5.0e4, 1739.0, 13.0) - 10.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            peaks = find_peaks(k, y)
+        assert len(peaks) == 1
+        assert peaks[0].height < 0.0 and peaks[0].fwhm is None
+        assert peaks[0].center == pytest.approx(1739.0, abs=0.5)
 
     def test_boundary_maxima_are_not_peaks(self):
         k = np.arange(1500.0, 1600.0, 1.0)
@@ -140,7 +153,10 @@ def assert_same_as_scipy(values, prominence):
 
 
 def half_crossing_walk(k, y, i_peak, half, direction):
-    """The sample-by-sample walk that `_half_crossing` replaces."""
+    """The sample-by-sample walk that `_half_crossing` replaces, with its
+    first line: no crossing from a peak sample at or below half."""
+    if y[i_peak] <= half:
+        return None
     i = i_peak
     while 0 <= i + direction < len(y):
         j = i + direction
@@ -162,6 +178,8 @@ def half_crossing_walk(k, y, i_peak, half, direction):
     ),
     half=st.one_of(st.integers(-3, 3).map(float), st.floats(-1e6, 1e6)),
 )
+# a peak sample at or below half once divided by a subnormal difference
+@example(values=np.array([8.62e-308, 0.0]), half=16.0)
 def test_half_crossing_matches_the_walk(values, half):
     k = 1500.0 + 0.7 * np.arange(values.size)
     for i_peak in range(values.size):
@@ -323,6 +341,12 @@ def synthetic_table(omega_v, n_eff, d_nm, split, angles, jitter=None, rng=None):
     return DispersionTable(rows=rows, channel="T")
 
 
+@pytest.fixture(scope="module")
+def dispersion_spectra():
+    cfg = load_config(CONFIGS / "cavity_dispersion.yaml")
+    return angle_scan(cfg.stack, cfg.grid, cfg.scan.angles, cfg.scan.polarization)
+
+
 class TestDispersion:
     def test_build_symmetry_under_angle_negation(self, coupled_stack):
         grid = SpectralGrid(1500.0, 2000.0, 0.5)
@@ -347,6 +371,24 @@ class TestDispersion:
         assert table.rows[0].omega_lower is None
         assert table.rows[1].status == "ok"
         assert len(table.good_rows()) == 1
+
+    @pytest.mark.parametrize("channel", ["T", "R", "A"])
+    @pytest.mark.parametrize("window", [(1450.0, 2250.0), (1650.0, 1850.0)])
+    def test_rows_match_extract_splitting(self, dispersion_spectra, channel, window):
+        # the rows built from extract_splitting, with a PeakCountError
+        # giving a flagged row
+        expected = []
+        for sp in dispersion_spectra:
+            try:
+                rep = extract_splitting(sp, channel, window=window)
+                expected.append(DispersionRow(sp.angle, rep.omega_lower, rep.omega_upper, "ok"))
+            except PeakCountError as err:
+                expected.append(DispersionRow(sp.angle, None, None, f"peaks={len(err.peaks)}"))
+        table = build_dispersion(dispersion_spectra, channel, window=window)
+        assert table.rows == expected and table.channel == channel
+        if window == (1650.0, 1850.0) and channel == "T":
+            # the narrow window leaves most angles with one peak in view
+            assert [r.status for r in table.rows].count("ok") == 4
 
     def test_coupled_fit_round_trip(self):
         d_true = 1e7 / (2.0 * 1.41 * 1740.0)
