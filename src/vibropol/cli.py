@@ -32,13 +32,9 @@ def _channel_analysis(k, values, window, min_prominence, channel=None):
     splitting.  `channel` names a channel of a native spectrum (R is
     analyzed as its dips, 1 - R); None marks the value column of a
     two-column file."""
-    analyzed = "value" if channel is None else "1-R" if channel == "R" else channel
-    # peak search needs >= 3 samples; a sparser run still gets its CSV
-    n_in = k.size if window is None else int(((k >= window[0]) & (k <= window[1])).sum())
-    if n_in < 3:
-        return {"analyzed": analyzed, "peaks": [], "splitting": None}
     from .spectra import _channel_peaks
 
+    analyzed = "value" if channel is None else "1-R" if channel == "R" else channel
     peaks, report = _channel_peaks(k, values, channel, window, min_prominence)
     splitting = None
     if report is not None:
@@ -128,19 +124,16 @@ def scan_angle(args):
 def field_map_cmd(args):
     """|E(z, k)|^2 across the stack over a wavenumber grid."""
     from . import io as iomod
-    from .config import _check_field_map, load_config, override
-    from .fields import default_z_grid, field_map
+    from .config import _build, load_config, override
+    from .fields import _check_cells, default_z_grid, field_map
 
     cfg = load_config(args.config)
     stack = cfg.require_stack()
     settings = override(cfg.field_map, "field_map", angle=args.angle)
-    _check_field_map(stack, settings)
-    z = default_z_grid(
-        stack,
-        z_step=settings.z_step,
-        margin_ambient=settings.margin_ambient_nm,
-        margin_substrate=settings.margin_substrate_nm,
-    )
+    z = _build("field_map.z_step", default_z_grid, stack, z_step=settings.z_step,
+               margin_ambient=settings.margin_ambient_nm,
+               margin_substrate=settings.margin_substrate_nm)
+    _build("field_map.grid", _check_cells, settings.grid.points.size, z.size)
     fmap = field_map(stack, settings.grid, z=z, angle=settings.angle,
                      polarization=settings.polarization)
     path = os.path.join(args.out_dir, "field_map.csv")
@@ -165,7 +158,6 @@ def analyze(args):
     payload = {"source": os.path.basename(args.csv_path)}
     if isinstance(data, Spectrum):
         payload.update(angle_deg=data.angle, polarization=data.polarization,
-                       channel_requested=args.channel,
                        channels=_spectrum_analysis(data, settings.window, settings.min_prominence))
     else:
         payload["channels"] = {
@@ -266,7 +258,6 @@ def _parser(prog):
     sub.add_argument("--angle", type=float, help="Override the field-map angle (deg).")
     sub = command("analyze", analyze, config=False, report="analysis.json")
     sub.add_argument("csv_path", type=_input_file)
-    sub.add_argument("--channel", choices=["T", "R", "A"], default="T", help="(default: T)")
     sub.add_argument("--window", help="Restrict analysis to lo:hi (cm^-1).")
     sub.add_argument("--min-prominence", type=float,
                      help="Absolute prominence threshold (default: 5%% of range).")

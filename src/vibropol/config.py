@@ -34,8 +34,8 @@ key is an error.  The dataclasses check their own values; a DomainError
 they raise becomes a ConfigError prefixed with the key path, as does
 every structural problem.  `config_to_dict` is the reader's inverse: it
 returns the canonical mapping of a Config, every default filled in.
-A field map the config sets must also fit the field map's point and
-cell limits on the stack (`_check_field_map`).
+The size of a field map on the stack is checked by the `field-map`
+command alone, so a fine spectrum grid never stops the other commands.
 """
 
 from __future__ import annotations
@@ -49,10 +49,7 @@ from importlib import import_module
 
 from .errors import _MAX_POINTS, ConfigError, DomainError, _check_choice, _check_range
 from .materials import ConstantMedium, DrudeLorentzMetal, LorentzMedium
-from .tmm import (
-    CHANNELS, LayerStack, SpectralGrid, _check_angle, _check_cells, _check_polarization,
-    _check_sigma, _z_count,
-)
+from .tmm import CHANNELS, LayerStack, SpectralGrid, _check_angle, _check_polarization, _check_sigma
 
 if typing.TYPE_CHECKING:
     # at run time these resolve through _TYPES_FROM
@@ -381,7 +378,7 @@ def parse_config(raw):
     grid = _read(SpectralGrid, raw["grid"], "grid") if "grid" in raw else DEFAULT_GRID
     # the field map falls back to the top-level grid
     field_map = {"grid": _dump(grid), **_mapping(raw.get("field_map", {}), "field_map")}
-    cfg = Config(
+    return Config(
         stack=stack,
         grid=grid,
         scan=_read(ScanSettings, raw.get("scan", {}), "scan"),
@@ -391,20 +388,6 @@ def parse_config(raw):
         ),
         fit=_read(FitSettings, raw["fit"], "fit") if "fit" in raw else None,
     )
-    # a field map left at its defaults takes the top-level grid, which may
-    # be a long spectrum grid; `field-map` checks that one when it runs
-    if stack is not None and cfg.field_map != FieldMapSettings(grid=grid):
-        _check_field_map(stack, cfg.field_map)
-    return cfg
-
-
-def _check_field_map(stack, settings):
-    """Raise ConfigError unless the field map that `settings` set on
-    `stack` keeps its depth axis and its cells within the point limit;
-    the error names field_map.z_step or field_map.grid."""
-    nz = _build("field_map.z_step", _z_count, stack.total_thickness(), settings.z_step,
-                settings.margin_ambient_nm, settings.margin_substrate_nm)
-    _build("field_map.grid", _check_cells, settings.grid.points.size, nz)
 
 
 def load_config(path):

@@ -22,7 +22,7 @@ row is bit-identical to `field_profile` at its wavenumber, while the
 complex temporaries stay a few hundred kB instead of several times the
 map: a map's working memory is then little more than its output.  V is
 formed only where it is used, for p polarization and for the flux.  A
-map holds at most 10^6 cells (`tmm._check_cells`).
+map holds at most 10^6 cells (`_check_cells`).
 """
 
 from __future__ import annotations
@@ -32,12 +32,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import _MAX_POINTS, DomainError, _check_range
 from .materials import _check_wavenumbers
-from .tmm import (
-    _K_TO_RAD_NM, SpectralGrid, _check_angle, _check_cells, _check_polarization, _media, _rouard,
-    _z_count,
-)
+from .tmm import _K_TO_RAD_NM, SpectralGrid, _check_angle, _check_polarization, _media, _rouard
 
 __all__ = ["FieldProfile", "FieldMap", "field_profile", "field_map"]
 
@@ -70,6 +67,14 @@ class FieldMap:
     angle: float
     polarization: str
     boundaries: tuple[float, ...]
+
+
+def _check_cells(nk, nz):
+    """Raise DomainError when a field map of nk wavenumbers by nz depths
+    holds more than _MAX_POINTS cells."""
+    if nk * nz > _MAX_POINTS:
+        raise DomainError(f"field map of {nk} wavenumbers x {nz} depths must hold at most "
+                          f"{_MAX_POINTS:g} cells, got {nk * nz}")
 
 
 def _fields(stack, k, z, angle, polarization, flux=True):
@@ -168,8 +173,12 @@ def _boundaries(stack):
 def default_z_grid(stack, z_step=10.0, margin_ambient=200.0, margin_substrate=200.0):
     """z samples spanning the stack plus margins into the ambient and the
     substrate (all nm); the span over z_step must be below 10^6."""
+    _check_range(z_step, "z_step", gt=0.0, unit="nm")
+    _check_range(margin_ambient, "margin_ambient", ge=0.0, unit="nm")
+    _check_range(margin_substrate, "margin_substrate", ge=0.0, unit="nm")
     total = stack.total_thickness()
-    _z_count(total, z_step, margin_ambient, margin_substrate)
+    _check_range((margin_ambient + total + margin_substrate) / z_step,
+                 "z span / z_step", lt=_MAX_POINTS)
     return np.arange(-margin_ambient, total + margin_substrate + 0.5 * z_step, z_step)
 
 

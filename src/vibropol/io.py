@@ -12,7 +12,8 @@ has the column count of the first, at least two; every cell is a finite
 number; wavenumbers are positive and distinct, and come back sorted;
 ``angle_deg`` and ``polarization`` pass the stack model's checks.  Each
 defect is a DomainError naming the file and line; a file that is not
-UTF-8 text is a DomainError naming the file.
+UTF-8 text is a DomainError naming the file, and a leading byte-order
+mark is skipped.
 """
 
 from __future__ import annotations
@@ -72,7 +73,7 @@ def read_spectrum_csv(path):
 
     angle, polarization = 0.0, "s"
     header, width, rows, lines = None, None, [], []
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         for lineno, line in enumerate(_utf8_lines(fh, path), 1):
             text, _, comment = line.partition("#")
             text = text.strip()

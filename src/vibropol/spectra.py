@@ -56,9 +56,6 @@ def _windowed(k, values, window):
             raise DomainError("window must satisfy lo < hi")
         mask = (k >= lo) & (k <= hi)
         k, values = k[mask], values[mask]
-    if k.size < 3:
-        where = "window" if window is not None else "spectrum"
-        raise DomainError(f"{where} contains fewer than 3 samples")
     n_bad = int(np.count_nonzero(~np.isfinite(values)))
     if n_bad:
         raise DomainError(f"{n_bad} non-finite sample(s) in the peak search window")
@@ -177,16 +174,18 @@ def find_peaks(k, values, min_prominence=None, window=None):
     Peaks with prominence >= min_prominence are kept.  min_prominence is
     absolute; when None it defaults to 5% of the dynamic range inside the
     window.  window is an optional (lo, hi) wavenumber pair restricting
-    the search.  Raises DomainError when the window (the whole spectrum
-    when window is None) holds fewer than 3 samples, or a NaN or
-    infinite sample.
+    the search.  A window (the whole spectrum when window is None) of
+    fewer than 3 samples holds no peak; one with a NaN or infinite sample
+    raises DomainError.
     """
     k, values = _windowed(k, values, window)
+    if min_prominence is not None:
+        _check_range(min_prominence, "min_prominence", ge=0.0)
+    if k.size < 3:
+        return []
     if min_prominence is None:
         span = float(values.max() - values.min())
         min_prominence = 0.05 * span if span > 0.0 else np.inf
-    else:
-        _check_range(min_prominence, "min_prominence", ge=0.0)
     idx, prominences = _prominent_peaks(values, min_prominence)
     peaks = []
     for i, prominence in zip(idx, prominences):
@@ -284,10 +283,14 @@ def fit_lorentzian_band(k, values, window=None, p0=None, max_nfev=2000):
 
     The segment should contain one dominant band; a large residual_rms
     signals that the single-oscillator model does not describe it.  The
-    starting point comes from find_peaks when p0 is not given.  Raises
-    FitError carrying the best-so-far fit on non-convergence.
+    starting point comes from find_peaks when p0 is not given.  A window
+    of fewer than 3 samples raises DomainError; non-convergence raises
+    FitError carrying the best-so-far fit.
     """
     k, values = _windowed(k, values, window)
+    if k.size < 3:
+        where = "window" if window is not None else "spectrum"
+        raise DomainError(f"{where} contains fewer than 3 samples")
     if p0 is None:
         guesses = find_peaks(k, values)
         if not guesses:

@@ -171,28 +171,6 @@ def _check_polarization(polarization):
     _check_choice(polarization, "polarization", POLARIZATIONS)
 
 
-def _z_count(total, z_step, margin_ambient, margin_substrate):
-    """Number of depth samples of `fields.default_z_grid` over a stack
-    `total` nm thick: the length numpy's arange gives it.  Raises
-    DomainError unless the margins and step are in range and the span over
-    the step is below _MAX_POINTS.  It and `_check_cells` size a field map
-    for `fields` and for the config reader alike."""
-    _check_range(z_step, "z_step", gt=0.0, unit="nm")
-    _check_range(margin_ambient, "margin_ambient", ge=0.0, unit="nm")
-    _check_range(margin_substrate, "margin_substrate", ge=0.0, unit="nm")
-    _check_range((margin_ambient + total + margin_substrate) / z_step,
-                 "z span / z_step", lt=_MAX_POINTS)
-    return math.ceil((total + margin_substrate + 0.5 * z_step + margin_ambient) / z_step)
-
-
-def _check_cells(nk, nz):
-    """Raise DomainError when a field map of nk wavenumbers by nz depths
-    holds more than _MAX_POINTS cells."""
-    if nk * nz > _MAX_POINTS:
-        raise DomainError(f"field map of {nk} wavenumbers x {nz} depths must hold at most "
-                          f"{_MAX_POINTS:g} cells, got {nk * nz}")
-
-
 def _media(stack, k):
     """Permittivities of the ambient, each layer and the substrate on k.
     A dispersive material is evaluated once, however many layers use it;

@@ -72,6 +72,15 @@ def with_value(raw, keys, value):
     return raw
 
 
+# cavity_coupled.yaml on a 7001-point grid, with a field map that sets only
+# its angle and so takes that grid: too large a map for `field-map`, but
+# no concern of the commands that make none
+FINE_GRID_MAP = with_value(
+    with_value(yaml.safe_load((ROOT / "configs" / "cavity_coupled.yaml").read_text()),
+               ("grid", "step"), 0.1),
+    ("field_map",), {"angle": 30.0},
+)
+
 # one case per kind of input the reader rejects: (keys, value, key path
 # the error must name)
 READER_DEFECTS = [
@@ -181,19 +190,16 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             parse_config(raw)
 
-    def test_field_map_size_is_checked_when_set(self):
+    def test_field_map_size_is_left_to_field_map(self):
+        # the reader checks each key of a set field map, not the map's size
+        # on the stack: only `field-map` makes the map
         raw = yaml.safe_load(BASE_CONFIG)
         raw["field_map"] = {"z_step": 0.0001}
-        with pytest.raises(ConfigError, match=r"field_map\.z_step: z span / z_step must be"):
-            parse_config(raw)
-        # a default field map takes the top-level grid, which a spectrum
-        # may fill beyond the map's cell limit
+        assert parse_config(raw).field_map.z_step == 0.0001
         raw = yaml.safe_load(BASE_CONFIG)
         raw["grid"]["step"] = 0.1
-        assert parse_config(raw).grid.points.size == 5001
         raw["field_map"] = {"angle": 30.0}
-        with pytest.raises(ConfigError, match=r"field_map\.grid: field map of 5001 wavenumbers"):
-            parse_config(raw)
+        assert parse_config(raw).field_map.grid.points.size == 5001
 
     def test_fit_section_validation(self):
         raw = yaml.safe_load(BASE_CONFIG)
@@ -445,6 +451,19 @@ class TestScanAngleCommand:
         result = runner.invoke(main, ["scan-angle", "--config", cfg, "--out-dir", str(tmp_path)])
         assert result.exit_code == 2
 
+    def test_sparse_window_rows_hold_no_peak(self, runner, tmp_path):
+        # a window of fewer than 3 grid samples holds no peak, as in simulate
+        raw = yaml.safe_load((ROOT / "configs" / "cavity_dispersion.yaml").read_text())
+        raw["scan"]["window"] = [1500.0, 1500.4]
+        cfg = write_config(tmp_path, yaml.safe_dump(raw))
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["scan-angle", "--config", cfg, "--out-dir", str(out)])
+        assert result.exit_code == 0, result.output
+        assert len(list(out.iterdir())) == 26
+        rows = (out / "dispersion.csv").read_text().splitlines()
+        assert len(rows) == 2 + 25
+        assert all(r.endswith(",,,peaks=0") for r in rows[2:])
+
 
 class TestFieldMapCommand:
     def test_map_matches_library(self, runner, tmp_path):
@@ -462,20 +481,22 @@ class TestFieldMapCommand:
         assert np.all(data[:, 2] >= 0.0)
 
     @pytest.mark.parametrize(
-        "section, message",
+        "raw, message",
         [
-            ({"z_step": 0.0001},
+            (with_value(yaml.safe_load(BASE_CONFIG), ("field_map",), {"z_step": 0.0001}),
              "config error: field_map.z_step: z span / z_step must be finite and < 1e+06, "
              "got 23500000.0"),
-            ({"grid": {"min": 1000.0, "max": 2000.0, "step": 0.01}, "z_step": 0.05},
+            (with_value(yaml.safe_load(BASE_CONFIG), ("field_map",),
+                        {"grid": {"min": 1000.0, "max": 2000.0, "step": 0.01}, "z_step": 0.05}),
              "config error: field_map.grid: field map of 100001 wavenumbers x 47001 depths "
              "must hold at most 1e+06 cells"),
+            (FINE_GRID_MAP,
+             "config error: field_map.grid: field map of 7001 wavenumbers x 236 depths "
+             "must hold at most 1e+06 cells"),
         ],
-        ids=["long-z-axis", "too-many-cells"],
+        ids=["long-z-axis", "too-many-cells", "fine-grid-set-map"],
     )
-    def test_oversized_map_exits_2(self, runner, tmp_path, section, message):
-        raw = yaml.safe_load(BASE_CONFIG)
-        raw["field_map"] = section
+    def test_oversized_map_exits_2(self, runner, tmp_path, raw, message):
         cfg = write_config(tmp_path, yaml.safe_dump(raw))
         out = tmp_path / "out"
         result = runner.invoke(main, ["field-map", "--config", cfg, "--out-dir", str(out)])
@@ -483,6 +504,13 @@ class TestFieldMapCommand:
         assert message in result.output
         assert "Traceback" not in result.output
         assert not (out / "field_map.csv").exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "estimate"])
+    def test_other_commands_ignore_the_map_size(self, runner, tmp_path, command):
+        cfg = write_config(tmp_path, yaml.safe_dump(FINE_GRID_MAP))
+        out = tmp_path / "out"
+        result = runner.invoke(main, [command, "--config", cfg, "--out-dir", str(out)])
+        assert result.exit_code == 0, result.output
 
     def test_default_map_beyond_the_cell_limit_exits_2(self, runner, tmp_path):
         # with no field_map section the map takes the top-level grid: the
@@ -883,7 +911,7 @@ class TestFitCommand:
         (["simulate", "--config", "absent.yaml"], "'absent.yaml' is not an existing file"),
         (["analyze", "."], "'.' is not an existing file"),
         (["simulate", "--config", "CFG", "--polarization", "x"], "invalid choice: 'x'"),
-        (["analyze", "CFG", "--channel", "t"], "invalid choice: 't'"),
+        (["analyze", "CFG", "--channel", "T"], "unrecognized arguments: --channel T"),
         (["simulate", "--config", "CFG", "--out-dir", "CFG"], "is a file, not a directory"),
         (["estimate", "--config", "CFG", "--out-dir", "CFG"], "is a file, not a directory"),
         (["simulate", "--config", "CFG", "--angle", "ten"], "invalid float value: 'ten'"),

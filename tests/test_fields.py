@@ -165,6 +165,11 @@ def test_default_z_grid_span(coupled_stack):
     assert fine[0] == -50.0
     assert fine[1] - fine[0] == 2.0
 
+    # the span over the step stays below the point limit
+    with pytest.raises(DomainError, match=r"^z span / z_step must be finite and < 1e\+06, "
+                                          r"got 2350000\.0"):
+        default_z_grid(coupled_stack, z_step=1e-3)
+
 
 def test_field_map_rows_match_profiles(coupled_stack):
     grid = SpectralGrid(1700.0, 1760.0, 20.0)

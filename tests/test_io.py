@@ -120,6 +120,20 @@ def test_native_file_is_not_a_two_column_target(tmp_path):
         load_measured(path)
 
 
+@pytest.mark.parametrize("content", ["1600,0.1\n1700,0.3\n",
+                                     "k_cm1,T,R,A\n1600,0.1,0.2,0.7\n1700,0.3,0.1,0.6\n"],
+                         ids=["two-column", "native"])
+def test_byte_order_mark_is_skipped(tmp_path, content):
+    # spreadsheet tools may export UTF-8 with a leading byte-order mark
+    path = tmp_path / "marked.csv"
+    path.write_bytes(b"\xef\xbb\xbf" + content.encode())
+    data = read_spectrum_csv(path)
+    assert isinstance(data, Spectrum) == content.startswith("k_cm1")
+    k, values = (data.k, data.T) if isinstance(data, Spectrum) else data
+    np.testing.assert_array_equal(k, [1600.0, 1700.0])
+    np.testing.assert_array_equal(values, [0.1, 0.3])
+
+
 def test_native_header_matches_in_any_case(tmp_path):
     path = tmp_path / "upper.csv"
     path.write_text("K_CM1,T,R,A\n1600,0.1,0.2,0.7\n1700,0.3,0.1,0.6\n")

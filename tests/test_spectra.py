@@ -97,17 +97,26 @@ class TestFindPeaks:
             find_peaks(np.arange(3.0), np.arange(4.0))
         with pytest.raises(DomainError):
             find_peaks(np.arange(10.0), np.arange(10.0), window=(5.0, 2.0))
+        # the argument checks come before a sparse window is found empty
+        with pytest.raises(DomainError, match="min_prominence"):
+            find_peaks(np.arange(10.0), np.arange(10.0), min_prominence=-1.0, window=(0.0, 1.0))
+        with pytest.raises(DomainError, match="^1 non-finite sample"):
+            find_peaks(np.arange(10.0), np.r_[np.nan, np.ones(9)], window=(0.0, 1.0))
 
     @pytest.mark.parametrize("n", [0, 1, 2])
     @pytest.mark.parametrize("min_prominence", [None, 0.1])
     def test_fewer_than_three_samples_raise(self, n, min_prominence):
-        # the default-prominence path used to reach values.max() on an
-        # empty array, while an explicit prominence returned []
+        # fewer than 3 samples hold no peak on both prominence paths (the
+        # default one must not reach values.max() on an empty array); only
+        # the band fit, which needs a curve to fit, raises
         k = 1500.0 + np.arange(float(n))
-        with pytest.raises(DomainError, match="fewer than 3 samples"):
-            find_peaks(k, np.ones(n), min_prominence=min_prominence)
-        with pytest.raises(DomainError, match="fewer than 3 samples"):
-            find_peaks(k, np.ones(n), min_prominence=min_prominence, window=(1000.0, 2000.0))
+        assert find_peaks(k, np.ones(n), min_prominence=min_prominence) == []
+        assert find_peaks(k, np.ones(n), min_prominence=min_prominence,
+                          window=(1000.0, 2000.0)) == []
+        with pytest.raises(DomainError, match="^spectrum contains fewer than 3 samples"):
+            fit_lorentzian_band(k, np.ones(n))
+        with pytest.raises(DomainError, match="^window contains fewer than 3 samples"):
+            fit_lorentzian_band(k, np.ones(n), window=(1000.0, 2000.0))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_sample_raises(self, bad):
@@ -373,7 +382,7 @@ class TestDispersion:
         assert len(table.good_rows()) == 1
 
     @pytest.mark.parametrize("channel", ["T", "R", "A"])
-    @pytest.mark.parametrize("window", [(1450.0, 2250.0), (1650.0, 1850.0)])
+    @pytest.mark.parametrize("window", [(1450.0, 2250.0), (1650.0, 1850.0), (1500.0, 1500.4)])
     def test_rows_match_extract_splitting(self, dispersion_spectra, channel, window):
         # the rows built from extract_splitting, with a PeakCountError
         # giving a flagged row
@@ -389,6 +398,9 @@ class TestDispersion:
         if window == (1650.0, 1850.0) and channel == "T":
             # the narrow window leaves most angles with one peak in view
             assert [r.status for r in table.rows].count("ok") == 4
+        if window == (1500.0, 1500.4):
+            # two grid samples hold no peak: extract_splitting finds none
+            assert all(r.status == "peaks=0" for r in table.rows)
 
     def test_coupled_fit_round_trip(self):
         d_true = 1e7 / (2.0 * 1.41 * 1740.0)
