@@ -29,7 +29,7 @@ _EXPORTS = {
     ),
     "materials": (
         "BoundTransition", "ConstantMedium", "DrudeLorentzMetal", "LorentzMedium",
-        "LorentzOscillator", "evaluate_epsilon", "gold", "refractive_index",
+        "LorentzOscillator", "gold", "refractive_index",
     ),
     "polariton": (
         "AnticrossingCurve", "CavityMode", "CoupledModeResult", "VibrationalMode",

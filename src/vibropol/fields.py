@@ -34,7 +34,7 @@ import numpy as np
 
 from .errors import _MAX_POINTS, DomainError, _check_range
 from .materials import _check_wavenumbers
-from .tmm import _K_TO_RAD_NM, SpectralGrid, _check_angle, _check_polarization, _media, _rouard
+from .tmm import _K_TO_RAD_NM, _check_angle, _check_polarization, _media, _points, _rouard
 
 __all__ = ["FieldProfile", "FieldMap", "field_profile", "field_map"]
 
@@ -176,7 +176,7 @@ def default_z_grid(stack, z_step=10.0, margin_ambient=200.0, margin_substrate=20
     _check_range(z_step, "z_step", gt=0.0, unit="nm")
     _check_range(margin_ambient, "margin_ambient", ge=0.0, unit="nm")
     _check_range(margin_substrate, "margin_substrate", ge=0.0, unit="nm")
-    total = stack.total_thickness()
+    total = _boundaries(stack)[-1]
     _check_range((margin_ambient + total + margin_substrate) / z_step,
                  "z span / z_step", lt=_MAX_POINTS)
     return np.arange(-margin_ambient, total + margin_substrate + 0.5 * z_step, z_step)
@@ -188,9 +188,8 @@ def field_map(stack, grid, z=None, angle=0.0, polarization="s"):
     The whole grid goes through one stack recursion per polarization, so
     each row equals `field_profile` at that wavenumber.  A map of more
     than 10^6 cells raises DomainError before it is allocated."""
-    k = grid.points if isinstance(grid, SpectralGrid) else np.asarray(grid, dtype=float)
+    k = _points(grid)
     z = default_z_grid(stack) if z is None else np.asarray(z, dtype=float)
-    k = np.atleast_1d(k)
     intensity, _ = _fields(stack, k, z.ravel(), angle, polarization, flux=False)
     return FieldMap(
         k=k, z=z, intensity=intensity, angle=angle,

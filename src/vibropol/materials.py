@@ -1,7 +1,7 @@
 """Dielectric models for the layers of a planar stack.
 
 All models return the complex relative permittivity eps(k) on a wavenumber
-grid in cm^-1.  The time convention is exp(-i omega t), so passive media
+grid in cm^-1 (1e-3 to 1e7).  The time convention is exp(-i omega t), so passive media
 have Im(eps) >= 0 and the physical refractive-index branch has Im(n) >= 0.
 Each model also has _epsilon_and_derivatives(k, fields), which a fit
 pass calls on a wavenumber array it has already checked: it returns eps(k)
@@ -29,17 +29,23 @@ __all__ = [
     "DrudeLorentzMetal",
     "BoundTransition",
     "gold",
-    "evaluate_epsilon",
     "refractive_index",
 ]
+
+
+# the wavenumbers the models and the stack kernel take (cm^-1), below THz to
+# beyond the far UV; far outside, eps (k ~1e160) and |t|^2 (k ~1e-300) overflow
+_K_MIN, _K_MAX = 1e-3, 1e7
 
 
 def _check_wavenumbers(k):
     k = np.asarray(k, dtype=float)
     if k.size == 0:
         raise DomainError("empty wavenumber grid")
-    if not np.all(np.isfinite(k)) or np.any(k <= 0.0):
-        raise DomainError("wavenumbers must be finite and positive (cm^-1)")
+    inside = (k >= _K_MIN) & (k <= _K_MAX)
+    if not np.all(inside):
+        raise DomainError(f"wavenumbers must be between {_K_MIN:g} and {_K_MAX:g} cm^-1, "
+                          f"got {k[~inside].flat[0]}")
     return k
 
 
@@ -213,11 +219,6 @@ def gold(damping_multiplier: float = 2.5) -> DrudeLorentzMetal:
     """Tabulated gold with the thin-film damping multiplier applied to the
     free-electron linewidth only."""
     return DrudeLorentzMetal(damping_multiplier=damping_multiplier)
-
-
-def evaluate_epsilon(model, k):
-    """eps(k) for any dielectric model on a cm^-1 grid."""
-    return model.epsilon(k)
 
 
 def refractive_index(model_or_eps, k=None):

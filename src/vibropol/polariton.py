@@ -264,10 +264,6 @@ class CoupledModeResult:
     # per branch: fraction of photon and vibration character, summing to 1
     weights: dict
 
-    @property
-    def branches(self):
-        return self.omega_lower, self.omega_upper
-
 
 @_in_float_range
 def coupled_frequencies(omega_c, omega_v, splitting, model="rwa"):

@@ -90,9 +90,8 @@ def _half_crossing(k, y, i_peak, half, direction):
     if below.size == 0:
         return None
     j = below[-1] if direction < 0 else i_peak + 1 + below[0]
+    # y[i] > half >= y[j], so the two samples differ
     i = j - direction
-    if y[i] == y[j]:
-        return k[j]
     frac = (y[i] - half) / (y[i] - y[j])
     return k[i] + frac * (k[j] - k[i])
 
@@ -452,7 +451,8 @@ def fit_coupled_model(table, order=1, n_ambient=1.0, x0=None, max_nfev=2000):
 def load_measured(path):
     """(k, values) of a two-column spectrum file, read by `vibropol.io`; a
     native k_cm1,T,R,A spectrum is a DomainError naming the file."""
-    # imported here so that `import vibropol` does not load io and json
+    # imported here so that `import vibropol.spectra` does not load io,
+    # json and tmm
     from .io import read_spectrum_csv
 
     data = read_spectrum_csv(path)

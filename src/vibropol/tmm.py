@@ -45,7 +45,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .errors import _MAX_POINTS, DomainError, _check_choice, _check_range
-from .materials import ConstantMedium, _check_wavenumbers, _decaying_sqrt, evaluate_epsilon
+from .materials import ConstantMedium, _check_wavenumbers, _decaying_sqrt
 
 __all__ = [
     "Layer",
@@ -63,6 +63,8 @@ CHANNELS = ("T", "R", "A")
 
 # cm^-1 -> rad/nm
 _K_TO_RAD_NM = 2.0e-7 * math.pi
+# nodes of the beam-divergence quadrature, across +-3 sigma
+_DIVERGENCE_NODES = 11
 
 
 @dataclass(frozen=True)
@@ -108,9 +110,6 @@ class LayerStack:
             missing.append(self.substrate)
         if missing:
             raise DomainError(f"unknown material name(s): {sorted(set(missing))}")
-
-    def total_thickness(self):
-        return sum(ly.thickness for ly in self.layers)
 
 
 @dataclass(frozen=True)
@@ -181,7 +180,7 @@ def _media(stack, k):
         if name not in eps:
             model = stack.materials[name]
             const = isinstance(model, ConstantMedium)
-            eps[name] = model.eps if const else evaluate_epsilon(model, k)
+            eps[name] = model.eps if const else model.epsilon(k)
     return (
         [complex(stack.n_ambient**2)]
         + [eps[ly.material] for ly in stack.layers]
@@ -375,9 +374,18 @@ def stack_response(stack, k, angle=0.0, polarization="s"):
     return T, R, 1.0 - T - R
 
 
+def _points(grid):
+    """The 1-D wavenumbers of a SpectralGrid, or of a scalar or array of
+    wavenumbers (cm^-1)."""
+    if isinstance(grid, SpectralGrid):
+        return grid.points
+    return np.atleast_1d(np.asarray(grid, dtype=float))
+
+
 def spectrum_scan(stack, grid, angle=0.0, polarization="s"):
-    """Spectrum over a SpectralGrid at a fixed angle."""
-    k = grid.points if isinstance(grid, SpectralGrid) else np.asarray(grid, dtype=float)
+    """Spectrum over a SpectralGrid, or over given wavenumbers, at a
+    fixed angle."""
+    k = _points(grid)
     T, R, A = stack_response(stack, k, angle, polarization)
     return Spectrum(k=k, T=T, R=R, A=A, angle=angle, polarization=polarization)
 
@@ -386,38 +394,29 @@ def _check_sigma(sigma):
     _check_range(sigma, "divergence", ge=0.0, le=30.0, unit="degrees")
 
 
-def _check_divergence(sigma, n_nodes):
-    _check_sigma(sigma)
-    _check_range(n_nodes, "n_nodes", ge=1, integer=True)
-    if n_nodes % 2 == 0:
-        raise DomainError(f"n_nodes must be odd, got {n_nodes}")
-
-
-def divergence_nodes(angle, sigma, n_nodes=11):
-    """Angular quadrature for a Gaussian beam-divergence average: n_nodes
+def divergence_nodes(angle, sigma):
+    """Angular quadrature for a Gaussian beam-divergence average: 11
     uniformly spaced points across angle +- 3 sigma, Gaussian-weighted,
     truncated to |angle| < 90 and renormalized.  sigma = 0 gives the one
     node angle with weight 1; angle must satisfy |angle| < 90 and sigma
     lie in 0 to 30 degrees."""
     _check_angle(angle)
-    _check_divergence(sigma, n_nodes)
+    _check_sigma(sigma)
     if sigma == 0.0:
         return np.array([angle]), np.array([1.0])
     # (i - h) / h is exactly antisymmetric about the middle node, so
     # mirrored nodes of a 0 deg angle share one s^2 and one kernel pass;
-    # a single node sits at the angle itself
-    h = n_nodes // 2
-    offsets = 3.0 * sigma * ((np.arange(n_nodes) - h) / max(h, 1))
+    # the middle node is the angle itself, so the truncation keeps it
+    h = _DIVERGENCE_NODES // 2
+    offsets = 3.0 * sigma * ((np.arange(_DIVERGENCE_NODES) - h) / h)
     thetas = angle + offsets
     weights = np.exp(-0.5 * (offsets / sigma) ** 2)
     keep = np.abs(thetas) < 90.0
-    if not np.any(keep):
-        raise DomainError("divergence cone lies entirely beyond grazing")
     thetas, weights = thetas[keep], weights[keep]
     return thetas, weights / weights.sum()
 
 
-def angle_scan(stack, grid, angles, polarization="s", divergence=0.0, n_nodes=11):
+def angle_scan(stack, grid, angles, polarization="s", divergence=0.0):
     """Spectra over a list of angles, optionally averaged over a Gaussian
     angular spread of half-width `divergence` degrees (one sigma) on the
     nodes of `divergence_nodes`.
@@ -429,14 +428,13 @@ def angle_scan(stack, grid, angles, polarization="s", divergence=0.0, n_nodes=11
     mirrored nodes of a symmetric spread, cost one pass.  Results are
     ordered like `angles`.
     """
-    k = grid.points if isinstance(grid, SpectralGrid) else np.asarray(grid, dtype=float)
-    k = np.atleast_1d(k)
+    k = _points(grid)
     angles = [float(a) for a in angles]
     _check_polarization(polarization)
-    _check_divergence(divergence, n_nodes)
+    _check_sigma(divergence)
     nodes = []
     for angle in angles:
-        thetas, weights = divergence_nodes(angle, divergence, n_nodes)
+        thetas, weights = divergence_nodes(angle, divergence)
         nodes.append(([_sin2(stack, theta) for theta in thetas], weights))
     uses = Counter(s2 for keys, _ in nodes for s2 in keys)
     eps = _media(stack, k)

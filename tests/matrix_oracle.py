@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 
-from vibropol import ConstantMedium, DomainError, LayerStack, evaluate_epsilon
+from vibropol import ConstantMedium, DomainError, LayerStack
 
 K_TO_RAD_NM = 2.0e-7 * math.pi
 
@@ -44,7 +44,7 @@ def layer_matrix(model, thickness, k, kx=0.0, polarization="s", n_ambient=1.0):
     if not (math.isfinite(thickness) and thickness >= 0.0):
         raise DomainError("thickness must be finite and >= 0")
     k = np.atleast_1d(np.asarray(k, dtype=float))
-    eps = evaluate_epsilon(model, k)
+    eps = model.epsilon(k)
     k0_rad = K_TO_RAD_NM * k
     kx_arr = np.asarray(kx, dtype=float)
     if not np.all(np.isfinite(kx_arr)):
@@ -74,7 +74,7 @@ def matrix_response(stack, k, angle, polarization):
                              polarization, stack.n_ambient)
     k0_rad, kx_rad = K_TO_RAD_NM * k, K_TO_RAD_NM * kx
     eps_amb = np.full(k.shape, stack.n_ambient**2, dtype=complex)
-    eps_sub = evaluate_epsilon(stack.materials[stack.substrate], k)
+    eps_sub = stack.materials[stack.substrate].epsilon(k)
     q_amb = _admittance(eps_amb, _kz(eps_amb, k0_rad, kx_rad), k0_rad, polarization)
     q_sub = _admittance(eps_sub, _kz(eps_sub, k0_rad, kx_rad), k0_rad, polarization)
     b = m[:, 0, 0] + m[:, 0, 1] * q_sub

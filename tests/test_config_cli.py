@@ -109,6 +109,8 @@ READER_DEFECTS = [
     (("field_map", "margin_substrate_nm"), float("inf"), "field_map.margin_substrate_nm"),
     (("estimate", "bond_density", "bonds_per_monomer"), "x",
      "estimate.bond_density.bonds_per_monomer"),
+    # a YAML integer beyond the float range
+    (("grid", "max"), 10**399, "grid.max"),
     # a bool where an int goes
     (("fit", "n_starts"), True, "fit.n_starts"),
 ]
@@ -219,6 +221,12 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             parse_config(raw)
 
+    def test_fit_problem_needs_a_fit_section(self):
+        cfg = parse_config(yaml.safe_load(BASE_CONFIG))
+        k = np.linspace(1600.0, 1900.0, 4)
+        with pytest.raises(ConfigError, match="'fit' section"):
+            cfg.fit_problem(k, np.full_like(k, 0.1))
+
     def test_material_errors_carry_key_context(self):
         raw = yaml.safe_load(BASE_CONFIG)
         raw["materials"]["pvac"]["oscillators"][0]["gamma"] = -2.0
@@ -309,6 +317,14 @@ class TestSimulateCommand:
         assert "Traceback" not in result.output
         assert not (tmp_path / "summary.json").exists()
 
+    def test_stack_without_layers_exits_2_naming_the_key(self, runner, tmp_path):
+        raw = yaml.safe_load(BASE_CONFIG)
+        del raw["stack"]["layers"]
+        cfg = write_config(tmp_path, yaml.safe_dump(raw))
+        result = runner.invoke(main, ["simulate", "--config", cfg, "--out-dir", str(tmp_path)])
+        assert result.exit_code == 2, result.output
+        assert "stack: missing required key 'layers'" in result.output
+
     def test_reruns_are_byte_identical(self, runner, tmp_path):
         cfg = write_config(tmp_path, BASE_CONFIG)
         out = tmp_path / "out"
@@ -339,7 +355,8 @@ class TestSimulateCommand:
 
     @pytest.mark.parametrize(
         "case",
-        [case for case in READER_DEFECTS if case[2] in ("scan", "materials.gold.omega_p")],
+        [case for case in READER_DEFECTS
+         if case[2] in ("scan", "materials.gold.omega_p", "grid.max")],
         ids=lambda case: case[2],
     )
     def test_reader_defect_exits_2(self, runner, tmp_path, case):
@@ -825,6 +842,17 @@ class TestFitCommand:
         assert result.exit_code == 3, result.output
         assert "target.csv: not UTF-8 text" in result.output
         assert "Traceback" not in result.output
+
+    def test_config_without_fit_section_exits_2(self, runner, tmp_path):
+        target = make_target_csv(tmp_path)
+        cfg = write_config(tmp_path, BASE_CONFIG)
+        result = runner.invoke(
+            main,
+            ["fit", "--config", cfg, "--out-dir", str(tmp_path), "--target", target],
+        )
+        assert result.exit_code == 2, result.output
+        assert "config has no 'fit' section" in result.output
+        assert not (tmp_path / "fit.json").exists()
 
     def test_bad_free_path_exits_2(self, runner, tmp_path):
         target = make_target_csv(tmp_path)

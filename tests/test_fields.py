@@ -138,7 +138,7 @@ def test_symmetric_lossless_cavity_profile(lossless_cavity):
     T, _, _ = stack_response(lossless_cavity, k, 0.0, "s")
     k_res = k[np.argmax(T)]
     assert T.max() > 1.0 - 1e-6
-    total = lossless_cavity.total_thickness()
+    total = sum(layer.thickness for layer in lossless_cavity.layers)
     z = np.linspace(-200.0, total + 200.0, 1201)
     prof = field_profile(lossless_cavity, k_res, z=z)
     mirrored = np.interp(total - z, z, prof.intensity)
@@ -153,11 +153,16 @@ def test_unpolarized_profile_is_mean(coupled_stack):
     np.testing.assert_allclose(u.intensity, 0.5 * (s.intensity + p.intensity), rtol=1e-12)
 
 
+def test_field_profile_takes_a_scalar_wavenumber(coupled_stack):
+    with pytest.raises(DomainError, match="scalar wavenumber"):
+        field_profile(coupled_stack, np.array([1700.0]), z=np.linspace(0.0, 100.0, 5))
+
+
 def test_default_z_grid_span(coupled_stack):
     z = default_z_grid(coupled_stack)
     assert z[0] == -200.0
     assert z[1] - z[0] == 10.0
-    total = coupled_stack.total_thickness()
+    total = sum(layer.thickness for layer in coupled_stack.layers)
     assert z[-1] >= total + 200.0 - 10.0
     assert z[-1] <= total + 200.0 + 1e-9
 

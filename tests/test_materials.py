@@ -14,7 +14,6 @@ from vibropol import (
     LorentzOscillator,
     cm1_to_ev,
     ev_to_cm1,
-    evaluate_epsilon,
     gold,
     refractive_index,
 )
@@ -181,10 +180,9 @@ def test_constant_medium_requires_passive():
         ConstantMedium(eps=complex(2.0, -0.1))
 
 
-def test_evaluate_epsilon_dispatch():
-    k = np.array([900.0, 1740.0])
-    for model in (CO, gold(), ConstantMedium(eps=16.0)):
-        np.testing.assert_array_equal(evaluate_epsilon(model, k), model.epsilon(k))
+def test_refractive_index_of_a_model_needs_wavenumbers():
+    with pytest.raises(DomainError, match="needs wavenumbers"):
+        refractive_index(gold())
 
 
 def test_unit_conversion_identity():

@@ -11,6 +11,7 @@ from hypothesis.extra.numpy import arrays
 from vibropol import (
     DomainError,
     FitError,
+    LorentzianBandFit,
     PeakCountError,
     SpectralGrid,
     Spectrum,
@@ -86,6 +87,13 @@ class TestFindPeaks:
         assert len(peaks) == 1
         assert peaks[0].height < 0.0 and peaks[0].fwhm is None
         assert peaks[0].center == pytest.approx(1739.0, abs=0.5)
+
+    def test_three_sample_plateau_keeps_its_lattice_point(self):
+        # the parabola through a flat top has no vertex: the peak is the
+        # plateau's middle sample
+        k = np.arange(1700.0, 1705.0)
+        peaks = find_peaks(k, np.array([0.0, 1.0, 1.0, 1.0, 0.0]))
+        assert [(p.center, p.height) for p in peaks] == [(1702.0, 1.0)]
 
     def test_boundary_maxima_are_not_peaks(self):
         k = np.arange(1500.0, 1600.0, 1.0)
@@ -298,6 +306,22 @@ class TestLorentzianBandFit:
         k = np.arange(1600.0, 1900.0, 1.0)
         with pytest.raises(FitError):
             fit_lorentzian_band(k, np.full_like(k, 0.4))
+
+    def test_p0_of_three_values_raises(self):
+        k = np.arange(1600.0, 1900.0, 1.0)
+        y = lorentz_band(k, 5.0e4, 1739.0, 13.0)
+        with pytest.raises(DomainError, match="p0 must be"):
+            fit_lorentzian_band(k, y, p0=[5.0e4, 1739.0, 13.0])
+
+    def test_unconverged_fit_carries_its_best_parameters(self):
+        k = np.arange(1600.0, 1900.0, 1.0)
+        y = lorentz_band(k, 5.0e4, 1739.0, 13.0, baseline=0.02)
+        with pytest.raises(FitError, match="max_nfev") as info:
+            fit_lorentzian_band(k, y, max_nfev=1)
+        best = info.value.best
+        assert isinstance(best, LorentzianBandFit)
+        assert best.n_evaluations == 1
+        assert np.all(np.isfinite(best.params()))
 
 
 def assert_jacobian_matches_central_differences(model, p, jac):
