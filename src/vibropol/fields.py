@@ -1,10 +1,10 @@
 """Intra-cavity field reconstruction.
 
 The tangential pair (U, V) of `tmm` is rebuilt inside every medium from
-the forward and backward wave amplitudes that the stack recursion
-(`tmm._rouard`) returns: U is E_y for s polarization and H_y for p, with
-the incident wave normalized to unit electric-field amplitude.  A layer
-spanning [z0, z1] holds
+its forward and backward wave amplitudes, marched here from the ambient
+with the per-layer factors of the stack recursion (`tmm._rouard`): U is
+E_y for s polarization and H_y for p, with the incident wave normalized
+to unit electric-field amplitude.  A layer spanning [z0, z1] holds
 
     U(z) = u+ e^{i kz (z - z0)} + u- e^{i kz (z1 - z)},
     V(z) = q (u+ e^{i kz (z - z0)} - u- e^{i kz (z1 - z)}),
@@ -108,7 +108,15 @@ def _fields(stack, k, z, angle, polarization, flux=True):
         return np.broadcast_to(x, k.shape)
 
     for pol in pols:
-        _, _, qz, q, fwd, bwd, _ = _rouard(eps, thickness, k0_rad, sin_amb**2, pol)
+        r, t, qz, q, _, steps = _rouard(eps, thickness, k0_rad, sin_amb**2, pol, march=True)
+        # march the amplitudes from the ambient: fwd[j] at each medium's
+        # entry face, bwd[j] at its exit face (none in the substrate)
+        a, fwd, bwd = 1.0, [1.0], [r]
+        for g, f, phase in steps:
+            fwd.append(f * a)
+            a = fwd[-1] * phase
+            bwd.append(g * a)
+        fwd, bwd = fwd + [t], bwd + [0.0]
         amp = 1.0 if pol == "s" else stack.n_ambient
         need_v = flux or pol == "p"
         for j, cols in enumerate(columns):
@@ -117,7 +125,7 @@ def _fields(stack, k, z, angle, polarization, flux=True):
             zj = z[cols]
             z_entry, z_exit = faces[j]
             kz, qj, epsj = per_k(k0_rad * qz[j]), per_k(q[j]), per_k(eps[j])
-            fwd_j, bwd_j = amp * fwd[j], amp * bwd[j]
+            fwd_j, bwd_j = per_k(amp * fwd[j]), per_k(amp * bwd[j])
             step = max(1, _BLOCK_CELLS // cols.size)
             for r0 in range(0, k.size, step):
                 rows = slice(r0, r0 + step)

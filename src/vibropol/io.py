@@ -60,9 +60,14 @@ def write_csv(path, header, rows, **meta):
 
 
 def write_spectrum_csv(path, spectrum):
-    write_csv(path, NATIVE_HEADER,
-              zip(spectrum.k, spectrum.T, spectrum.R, spectrum.A),
-              angle_deg=spectrum.angle, polarization=spectrum.polarization)
+    """The native ``k_cm1,T,R,A`` file, the bytes of `write_csv` written by
+    columns: one ``tolist()`` per column and one repr per cell."""
+    columns = [np.asarray(c, dtype=float).tolist()
+               for c in (spectrum.k, spectrum.T, spectrum.R, spectrum.A)]
+    with _open_text(path) as fh:
+        fh.write(_head(NATIVE_HEADER, {"angle_deg": spectrum.angle,
+                                       "polarization": spectrum.polarization}))
+        fh.writelines(f"{k!r},{T!r},{R!r},{A!r}\n" for k, T, R, A in zip(*columns))
 
 
 def read_spectrum_csv(path):

@@ -21,10 +21,10 @@ substrate, the reflection coefficient seen from each medium is carried
 back through one layer by the decaying factor exp(2i k0 d qz) and across
 one interface by r = (q - q_next)/(q + q_next).  Only phase factors of
 modulus <= 1 are ever multiplied, so thick lossy or evanescent layers
-underflow to zero transmission instead of overflowing.  The same pass
-returns the forward and backward wave amplitudes of every medium, which
-the field reconstruction in `fields` uses (bookkeeping as in Byrnes,
-arXiv:1603.02720).
+underflow to zero transmission instead of overflowing.  The same sweep
+builds t as a product of per-layer factors; on request it keeps them, and
+`fields` marches the wave amplitudes of every medium from them
+(bookkeeping as in Byrnes, arXiv:1603.02720).
 
 The pass can also carry tangents, forward-mode derivatives in the spirit
 of Luce et al., JOSA A 39, 1007 (2022): one complex direction per
@@ -45,7 +45,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .errors import _MAX_POINTS, DomainError, _check_choice, _check_range
-from .materials import ConstantMedium, _check_wavenumbers, _decaying_sqrt
+from .materials import _K_MAX, _K_MIN, ConstantMedium, _check_wavenumbers, _decaying_sqrt
 
 __all__ = [
     "Layer",
@@ -115,15 +115,16 @@ class LayerStack:
 @dataclass(frozen=True)
 class SpectralGrid:
     """Uniform wavenumber grid, inclusive of k_min; k_max is included when
-    it falls on the lattice.  k_min == k_max yields a single-point grid."""
+    it falls on the lattice.  k_min == k_max yields a single-point grid.
+    Both ends lie in the range of `_check_wavenumbers`."""
 
     k_min: float
     k_max: float
     step: float = 1.0
 
     def __post_init__(self):
-        _check_range(self.k_min, "grid min", gt=0.0, unit="cm^-1")
-        _check_range(self.k_max, "grid max", ge=self.k_min, unit="cm^-1")
+        _check_range(self.k_min, "grid min", ge=_K_MIN, le=_K_MAX, unit="cm^-1")
+        _check_range(self.k_max, "grid max", ge=self.k_min, le=_K_MAX, unit="cm^-1")
         _check_range(self.step, "grid step", gt=0.0, unit="cm^-1")
         _check_range((self.k_max - self.k_min) / self.step, "grid (max - min) / step",
                      lt=_MAX_POINTS)
@@ -188,19 +189,20 @@ def _media(stack, k):
     )
 
 
-def _rouard(eps, thickness, k0, sin2, polarization, tangents=None):
+def _rouard(eps, thickness, k0, sin2, polarization, tangents=None, march=False):
     """Rouard's recursion over the media eps = (ambient, layers...,
     substrate), broadcast over k0 (rad/nm); sin2 = (n_ambient sin(angle))^2.
     Media that share one eps object (one material, see `_media`) share
     their qz and q, and layers of one material and thickness their phase
     factor, so callers must not modify the returned arrays in place.
 
-    Returns (r, t, qz, q, fwd, bwd, d) for a unit U amplitude incident from
+    Returns (r, t, qz, q, d, steps) for a unit U amplitude incident from
     the ambient.  r and t are the U-amplitude reflection (at z = 0) and
-    transmission (into the substrate's front face); qz and q list each
-    medium's values.  fwd[j] is the forward amplitude of medium j at its
-    entry face and bwd[j] the backward amplitude at its exit face, both
-    taken at z = 0 for the ambient; the substrate has no backward wave.
+    transmission (into the substrate's front face) on k; qz and q list
+    each medium's values.  steps is None unless `march`: then steps[j - 1]
+    = (g, f, phase) of layer j, with g the reflection coefficient at its
+    exit face and f its entry forward amplitude per unit forward amplitude
+    leaving medium j - 1.
 
     tangents = (deps, dd) sets m directions.  deps[j] is None or a pair
     (row, label): row, shape (m, 1), is the complex change of medium j's
@@ -217,13 +219,6 @@ def _rouard(eps, thickness, k0, sin2, polarization, tangents=None):
         z, qj = shared[id(e)]
         qz.append(z)
         q.append(qj)
-    # r[i], t[i]: interface between media i and i + 1; t = 1 + r, but
-    # 2 qa / (qa + qb) keeps its digits when qb >> qa (p-polarized ENZ)
-    r, t = [], []
-    for qa, qb in zip(q[:-1], q[1:]):
-        qs = qa + qb
-        r.append((qa - qb) / qs)
-        t.append(2.0 * qa / qs)
     n = len(thickness)
     phase = [None]
     for j in range(1, n + 1):
@@ -241,59 +236,55 @@ def _rouard(eps, thickness, k0, sin2, polarization, tangents=None):
                 dq.append(0.0)
                 continue
             row, label = de
-            if np.any(z == 0.0):
+            if not z.all():
                 raise DomainError(
                     f"the derivative along {label} is singular: a medium it sets has "
                     "eps = (n_ambient sin(angle))^2, so qz = 0"
                 )
-            dz = row / (2.0 * z)
+            dz = row * (0.5 / z)
             dqz.append(dz)
             dq.append(dz if polarization == "s" else (dz - qj * row) / e)
-        # t = 1 + r, so both share the quotient-rule tangent dr
-        dr = [2.0 * (qb * dqa - qa * dqb) / (qa + qb) ** 2
-              for qa, qb, dqa, dqb in zip(q[:-1], q[1:], dq[:-1], dq[1:])]
         # d(phase) = phase * dlog
         dlog = [None] + [1j * k0 * (qz[j] * dd[j - 1] + thickness[j - 1] * dqz[j])
                          for j in range(1, n + 1)]
 
-    # substrate -> ambient: gamma[j] is the reflection coefficient seen
-    # from medium j at its exit face, denom[j] the multiple-reflection
-    # sum at the entry face of layer j
-    gamma = [None] * (n + 1)
-    denom = [None] * (n + 1)
-    # r[n] is 0-d between two constant media; the results live on k
-    g = np.broadcast_to(r[n], np.shape(k0))
-    if tangents is not None:
-        dg, ddenom = dr[n], [None] * (n + 1)
+    def interface(i):
+        # r, t and their shared tangent dr between media i and i + 1: t = 1 + r,
+        # but 2 qa / (qa + qb) keeps its digits when qb >> qa (p-polarized ENZ)
+        qa, qb = q[i], q[i + 1]
+        inv = 1.0 / (qa + qb)
+        dr = None if tangents is None else (qb * dq[i] - qa * dq[i + 1]) * (2.0 * inv * inv)
+        return (qa - qb) * inv, 2.0 * qa * inv, dr
+
+    # substrate -> ambient: for a unit forward amplitude at the current
+    # medium's exit face, g is the reflected amplitude and t the forward
+    # amplitude in the substrate; t is a product of per-layer factors x,
+    # never divided by, since an interface t can be 0
+    g, t, dg = interface(n)
+    dt = dg
+    steps = [None] * n if march else None
     for j in range(n, 0, -1):
-        gamma[j] = g
+        r, t_in, dr = interface(j - 1)
         p2 = phase[j] ** 2
         g_entry = g * p2
-        denom[j] = 1.0 + r[j - 1] * g_entry
-        g_next = (r[j - 1] + g_entry) / denom[j]
+        inv = 1.0 / (1.0 + r * g_entry)
+        f = t_in * inv
+        x = f * phase[j]
+        if march:
+            steps[j - 1] = g, f, phase[j]
+        g_next = (r + g_entry) * inv
         if tangents is not None:
             dg_entry = (dg + 2.0 * g * dlog[j]) * p2
-            ddenom[j] = dr[j - 1] * g_entry + r[j - 1] * dg_entry
-            dg = (dr[j - 1] + dg_entry - g_next * ddenom[j]) / denom[j]
-        g = g_next
-
-    # ambient -> substrate: carry the forward amplitude a across each
-    # interface and through each layer
-    a = np.ones_like(g)
-    da = 0.0
-    fwd, bwd = [a], [g]
-    for j in range(1, n + 1):
-        f = t[j - 1] * a / denom[j]
-        if tangents is not None:
-            df = (dr[j - 1] * a + t[j - 1] * da - f * ddenom[j]) / denom[j]
-            da = (df + f * dlog[j]) * phase[j]
-        a = f * phase[j]
-        fwd.append(f)
-        bwd.append(gamma[j] * a)
-    fwd.append(t[n] * a)
-    bwd.append(np.zeros_like(a))
-    d = None if tangents is None else (dg, dr[n] * a + t[n] * da, dq[-1])
-    return g, fwd[-1], qz, q, fwd, bwd, d
+            ddenom = dr * g_entry + r * dg_entry
+            dg = (dr + dg_entry - g_next * ddenom) * inv
+            dx = ((dr + t_in * dlog[j]) * phase[j] - x * ddenom) * inv
+            dt = dt * x + t * dx
+        g, t = g_next, t * x
+    if n == 0:
+        # 0-d between two constant media; the results live on k
+        g, t = np.broadcast_to(g, np.shape(k0)), np.broadcast_to(t, np.shape(k0))
+    d = None if tangents is None else (dg, dt, dq[-1])
+    return g, t, qz, q, d, steps
 
 
 def _tangents(stack, directions):
@@ -329,7 +320,7 @@ def _response(stack, eps, k0, sin2, polarization, tangents=None):
         p = _response(stack, eps, k0, sin2, "p", tangents)
         return tuple(0.5 * (a + b) for a, b in zip(s, p))
     thickness = [ly.thickness for ly in stack.layers]
-    r, t, _, q, _, _, d = _rouard(eps, thickness, k0, sin2, polarization, tangents)
+    r, t, _, q, d, _ = _rouard(eps, thickness, k0, sin2, polarization, tangents)
     q_amb, q_sub = q[0], q[-1]
 
     incoherent = stack.substrate_mode == "incoherent_to_air"

@@ -317,6 +317,28 @@ class TestSimulateCommand:
         assert "Traceback" not in result.output
         assert not (tmp_path / "summary.json").exists()
 
+    # the wavenumber range of the dielectric models and the kernel is
+    # checked as the grid is read, so it names the grid, not the physics
+    @pytest.mark.parametrize(
+        "bounds, override, message",
+        [((1e-5, 1.0), None, "grid: grid min must be between 0.001 and 1e+07 cm^-1, got 1e-05"),
+         ((1500.0, 2e7), None,
+          "grid: grid max must be between 1500 and 1e+07 cm^-1, got 20000000.0"),
+         ((1500.0, 2000.0), "1e-5:1:0.5",
+          "--grid: grid min must be between 0.001 and 1e+07 cm^-1, got 1e-05")],
+        ids=["grid.min", "grid.max", "--grid"],
+    )
+    def test_grid_outside_the_wavenumber_range_exits_2(self, runner, tmp_path, bounds,
+                                                        override, message):
+        raw = yaml.safe_load(BASE_CONFIG)
+        raw["grid"]["min"], raw["grid"]["max"] = bounds
+        cfg = write_config(tmp_path, yaml.safe_dump(raw))
+        args = ["simulate", "--config", cfg, "--out-dir", str(tmp_path)]
+        result = runner.invoke(main, args + (["--grid", override] if override else []))
+        assert result.exit_code == 2, result.output
+        assert f"config error: {message}" in result.output
+        assert not (tmp_path / "summary.json").exists()
+
     def test_stack_without_layers_exits_2_naming_the_key(self, runner, tmp_path):
         raw = yaml.safe_load(BASE_CONFIG)
         del raw["stack"]["layers"]

@@ -25,7 +25,7 @@ from vibropol import (
 )
 from vibropol import fields
 
-from conftest import THICK_GOLD_NM, hard_stacks, local_maxima
+from conftest import THICK_GOLD_NM, constant_stack, hard_stacks, local_maxima
 
 # first two cavity resonances of the uncoupled stack, frozen from the
 # transmission maxima on a 0.25 cm^-1 grid
@@ -195,6 +195,27 @@ def test_field_map_rows_match_profiles(coupled_stack):
         for i, k in enumerate(fmap.k):
             prof = field_profile(coupled_stack, float(k), z=z, angle=35.0, polarization=pol)
             np.testing.assert_array_equal(fmap.intensity[i], prof.intensity)
+
+
+@pytest.mark.parametrize("layered", [False, True], ids=["no-layers", "constant-layers"])
+@pytest.mark.parametrize("pol", ["s", "p", "unpolarized"])
+def test_constant_stack_rows_match_profiles(layered, pol):
+    # the amplitudes of constant media start 0-d in the march
+    stack = constant_stack(layered)
+    z = np.linspace(-300.0, 1200.0, 40)
+    fmap = field_map(stack, SpectralGrid(1500.0, 2500.0, 250.0), z=z, angle=40.0,
+                     polarization=pol)
+    assert fmap.intensity.shape == (5, z.size)
+    for i, k in enumerate(fmap.k):
+        prof = field_profile(stack, float(k), z=z, angle=40.0, polarization=pol)
+        np.testing.assert_array_equal(fmap.intensity[i], prof.intensity)
+
+
+def test_bare_interface_transmits_fresnel_amplitude():
+    # air / Ge at normal incidence: |E|^2 = |2 / (1 + 4)|^2 in the substrate
+    fmap = field_map(constant_stack(False), SpectralGrid(1500.0, 2500.0, 500.0),
+                     z=np.array([0.0, 50.0, 900.0]))
+    np.testing.assert_allclose(fmap.intensity, 0.16, rtol=1e-14)
 
 
 @pytest.mark.parametrize("pol", ["s", "p", "unpolarized"])

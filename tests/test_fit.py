@@ -32,7 +32,7 @@ from vibropol import (
 from vibropol import fit, tmm
 from vibropol.fit import _locate
 
-from conftest import make_stack, CO_BAND, hard_stacks
+from conftest import make_stack, CO_BAND, constant_stack, hard_stacks
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -434,6 +434,28 @@ class TestJacobian:
         exact = exact_jacobian(problem, values) * scale
         central = central_jacobian(problem, values, 1e-6)
         for i, path in enumerate(EVERY_FORM):
+            err = np.max(np.abs(exact[:, i] - central[:, i]))
+            assert err <= RTOL * np.max(np.abs(central[:, i])) + ATOL, path
+
+    @pytest.mark.parametrize("layered", [False, True], ids=["no-layers", "constant-layers"])
+    @pytest.mark.parametrize("substrate_mode", ["coherent", "incoherent_to_air"])
+    @pytest.mark.parametrize("polarization", ["s", "p"])
+    @pytest.mark.parametrize("channel", ["T", "R", "A"])
+    def test_constant_stacks_match_central_differences(self, layered, substrate_mode,
+                                                       polarization, channel):
+        # a free substrate eps, and a free thickness where there is a
+        # layer, on the stacks whose r and t start 0-d in the sweep
+        stack = constant_stack(layered, substrate_mode)
+        paths = ["materials.germanium.eps"] + (["layers[0].thickness"] if layered else [])
+        values = np.array([_locate(stack, path)[0] for path in paths])
+        free = tuple(FreeParameter(p, 0.8 * v, 1.2 * v) for p, v in zip(paths, values))
+        k = np.linspace(1500.0, 2000.0, 40)
+        problem = FitProblem(stack=stack, free=free, k=k, target=np.full_like(k, 0.3),
+                             channel=channel, angle=30.0, polarization=polarization)
+        exact = exact_jacobian(problem, values) * np.maximum(np.abs(values), 1.0)
+        central = central_jacobian(problem, values, 1e-6)
+        assert exact.shape == (k.size, len(paths))
+        for i, path in enumerate(paths):
             err = np.max(np.abs(exact[:, i] - central[:, i]))
             assert err <= RTOL * np.max(np.abs(central[:, i])) + ATOL, path
 

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from vibropol import DomainError, FieldMap, SpectralGrid, Spectrum, field_map, load_measured
-from vibropol.io import read_spectrum_csv, write_field_map_csv, write_spectrum_csv
+from vibropol.io import (NATIVE_HEADER, read_spectrum_csv, write_csv, write_field_map_csv,
+                         write_spectrum_csv)
 
 NATIVE = "# angle_deg = 0.0\n# polarization = s\nk_cm1,T,R,A\n"
 
@@ -100,6 +101,18 @@ def test_spectrum_round_trip_is_bit_exact(tmp_path):
     for name in ("k", "T", "R", "A"):
         assert getattr(back, name).tobytes() == getattr(spectrum, name).tobytes(), name
     assert (back.angle, back.polarization) == (spectrum.angle, spectrum.polarization)
+
+
+def test_spectrum_writer_keeps_the_per_cell_bytes(tmp_path):
+    values = np.array([-0.0, 0.1, 1e-5, 1e16, 5e-324])
+    spectrum = Spectrum(k=np.array([1500.0, 1600.0, 1700.0, 1800.0, 1900.0]), T=values,
+                        R=values[::-1], A=np.roll(values, 2), angle=30.0, polarization="p")
+    by_columns, per_cell = tmp_path / "columns.csv", tmp_path / "cells.csv"
+    write_spectrum_csv(by_columns, spectrum)
+    write_csv(per_cell, NATIVE_HEADER, zip(spectrum.k, spectrum.T, spectrum.R, spectrum.A),
+              angle_deg=spectrum.angle, polarization=spectrum.polarization)
+    assert by_columns.read_bytes() == per_cell.read_bytes()
+    assert "1500.0,-0.0,5e-324,1e+16\n" in by_columns.read_text()
 
 
 def test_inline_comment_reads_the_same_in_both_formats(tmp_path):

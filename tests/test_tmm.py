@@ -27,7 +27,7 @@ from vibropol import (
 from vibropol import tmm
 from vibropol.io import read_spectrum_csv, write_spectrum_csv
 
-from conftest import THICK_GOLD_NM, hard_stacks, random_passive_stack
+from conftest import THICK_GOLD_NM, constant_stack, hard_stacks, random_passive_stack
 from matrix_oracle import layer_matrix, matrix_response, reversed_stack
 
 AIR = ConstantMedium(eps=1.0)
@@ -138,6 +138,28 @@ class TestOracles:
         # Ge -> air power transmittance at normal incidence: 1 - (3/5)^2
         np.testing.assert_allclose(T_inc, 0.64 * T_coh, rtol=1e-12)
         np.testing.assert_allclose(R_inc, R_coh, rtol=1e-12)
+
+
+class TestConstantStacks:
+    """The sweep's edge shapes: no layers, and a stack of constant media
+    whose r and t stay 0-d inside the sweep."""
+
+    @pytest.mark.parametrize("layered", [False, True], ids=["no-layers", "constant-layers"])
+    @pytest.mark.parametrize("mode", ["coherent", "incoherent_to_air"])
+    @pytest.mark.parametrize("pol", ["s", "p", "unpolarized"])
+    @pytest.mark.parametrize("k", [1700.0, [1700.0], np.linspace(400.0, 7400.0, 7)],
+                             ids=["scalar", "one", "seven"])
+    def test_response_lives_on_k(self, layered, mode, pol, k):
+        T, R, A = stack_response(constant_stack(layered, mode), k, 20.0, pol)
+        for channel in (T, R, A):
+            assert channel.shape == np.atleast_1d(k).shape
+            assert np.all(np.isfinite(channel))
+        assert np.all((T >= 0.0) & (R >= 0.0) & (A >= -1e-14))
+        if not layered:
+            # air / Ge: the Fresnel reflectance at every k
+            R_ref = np.mean([fresnel_R(1.0, 4.0, 20.0, p) for p in ("s", "p")
+                             if pol in (p, "unpolarized")])
+            np.testing.assert_allclose(R, R_ref, rtol=1e-13)
 
 
 class TestHardRegimeOracles:
