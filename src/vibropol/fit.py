@@ -24,17 +24,19 @@ one real direction per free thickness and one complex direction per
 material that holds a free parameter, and each material path contributes
 its closed-form d eps / d p.  No finite differences are taken.
 
-Every public call resolves the paths once, for all its kernel passes:
-their places in the stack, the tangent directions, the permittivities of
-the media no parameter touches, and the grid and angle terms of the
-kernel.  Each evaluation then writes the values into a working copy,
-builds each touched layer and material and one LayerStack, so every
-constructor's check still runs, evaluates a touched material's eps and
-d eps / d p from one set of denominators, and runs the kernel once.  The
-template's loss comes from start 0's first evaluation, so every kernel
-pass of a solve is counted in n_evaluations.  Nothing is cached on a
-FitProblem, so each call checks a problem changed since construction as
-if it were new.
+Every public call resolves the paths once, for all its kernel passes,
+and groups them by the layer or material they set: that one grouping
+gives each evaluation's writes, each material's requested d eps / d p,
+the kernel's tangent directions and the Jacobian's columns.  The call
+also evaluates the permittivities of the media no parameter touches and
+the grid and angle terms of the kernel once.  Each evaluation then writes
+the values into a working copy, builds each touched layer and material
+and one LayerStack, so every constructor's check still runs, evaluates a
+touched material's eps and d eps / d p from one set of denominators, and
+runs the kernel once.  The template's loss comes from start 0's first
+evaluation, so every kernel pass of a solve is counted in n_evaluations.
+Nothing is cached on a FitProblem, so each call checks a problem changed
+since construction as if it were new.
 """
 
 from __future__ import annotations
@@ -56,7 +58,6 @@ from .tmm import (
     _media,
     _response,
     _sin2,
-    _tangents,
 )
 
 __all__ = [
@@ -252,11 +253,15 @@ class _Plan:
     problem's pieces as they were when it was made, so it lives no longer
     than the one public call that evaluates through it.
 
-    A pass writes the values into a working copy, builds each touched
-    layer and material and one LayerStack, evaluates the eps and the
-    requested d eps / dp of every material that holds a free parameter
-    from one set of denominators (the other media's eps are evaluated
-    here, once), and runs the kernel with the tangents resolved here.
+    `groups` maps each key of `_locate` (a layer index or a material
+    name) to the (column, field) of its free parameters, keys in order of
+    first appearance.  Each key is one kernel direction, a unit row
+    labelled with its paths.  A pass writes each key's values into a
+    working copy, builds each touched layer and material and one
+    LayerStack, evaluates the eps and the d eps / dp of each free
+    material's fields from one set of denominators (the other media's eps
+    are evaluated here, once), runs the kernel along the directions and
+    fills each parameter's column from its key's sensitivity.
 
     A FitProblem is mutable, so the plan works from `problem`, a copy
     built through the constructor: a field changed since construction
@@ -268,29 +273,24 @@ class _Plan:
         self.stack, self.k = stack, k
         located = [_locate(stack, p.path) for p in problem.free]
         self.template = np.array([value for value, _, _ in located])
-        # one kernel direction per free thickness and per material that
-        # holds a free parameter, labelled with the paths it serves
-        directions = {}
-        for p, (_, key, _) in zip(problem.free, located):
-            directions[key] = f"{directions[key]}, {p.path!r}" if key in directions else repr(p.path)
-        row = {key: i for i, key in enumerate(directions)}
-        self.n_directions = len(directions)
-        self.tangents = _tangents(stack, directions)
-        # fields[name]: the fields of material name whose d eps / dp a
-        # pass asks for; a column reads its derivative from derivs[name][i]
-        self.writes, self.columns, self.fields = [], [], {}
-        for _, key, field in located:
-            self.writes.append((key, field))
-            if isinstance(key, str):
-                fields = self.fields.setdefault(key, [])
-                self.columns.append((row[key], key, len(fields)))
-                fields.append(field)
-            else:
-                self.columns.append((row[key], None, None))
+        self.groups = {}
+        for column, (_, key, field) in enumerate(located):
+            self.groups.setdefault(key, []).append((column, field))
+        # one kernel direction per key: a unit row, labelled with its paths
+        rows = {}
+        for i, (key, group) in enumerate(self.groups.items()):
+            row = np.zeros((len(self.groups), 1), complex if isinstance(key, str) else float)
+            row[i] = 1.0
+            rows[key] = row, ", ".join(repr(problem.free[c].path) for c, _ in group)
         self.names = [ly.material for ly in stack.layers] + [stack.substrate]
+        # (deps, dd) of `_rouard`: a material's row in every medium made of it
+        self.tangents = (
+            [None] + [rows.get(name) for name in self.names],
+            [rows[j][0] if j in rows else 0.0 for j in range(len(stack.layers))],
+        )
         media = _media(stack, k)
         self.ambient = media[0]
-        self.fixed = {n: e for n, e in zip(self.names, media[1:]) if n not in self.fields}
+        self.fixed = {n: e for n, e in zip(self.names, media[1:]) if n not in self.groups}
         self.k0 = _K_TO_RAD_NM * k
         self.sin2 = _sin2(stack, problem.angle)
 
@@ -298,15 +298,15 @@ class _Plan:
         """The fitted channel at `values` (physical units, ordered like
         the free parameters) and its exact Jacobian with respect to the
         values, shape (nk, n_free), from one kernel pass."""
-        writes = {}
-        for (key, field), v in zip(self.writes, self.problem.params_dict(values).values()):
-            writes.setdefault(key, {})[field] = v
-        stack = _build(self.stack, writes)
+        values = list(self.problem.params_dict(values).values())
+        stack = _build(self.stack, {key: {field: values[c] for c, field in group}
+                                    for key, group in self.groups.items()})
         eps, derivs = dict(self.fixed), {}
-        for name, fields in self.fields.items():
-            eps[name], derivs[name] = stack.materials[name]._epsilon_and_derivatives(
-                self.k, fields
-            )
+        for key, group in self.groups.items():
+            if isinstance(key, str):
+                eps[key], derivs[key] = stack.materials[key]._epsilon_and_derivatives(
+                    self.k, [field for _, field in group]
+                )
         media = [self.ambient] + [eps[name] for name in self.names]
         T, R, S_T, S_R = _response(
             stack, media, self.k0, self.sin2, self.problem.polarization, self.tangents
@@ -319,11 +319,11 @@ class _Plan:
             model, sens = 1.0 - T - R, -(S_T + S_R)
         # sens lacks the direction axis only when no medium uses a
         # direction; it is zero then
-        sens = np.broadcast_to(sens, (self.n_directions, self.k.size))
-        jac = np.empty((self.k.size, len(self.columns)))
-        for col, (row, name, i) in enumerate(self.columns):
-            s = sens[row]
-            jac[:, col] = np.real(s if name is None else s * derivs[name][i])
+        sens = np.broadcast_to(sens, (len(self.groups), self.k.size))
+        jac = np.empty((self.k.size, len(values)))
+        for s, (key, group) in zip(sens, self.groups.items()):
+            for i, (column, _) in enumerate(group):
+                jac[:, column] = np.real(s * derivs[key][i] if key in derivs else s)
         return model, jac
 
     def __call__(self, values):

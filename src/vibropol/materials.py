@@ -243,7 +243,7 @@ def _decaying_sqrt(x):
     on the real axis numpy's principal root, Re >= 0.  0-d for a 0-d x."""
     root = np.sqrt(x)
     if np.ndim(root) == 0:
-        return np.where(root.imag < 0.0, -root, root)
+        return np.asarray(-root if root.imag < 0.0 else root)
     # passive media rarely need the flip, so only those elements change
     np.negative(root, out=root, where=root.imag < 0.0)
     return root

@@ -51,6 +51,8 @@ def _windowed(k, values, window):
     if not np.all(np.isfinite(k)):
         raise DomainError("wavenumbers must be finite")
     if window is not None:
+        if np.shape(window) != (2,):
+            raise DomainError("window must be a (lo, hi) pair")
         lo, hi = window
         if not lo < hi:
             raise DomainError("window must satisfy lo < hi")
@@ -418,6 +420,8 @@ def fit_coupled_model(table, order=1, n_ambient=1.0, x0=None, max_nfev=2000):
         n0 = 1.4
         d0 = 1e7 / (2.0 * n0 * omega_c0)
         x0 = [omega_v0, n0, d0, split0]
+    if np.shape(x0) != (4,):
+        raise DomainError("x0 must be (omega_v, n_eff, thickness, splitting)")
     _check_range(x0[0], "x0 omega_v", gt=0.0, unit="cm^-1")
     _check_range(x0[1], "x0 n_eff", ge=1.0, le=5.0)
     _check_range(x0[2], "x0 thickness", gt=0.0, unit="nm")

@@ -151,12 +151,6 @@ class Spectrum:
         return getattr(self, name)
 
 
-def _reduced_kz(eps, sin2):
-    """qz = sqrt(eps - sin2) on the branch Im(qz) >= 0, Re(qz) >= 0 on
-    the real axis; 0-d for a 0-d eps."""
-    return _decaying_sqrt(eps - sin2)
-
-
 def _sin2(stack, angle):
     """s^2 = (n_ambient sin(angle))^2, the one number through which the
     kernel sees the incidence angle."""
@@ -214,7 +208,7 @@ def _rouard(eps, thickness, k0, sin2, polarization, tangents=None, march=False):
     qz, q, shared = [], [], {}
     for e in eps:
         if id(e) not in shared:
-            z = _reduced_kz(e, sin2)
+            z = _decaying_sqrt(e - sin2)
             shared[id(e)] = z, (z if polarization == "s" else z / e)
         z, qj = shared[id(e)]
         qz.append(z)
@@ -287,30 +281,14 @@ def _rouard(eps, thickness, k0, sin2, polarization, tangents=None, march=False):
     return g, t, qz, q, d, steps
 
 
-def _tangents(stack, directions):
-    """(deps, dd) of `_rouard` for the `directions` of `_response`."""
-    rows = {key: i for i, key in enumerate(directions)}
-
-    def unit(key, dtype):
-        row = np.zeros((len(rows), 1), dtype)
-        row[rows[key]] = 1.0
-        return row
-
-    names = [None] + [ly.material for ly in stack.layers] + [stack.substrate]
-    deps = [(unit(name, complex), directions[name]) if name in rows else None for name in names]
-    dd = [unit(j, float) if j in rows else 0.0 for j in range(len(stack.layers))]
-    return deps, dd
-
-
 def _response(stack, eps, k0, sin2, polarization, tangents=None):
     """(T, R) of one or both polarizations from precomputed permittivities
     on k0 = `_K_TO_RAD_NM` k at sin2 = `_sin2(stack, angle)`.
 
-    `tangents` = `_tangents(stack, directions)` sets the tangent
-    directions: `directions` maps each to a label that names its
-    parameters, a material name standing for a unit complex change of eps
-    in every medium made of it, a layer index for a unit change of that
-    layer's thickness.  The result then also holds the sensitivities
+    `tangents` = (deps, dd) sets m tangent directions, as in `_rouard`:
+    deps[j] is None or the ((m, 1) complex row, label) of medium j's eps,
+    the ambient's always None, and dd[j] is 0.0 or the (m, 1) real row of
+    layer j's thickness.  The result then also holds the sensitivities
     (S_T, S_R), with the directions on a leading axis in their order: a
     real parameter p of direction i moves T by Re(S_T[i] deps/dp), where
     deps/dp = 1 for a thickness.
@@ -329,10 +307,10 @@ def _response(stack, eps, k0, sin2, polarization, tangents=None):
         # Re(q_air) / Re(q_sub) |t_exit|^2; an evanescent substrate wave
         # (total internal reflection inside the stack) never reaches the
         # rear face, so T stays 0
-        q_air = _reduced_kz(1.0 + 0j, sin2)
+        q_air = _decaying_sqrt(1.0 + 0j - sin2)
         t_exit = 2.0 * q_sub / (q_sub + q_air)
         t_out = t * t_exit
-        scale = np.where(np.real(q_sub) > 0.0, np.real(q_air), 0.0) / np.real(q_amb)
+        scale = np.real(q_air) * (np.real(q_sub) > 0.0) / np.real(q_amb)
     else:
         t_out = t
         scale = np.real(q_sub) / np.real(q_amb)

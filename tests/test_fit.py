@@ -511,6 +511,64 @@ class TestJacobian:
         assert np.all(np.isfinite(loss_gradient(thickness_only, np.array([500.0]))))
 
 
+# five paths of four keys, a key's paths apart; GROUPED lists each key's
+# paths together, keys in the reverse order
+INTERLEAVED = (
+    "materials.pvac.oscillators[0].f",
+    "layers[1].thickness",
+    "materials.gold.f0",
+    "materials.pvac.oscillators[0].gamma",
+    "materials.germanium.eps",
+)
+GROUPED = (
+    "materials.germanium.eps",
+    "materials.gold.f0",
+    "layers[1].thickness",
+    "materials.pvac.oscillators[0].gamma",
+    "materials.pvac.oscillators[0].f",
+)
+
+
+def path_problem(stack, paths, channel="T", polarization="s"):
+    """A FitProblem freeing `paths` of `stack` at oblique incidence, and
+    the template's values."""
+    values = np.array([_locate(stack, path)[0] for path in paths])
+    free = tuple(FreeParameter(p, 0.8 * v, 1.2 * v) for p, v in zip(paths, values))
+    k = np.linspace(1500.0, 2000.0, 60)
+    problem = FitProblem(stack=stack, free=free, k=k, target=np.full_like(k, 0.3),
+                         channel=channel, angle=30.0, polarization=polarization)
+    return problem, values
+
+
+class TestGrouping:
+    @pytest.mark.parametrize("polarization", ["s", "p"])
+    @pytest.mark.parametrize("channel", ["T", "R", "A"])
+    def test_interleaved_paths_give_the_columns_of_their_grouping(self, channel, polarization):
+        stack = cavity_with_spacer("incoherent_to_air")
+        interleaved, values = path_problem(stack, INTERLEAVED, channel, polarization)
+        grouped, _ = path_problem(stack, GROUPED, channel, polarization)
+        order = [INTERLEAVED.index(path) for path in GROUPED]
+        res_i, jac_i = fit._Plan(interleaved)(values)
+        res_g, jac_g = fit._Plan(grouped)(values[order])
+        np.testing.assert_array_equal(res_i, res_g)
+        np.testing.assert_array_equal(jac_i[:, order], jac_g)
+
+    @pytest.mark.parametrize("with_thickness", [False, True], ids=["alone", "beside-thickness"])
+    def test_free_material_no_medium_uses_gives_a_zero_column(self, with_thickness):
+        base = cavity_with_spacer("coherent")
+        stack = dataclasses.replace(
+            base, materials=dict(base.materials, unused=ConstantMedium(eps=4.0))
+        )
+        thickness = ["layers[1].thickness"] if with_thickness else []
+        problem, values = path_problem(stack, ["materials.unused.eps"] + thickness)
+        res, jac = fit._Plan(problem)(values)
+        np.testing.assert_array_equal(jac[:, 0], 0.0)
+        alone, _ = path_problem(stack, thickness)
+        res_alone, jac_alone = fit._Plan(alone)(values[1:])
+        np.testing.assert_array_equal(res, res_alone)
+        np.testing.assert_array_equal(jac[:, 1:], jac_alone)
+
+
 def count_kernel_passes(monkeypatch):
     """A list that gains one entry per call of the stack kernel."""
     passes = []

@@ -111,6 +111,11 @@ class TestFindPeaks:
         with pytest.raises(DomainError, match="^1 non-finite sample"):
             find_peaks(np.arange(10.0), np.r_[np.nan, np.ones(9)], window=(0.0, 1.0))
 
+    @pytest.mark.parametrize("window", [(1.0, 2.0, 3.0), (1.0,), 5.0, [[1.0, 2.0]]])
+    def test_window_that_is_no_pair_raises(self, window):
+        with pytest.raises(DomainError, match="^window must be a \\(lo, hi\\) pair"):
+            find_peaks(np.arange(10.0), np.arange(10.0), window=window)
+
     @pytest.mark.parametrize("n", [0, 1, 2])
     @pytest.mark.parametrize("min_prominence", [None, 0.1])
     def test_fewer_than_three_samples_raise(self, n, min_prominence):
@@ -460,6 +465,12 @@ class TestDispersion:
         assert fit.splitting_cm1 == 0.0
         assert fit.residual_rms > 1.0
         assert not fit.success
+
+    @pytest.mark.parametrize("x0", [[1739.0, 1.41], [1739.0, 1.41, 1930.0, 160.0, 1.0], 1739.0])
+    def test_x0_of_the_wrong_shape_raises(self, x0):
+        table = synthetic_table(1739.0, 1.41, 1930.0, 160.0, np.arange(-20.0, 21.0, 10.0))
+        with pytest.raises(DomainError, match="^x0 must be"):
+            fit_coupled_model(table, x0=x0)
 
     def test_zero_splitting_table(self):
         d_true = 1e7 / (2.0 * 1.41 * 1740.0)

@@ -26,6 +26,7 @@ from vibropol import (
 )
 from vibropol import tmm
 from vibropol.io import read_spectrum_csv, write_spectrum_csv
+from vibropol.materials import _decaying_sqrt
 
 from conftest import THICK_GOLD_NM, constant_stack, hard_stacks, random_passive_stack
 from matrix_oracle import layer_matrix, matrix_response, reversed_stack
@@ -583,14 +584,15 @@ class TestAngleScan:
 
 
 def test_reduced_kz_takes_the_decaying_root():
+    # the kernel's qz = _decaying_sqrt(eps - sin2)
     eps = np.array([1.0 - 1.0j, -4.0 + 0.0j, complex(-4.0, -0.0), 2.0 + 1.0j, 0.25 - 3.0j])
     for sin2 in (0.0, 0.5):
         root = np.sqrt(eps - sin2)
         expected = np.where(root.imag < 0.0, -root, root)
-        assert np.array_equal(tmm._reduced_kz(eps, sin2), expected)
-        assert np.all(tmm._reduced_kz(eps, sin2).imag >= 0.0)
+        assert np.array_equal(_decaying_sqrt(eps - sin2), expected)
+        assert np.all(_decaying_sqrt(eps - sin2).imag >= 0.0)
         for e, z in zip(eps, expected):
-            assert tmm._reduced_kz(e, sin2) == z
+            assert _decaying_sqrt(e - sin2) == z
 
 
 def test_shared_material_gives_the_bits_of_separate_equal_materials(coupled_stack):
