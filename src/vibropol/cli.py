@@ -81,7 +81,8 @@ def simulate(args):
     spectrum = angle_scan(stack, grid, [scan.angle], scan.polarization,
                           divergence=scan.divergence)[0]
 
-    iomod.write_spectrum_csv(os.path.join(args.out_dir, "spectrum.csv"), spectrum)
+    path = os.path.join(args.out_dir, "spectrum.csv")
+    iomod.write_spectrum_csv(path, spectrum)
     summary = {
         "angle_deg": scan.angle,
         "polarization": scan.polarization,
@@ -89,9 +90,8 @@ def simulate(args):
         "grid": {"min": grid.k_min, "max": grid.k_max, "step": grid.step},
         "channels": _spectrum_analysis(spectrum, scan.window, scan.min_prominence),
     }
-    iomod.write_json(os.path.join(args.out_dir, "summary.json"), summary)
-    print(os.path.join(args.out_dir, "spectrum.csv"))
-    print(os.path.join(args.out_dir, "summary.json"))
+    print(path)
+    _emit_report(summary, args.out_dir, "summary.json")
 
 
 def scan_angle(args):
@@ -174,13 +174,7 @@ def estimate(args):
     cfg = load_config(args.config)
     if cfg.estimate is None:
         raise ConfigError("config has no 'estimate' section")
-    est = cfg.estimate
-    payload = estimate_report(
-        est.vibration, est.cavity, temperature_k=est.temperature_k,
-        density=est.density, observed_splitting_mev=est.observed_splitting_mev,
-        polariton_fwhm_mev=est.polariton_fwhm_mev,
-    )
-    _emit_report(payload, args.out_dir, "estimate.json")
+    _emit_report(estimate_report(**vars(cfg.estimate)), args.out_dir, "estimate.json")
 
 
 def fit(args):
@@ -200,7 +194,7 @@ def fit(args):
 
     model = fitmod.model_values(problem, [result.params[p.path] for p in problem.free])
     iomod.write_csv(os.path.join(args.out_dir, "fit_curve.csv"), "k_cm1,target,model",
-                    zip(k, target, model))
+                    (k, target, model))
 
     payload = {
         "params": result.params,
@@ -213,8 +207,7 @@ def fit(args):
         "n_starts": settings.n_starts,
         "channel": problem.channel,
     }
-    iomod.write_json(os.path.join(args.out_dir, "fit.json"), payload)
-    print(os.path.join(args.out_dir, "fit.json"))
+    _emit_report(payload, args.out_dir, "fit.json")
 
 
 def _input_file(path):

@@ -51,7 +51,7 @@ def _check_range(value, name, *, gt=None, ge=None, lt=None, le=None, integer=Fal
     try:
         # __index__: an int or a numpy integer, not a float that holds one
         ok = math.isfinite(value) and (not integer or hasattr(value, "__index__"))
-    except OverflowError:  # an int beyond the float range
+    except (OverflowError, TypeError):  # an int beyond the float range, or no number
         ok = False
     if ok and (gt is None or value > gt) and (ge is None or value >= ge) \
             and (lt is None or value < lt) and (le is None or value <= le):

@@ -187,7 +187,6 @@ class FitProblem:
     channel: str = "T"
     angle: float = 0.0
     polarization: str = "s"
-    weights: np.ndarray | None = None
 
     def __post_init__(self):
         self.free = tuple(self.free)
@@ -195,13 +194,8 @@ class FitProblem:
         self.target = np.asarray(self.target, dtype=float)
         if self.k.ndim != 1 or self.k.shape != self.target.shape:
             raise DomainError("k and target must be 1-D arrays of equal length")
-        if self.weights is not None:
-            self.weights = np.asarray(self.weights, dtype=float)
-            if self.weights.shape != self.k.shape:
-                raise DomainError("weights must match the target grid")
-        for name in ("k", "target", "weights"):
-            values = getattr(self, name)
-            if values is not None and not np.all(np.isfinite(values)):
+        for name in ("k", "target"):
+            if not np.all(np.isfinite(getattr(self, name))):
                 raise DomainError(f"fit {name} must hold finite values only")
         if np.any(self.k <= 0) or np.any(np.diff(self.k) <= 0):
             raise DomainError("target wavenumbers must be positive and increasing")
@@ -237,12 +231,12 @@ def model_values(problem, values):
 
 
 def residual_vector(problem, values):
-    """Weighted (model - target) on the target grid."""
+    """(model - target) on the target grid."""
     return _Plan(problem)(values)[0]
 
 
 def loss_value(problem, values):
-    """Sum of squared weighted residuals."""
+    """Sum of squared residuals."""
     r = residual_vector(problem, values)
     return float(r @ r)
 
@@ -327,13 +321,9 @@ class _Plan:
         return model, jac
 
     def __call__(self, values):
-        """Weighted residuals and their Jacobian, from one kernel pass."""
+        """Residuals and their Jacobian, from one kernel pass."""
         model, jac = self.model(values)
-        res, weights = model - self.problem.target, self.problem.weights
-        if weights is not None:
-            res = res * weights
-            jac *= weights[:, None]
-        return res, jac
+        return model - self.problem.target, jac
 
 
 def loss_gradient(problem, values):

@@ -1,7 +1,8 @@
 """File formats.
 
 CSV files are ``# key = value`` metadata lines, a header row and one row
-per sample, numbers in their shortest round-trip form; reports are JSON
+per sample, numbers in their shortest round-trip form.  `write_csv`
+writes every table but the field map, from its columns; reports are JSON
 with sorted keys.  Reruns overwrite their outputs byte for byte.
 
 `read_spectrum_csv` reads native (``k_cm1,T,R,A``) and two-column files
@@ -52,22 +53,23 @@ def _head(header, meta):
     return "".join(f"# {key} = {_fmt(value)}\n" for key, value in meta.items()) + header + "\n"
 
 
-def write_csv(path, header, rows, **meta):
-    """A ``# key = value`` line per keyword, the header, a line per row."""
+def write_csv(path, header, columns, **meta):
+    """A ``# key = value`` line per keyword, the header, and a line per
+    sample of the equal-length columns.  A float ndarray column is written
+    with one ``tolist()`` and the repr of each float; any other column (a
+    list, strings, None cells) through `_fmt` cell by cell.  Both give the
+    shortest round-trip form of a number."""
+    cells = [map(repr, c.tolist()) if isinstance(c, np.ndarray) and c.dtype == np.float64
+             else map(_fmt, c) for c in columns]
     with _open_text(path) as fh:
         fh.write(_head(header, meta))
-        fh.write("".join(",".join(map(_fmt, row)) + "\n" for row in rows))
+        fh.writelines(f"{row}\n" for row in map(",".join, zip(*cells)))
 
 
 def write_spectrum_csv(path, spectrum):
-    """The native ``k_cm1,T,R,A`` file, the bytes of `write_csv` written by
-    columns: one ``tolist()`` per column and one repr per cell."""
-    columns = [np.asarray(c, dtype=float).tolist()
-               for c in (spectrum.k, spectrum.T, spectrum.R, spectrum.A)]
-    with _open_text(path) as fh:
-        fh.write(_head(NATIVE_HEADER, {"angle_deg": spectrum.angle,
-                                       "polarization": spectrum.polarization}))
-        fh.writelines(f"{k!r},{T!r},{R!r},{A!r}\n" for k, T, R, A in zip(*columns))
+    """The native ``k_cm1,T,R,A`` file."""
+    write_csv(path, NATIVE_HEADER, (spectrum.k, spectrum.T, spectrum.R, spectrum.A),
+              angle_deg=spectrum.angle, polarization=spectrum.polarization)
 
 
 def read_spectrum_csv(path):
@@ -152,7 +154,7 @@ def write_field_map_csv(path, fmap):
 
 def write_dispersion_csv(path, table):
     write_csv(path, "angle_deg,omega_lower_cm1,omega_upper_cm1,status",
-              ((r.angle, r.omega_lower, r.omega_upper, r.status) for r in table.rows),
+              zip(*((r.angle, r.omega_lower, r.omega_upper, r.status) for r in table.rows)),
               channel=table.channel)
 
 

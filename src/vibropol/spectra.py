@@ -51,9 +51,12 @@ def _windowed(k, values, window):
     if not np.all(np.isfinite(k)):
         raise DomainError("wavenumbers must be finite")
     if window is not None:
-        if np.shape(window) != (2,):
-            raise DomainError("window must be a (lo, hi) pair")
-        lo, hi = window
+        try:
+            lo, hi = window
+        except (TypeError, ValueError):
+            raise DomainError("window must be a (lo, hi) pair") from None
+        _check_range(lo, "window lo")
+        _check_range(hi, "window hi")
         if not lo < hi:
             raise DomainError("window must satisfy lo < hi")
         mask = (k >= lo) & (k <= hi)

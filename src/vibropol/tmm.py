@@ -337,7 +337,7 @@ def stack_response(stack, k, angle=0.0, polarization="s"):
     """
     _check_angle(angle)
     _check_polarization(polarization)
-    k = np.atleast_1d(np.asarray(k, dtype=float))
+    k = _points(k)
     T, R = _response(stack, _media(stack, k), _K_TO_RAD_NM * k, _sin2(stack, angle),
                      polarization)
     return T, R, 1.0 - T - R
@@ -353,10 +353,8 @@ def _points(grid):
 
 def spectrum_scan(stack, grid, angle=0.0, polarization="s"):
     """Spectrum over a SpectralGrid, or over given wavenumbers, at a
-    fixed angle."""
-    k = _points(grid)
-    T, R, A = stack_response(stack, k, angle, polarization)
-    return Spectrum(k=k, T=T, R=R, A=A, angle=angle, polarization=polarization)
+    fixed angle: the one-angle `angle_scan`."""
+    return angle_scan(stack, grid, [angle], polarization)[0]
 
 
 def _check_sigma(sigma):
@@ -398,7 +396,7 @@ def angle_scan(stack, grid, angles, polarization="s", divergence=0.0):
     ordered like `angles`.
     """
     k = _points(grid)
-    angles = [float(a) for a in angles]
+    angles = list(angles)
     _check_polarization(polarization)
     _check_sigma(divergence)
     nodes = []
@@ -424,6 +422,6 @@ def angle_scan(stack, grid, angles, polarization="s", divergence=0.0):
             Ti, Ri = cache[s2] if uses[s2] else cache.pop(s2)
             T += w * Ti
             R += w * Ri
-        scans[i] = Spectrum(k=k, T=T, R=R, A=1.0 - T - R, angle=angles[i],
+        scans[i] = Spectrum(k=k, T=T, R=R, A=1.0 - T - R, angle=float(angles[i]),
                             polarization=polarization)
     return scans

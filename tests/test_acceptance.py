@@ -334,7 +334,7 @@ def test_criterion_6e_gradient_check(report):
     grad = loss_gradient(problem, values)
     worst = 0.0
     for i, p in enumerate(problem.free):
-        h = 1e-6 * (p.upper - p.lower)
+        h = 1e-5 * (p.upper - p.lower)
         up = values.copy()
         up[i] += h
         dn = values.copy()

@@ -276,6 +276,7 @@ class TestSimulateCommand:
         out = tmp_path / "out"
         result = runner.invoke(main, ["simulate", "--config", cfg, "--out-dir", str(out)])
         assert result.exit_code == 0, result.output
+        assert result.output == f"{out / 'spectrum.csv'}\n{out / 'summary.json'}\n"
         text = (out / "spectrum.csv").read_text().splitlines()
         assert text[2] == "k_cm1,T,R,A"
         assert len(text) == 3 + 501
@@ -465,6 +466,7 @@ class TestScanAngleCommand:
         out = tmp_path / "out"
         result = runner.invoke(main, ["scan-angle", "--config", cfg, "--out-dir", str(out)])
         assert result.exit_code == 0, result.output
+        assert result.output == f"{out / 'dispersion.csv'}\n"
         spectra = sorted(out.glob("spectrum_*.csv"))
         assert len(spectra) == 5
         assert (out / "spectrum_-020.000.csv").exists()
@@ -512,6 +514,7 @@ class TestFieldMapCommand:
         out = tmp_path / "out"
         result = runner.invoke(main, ["field-map", "--config", cfg, "--out-dir", str(out)])
         assert result.exit_code == 0, result.output
+        assert result.output == f"{out / 'field_map.csv'}\n"
         rows = (out / "field_map.csv").read_text().splitlines()
         assert rows[3] == "k_cm1,z_nm,intensity"
         data = np.array([[float(x) for x in r.split(",")] for r in rows[4:]])
@@ -782,6 +785,7 @@ class TestFitCommand:
             main, ["fit", "--config", cfg, "--out-dir", str(out), "--target", target]
         )
         assert result.exit_code == 0, result.output
+        assert result.output == f"{out / 'fit.json'}\n"
         payload = json.loads((out / "fit.json").read_text())
         assert payload["success"] is True
         assert payload["params"]["layers[1].thickness"] == pytest.approx(1930.0, abs=5.0)

@@ -37,14 +37,12 @@ from conftest import make_stack, CO_BAND, constant_stack, hard_stacks
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
-def small_problem(stack, free, channel="T", target=None, weights=None):
+def small_problem(stack, free, channel="T", target=None):
     k = np.arange(1600.0, 1900.0, 2.0)
     if target is None:
         probe = FitProblem(stack=stack, free=(), k=k, target=np.zeros_like(k))
         target = model_values(probe, np.empty(0))
-    return FitProblem(
-        stack=stack, free=tuple(free), k=k, target=target, channel=channel, weights=weights
-    )
+    return FitProblem(stack=stack, free=tuple(free), k=k, target=target, channel=channel)
 
 
 class TestApplyParams:
@@ -188,17 +186,12 @@ class TestProblem:
             FitProblem(
                 stack=coupled_stack, free=(), k=k, target=np.zeros_like(k), channel="X"
             )
-        with pytest.raises(DomainError):
-            FitProblem(
-                stack=coupled_stack, free=(), k=k, target=np.zeros_like(k),
-                weights=np.ones(3),
-            )
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-    @pytest.mark.parametrize("field", ["k", "target", "weights"])
+    @pytest.mark.parametrize("field", ["k", "target"])
     def test_non_finite_inputs_rejected(self, coupled_stack, field, bad):
         k = np.arange(1600.0, 1900.0, 2.0)
-        inputs = {"k": k, "target": np.zeros_like(k), "weights": np.ones_like(k)}
+        inputs = {"k": k, "target": np.zeros_like(k)}
         inputs[field] = inputs[field].copy()
         inputs[field][5] = bad
         with pytest.raises(DomainError, match=rf"^fit {field} must hold finite values"):
@@ -299,11 +292,6 @@ class TestResiduals:
         offset_target = base.target + 0.01
         problem = FitProblem(stack=coupled_stack, free=(), k=k, target=offset_target)
         assert loss_value(problem, np.empty(0)) == pytest.approx(k.size * 1e-4, rel=1e-9)
-        weights = np.full(k.size, 2.0)
-        weighted = FitProblem(
-            stack=coupled_stack, free=(), k=k, target=offset_target, weights=weights
-        )
-        assert loss_value(weighted, np.empty(0)) == pytest.approx(4.0 * k.size * 1e-4, rel=1e-9)
 
     # the fit's one evaluation path gives stack_response's values bit for bit
     @pytest.mark.parametrize("config", ["film_absorption", "cavity_coupled"])
@@ -428,7 +416,7 @@ class TestJacobian:
         k = np.linspace(1500.0, 2000.0, 60)
         problem = FitProblem(
             stack=stack, free=free, k=k, target=np.full_like(k, 0.3), channel=channel,
-            angle=30.0, polarization=polarization, weights=np.linspace(0.5, 2.0, k.size),
+            angle=30.0, polarization=polarization,
         )
         scale = np.maximum(np.abs(values), 1.0)
         exact = exact_jacobian(problem, values) * scale
@@ -458,17 +446,6 @@ class TestJacobian:
         for i, path in enumerate(paths):
             err = np.max(np.abs(exact[:, i] - central[:, i]))
             assert err <= RTOL * np.max(np.abs(central[:, i])) + ATOL, path
-
-    def test_weights_scale_the_rows(self, coupled_stack):
-        free = (FreeParameter("layers[1].thickness", 1500.0, 2500.0),
-                FreeParameter("materials.gold.damping_multiplier", 1.0, 4.0))
-        plain = small_problem(coupled_stack, free, target=np.zeros(150))
-        w = np.linspace(0.1, 3.0, plain.k.size)
-        weighted = small_problem(coupled_stack, free, target=np.zeros(150), weights=w)
-        values = np.array([1900.0, 2.0])
-        np.testing.assert_array_equal(
-            exact_jacobian(weighted, values), exact_jacobian(plain, values) * w[:, None]
-        )
 
     @settings(max_examples=150, deadline=None)
     @given(case=hard_stacks(), polarization=st.sampled_from(["s", "p", "unpolarized"]),

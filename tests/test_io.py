@@ -1,13 +1,15 @@
-"""Writers and the one spectrum reader: the block-wise field-map CSV
-keeps the per-cell bytes, spectra round-trip bit for bit, and every
-defect of an input file names the file and the line."""
+"""Writers and the one spectrum reader: the column-wise table writer and
+the block-wise field-map CSV keep the per-cell bytes, spectra round-trip
+bit for bit, and every defect of an input file names the file and the
+line."""
 
 import numpy as np
 import pytest
 
-from vibropol import DomainError, FieldMap, SpectralGrid, Spectrum, field_map, load_measured
-from vibropol.io import (NATIVE_HEADER, read_spectrum_csv, write_csv, write_field_map_csv,
-                         write_spectrum_csv)
+from vibropol import (DispersionRow, DispersionTable, DomainError, FieldMap, SpectralGrid,
+                      Spectrum, field_map, load_measured)
+from vibropol.io import (NATIVE_HEADER, read_spectrum_csv, write_csv, write_dispersion_csv,
+                         write_field_map_csv, write_spectrum_csv)
 
 NATIVE = "# angle_deg = 0.0\n# polarization = s\nk_cm1,T,R,A\n"
 
@@ -104,15 +106,29 @@ def test_spectrum_round_trip_is_bit_exact(tmp_path):
 
 
 def test_spectrum_writer_keeps_the_per_cell_bytes(tmp_path):
+    # a float-array column is written by one tolist(), a list of the same
+    # numbers one cell at a time; the bytes agree
     values = np.array([-0.0, 0.1, 1e-5, 1e16, 5e-324])
     spectrum = Spectrum(k=np.array([1500.0, 1600.0, 1700.0, 1800.0, 1900.0]), T=values,
                         R=values[::-1], A=np.roll(values, 2), angle=30.0, polarization="p")
     by_columns, per_cell = tmp_path / "columns.csv", tmp_path / "cells.csv"
     write_spectrum_csv(by_columns, spectrum)
-    write_csv(per_cell, NATIVE_HEADER, zip(spectrum.k, spectrum.T, spectrum.R, spectrum.A),
+    write_csv(per_cell, NATIVE_HEADER,
+              [list(column) for column in (spectrum.k, spectrum.T, spectrum.R, spectrum.A)],
               angle_deg=spectrum.angle, polarization=spectrum.polarization)
     assert by_columns.read_bytes() == per_cell.read_bytes()
     assert "1500.0,-0.0,5e-324,1e+16\n" in by_columns.read_text()
+
+
+def test_dispersion_csv_rows_and_empty_table(tmp_path):
+    head = "# channel = T\nangle_deg,omega_lower_cm1,omega_upper_cm1,status\n"
+    path = tmp_path / "dispersion.csv"
+    write_dispersion_csv(path, DispersionTable(
+        [DispersionRow(-10.0, 1650.25, 1820.5, "ok"), DispersionRow(0.0, None, None, "peaks=1")],
+        "T"))
+    assert path.read_text() == head + "-10.0,1650.25,1820.5,ok\n0.0,,,peaks=1\n"
+    write_dispersion_csv(path, DispersionTable([], "T"))
+    assert path.read_text() == head
 
 
 def test_inline_comment_reads_the_same_in_both_formats(tmp_path):

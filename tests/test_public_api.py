@@ -66,7 +66,7 @@ def baselines():
     spectrum = spectrum_scan(stack, SpectralGrid(1400.0, 2100.0, 1.0))
     problem = FitProblem(
         stack=stack, free=(FreeParameter("layers[1].thickness", 1800.0, 2100.0),),
-        k=k, target=np.full_like(k, 0.1), weights=np.ones_like(k),
+        k=k, target=np.full_like(k, 0.1),
     )
     curve = vibropol.anticrossing_dispersion(1739.0, 160.0, 1.41, 1930.0, [-20.0, -10.0, 0.0,
                                                                           10.0, 20.0])
@@ -99,8 +99,7 @@ def baselines():
         "field_map": one(stack, k[:4], z=z, angle=10.0, polarization="p"),
         "field_profile": one(stack, 1700.0, z, angle=10.0, polarization="unpolarized"),
         "FreeParameter": one("layers[1].thickness", 1800.0, 2100.0),
-        "FitProblem": one(stack, problem.free, k, np.full_like(k, 0.1), angle=10.0,
-                          weights=np.ones_like(k)),
+        "FitProblem": one(stack, problem.free, k, np.full_like(k, 0.1), angle=10.0),
         "apply_params": one(stack, {"layers[1].thickness": 1900.0,
                                     "materials.pvac.oscillators[0].gamma": 12.0}),
         "model_values": one(problem, np.array([1930.0])),

@@ -116,6 +116,14 @@ class TestFindPeaks:
         with pytest.raises(DomainError, match="^window must be a \\(lo, hi\\) pair"):
             find_peaks(np.arange(10.0), np.arange(10.0), window=window)
 
+    @pytest.mark.parametrize("window, message", [(((1.0, 2.0), 3.0), "window lo"),
+                                                 (("a", "b"), "window lo"),
+                                                 ((1600.0, "x"), "window hi")],
+                             ids=["nested", "strings", "string-hi"])
+    def test_window_of_non_numbers_raises(self, window, message):
+        with pytest.raises(DomainError, match=f"^{message} must be finite"):
+            find_peaks(np.arange(10.0), np.arange(10.0), window=window)
+
     @pytest.mark.parametrize("n", [0, 1, 2])
     @pytest.mark.parametrize("min_prominence", [None, 0.1])
     def test_fewer_than_three_samples_raise(self, n, min_prominence):
@@ -470,6 +478,14 @@ class TestDispersion:
     def test_x0_of_the_wrong_shape_raises(self, x0):
         table = synthetic_table(1739.0, 1.41, 1930.0, 160.0, np.arange(-20.0, 21.0, 10.0))
         with pytest.raises(DomainError, match="^x0 must be"):
+            fit_coupled_model(table, x0=x0)
+
+    @pytest.mark.parametrize("x0, name", [(["a", 1.41, 1930.0, 160.0], "omega_v"),
+                                          ([1739.0, None, 1930.0, 160.0], "n_eff")],
+                             ids=["string", "none"])
+    def test_x0_of_non_numbers_raises(self, x0, name):
+        table = synthetic_table(1739.0, 1.41, 1930.0, 160.0, np.arange(-20.0, 21.0, 10.0))
+        with pytest.raises(DomainError, match=f"^x0 {name} must be"):
             fit_coupled_model(table, x0=x0)
 
     def test_zero_splitting_table(self):

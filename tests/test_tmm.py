@@ -490,6 +490,14 @@ class TestAngleScan:
                 assert np.array_equal(sp.R, R)
                 assert np.array_equal(sp.A, A)
 
+    @pytest.mark.parametrize("angle", ["10", None, 10**400], ids=["string", "none", "huge-int"])
+    def test_angle_that_is_no_number_raises(self, coupled_stack, angle):
+        k = np.array([1700.0, 1750.0])
+        with pytest.raises(DomainError, match="^incidence angle must be finite"):
+            angle_scan(coupled_stack, k, [0.0, angle])
+        with pytest.raises(DomainError, match="^incidence angle must be finite"):
+            spectrum_scan(coupled_stack, k, angle)
+
     # the 11 nodes at 0 deg mirror exactly, so they take 6 passes
     @pytest.mark.parametrize(
         "angles, divergence, passes",
