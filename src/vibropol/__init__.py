@@ -8,6 +8,11 @@ analysis and least-squares fitting of spectra.
 The namespace is lazy (PEP 562): `import vibropol` loads no submodule,
 and a public name, or a submodule that defines some, is imported on
 first access, so a program pays only for the modules it uses.
+
+`_EXPORTS` is the one list of the package's API, and the submodules
+declare no `__all__` of their own.  Their other names without a leading
+underscore, such as the writers of `vibropol.io`, are importable by name
+but are not part of the API.
 """
 
 from importlib import import_module

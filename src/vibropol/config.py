@@ -56,16 +56,6 @@ if typing.TYPE_CHECKING:
     from .fit import FreeParameter
     from .polariton import CavityMode, VibrationalMode
 
-__all__ = [
-    "Config",
-    "load_config",
-    "parse_config",
-    "config_to_dict",
-    "parse_grid_spec",
-    "parse_colon_spec",
-    "override",
-]
-
 DEFAULT_GRID = SpectralGrid(400.0, 7400.0, 1.0)
 _SECTIONS = ("materials", "stack", "grid", "scan", "field_map", "estimate", "fit")
 
@@ -123,6 +113,10 @@ class _BondDensity:
     monomer_mass_g_mol: float
     bonds_per_monomer: float = 1.0
 
+    def __post_init__(self):
+        for f in fields(self):
+            _check_range(getattr(self, f.name), f.name, gt=0.0)
+
 
 def _read_bond_density(value, where):
     return asdict(_read(_BondDensity, value, where))
@@ -178,6 +172,13 @@ class EstimateSettings:
     density: dict | None = field(default=None, metadata={"read": _read_bond_density})
     observed_splitting_mev: float | None = None
     polariton_fwhm_mev: dict[str, float] | None = None
+
+    def __post_init__(self):
+        _check_range(self.temperature_k, "temperature_K", ge=0.0, unit="K")
+        if self.observed_splitting_mev is not None:
+            _check_range(self.observed_splitting_mev, "observed_splitting_mev", gt=0.0, unit="meV")
+        for branch, width in (self.polariton_fwhm_mev or {}).items():
+            _check_range(width, f"polariton_fwhm_mev.{branch}", gt=0.0, unit="meV")
 
 
 @dataclass

@@ -36,8 +36,6 @@ from .errors import _MAX_POINTS, DomainError, _check_range
 from .materials import _check_wavenumbers
 from .tmm import _K_TO_RAD_NM, _check_angle, _check_polarization, _media, _points, _rouard
 
-__all__ = ["FieldProfile", "FieldMap", "field_profile", "field_map"]
-
 # cells of one row block: each per-cell temporary of `_fields` stays a
 # few hundred kB, so a map's working memory stays a small multiple of its
 # output however long its k axis is

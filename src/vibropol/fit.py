@@ -60,18 +60,6 @@ from .tmm import (
     _sin2,
 )
 
-__all__ = [
-    "FreeParameter",
-    "FitProblem",
-    "FitResult",
-    "apply_params",
-    "residual_vector",
-    "loss_value",
-    "loss_gradient",
-    "model_values",
-    "solve",
-]
-
 # indices are written without leading zeros, so that equal parameters
 # have equal path strings
 _INDEX = r"\[(0|[1-9]\d*)\]"

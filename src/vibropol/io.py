@@ -27,16 +27,6 @@ import numpy as np
 from .errors import DomainError
 from .tmm import Spectrum, _check_angle, _check_polarization
 
-__all__ = [
-    "write_csv",
-    "write_spectrum_csv",
-    "read_spectrum_csv",
-    "write_field_map_csv",
-    "write_dispersion_csv",
-    "json_text",
-    "write_json",
-]
-
 NATIVE_HEADER = "k_cm1,T,R,A"
 
 

@@ -22,16 +22,6 @@ import numpy as np
 from .constants import EV_TO_CM1
 from .errors import DomainError, _check_range
 
-__all__ = [
-    "LorentzOscillator",
-    "LorentzMedium",
-    "ConstantMedium",
-    "DrudeLorentzMetal",
-    "BoundTransition",
-    "gold",
-    "refractive_index",
-]
-
 
 # the wavenumbers the models and the stack kernel take (cm^-1), below THz to
 # beyond the far UV; far outside, eps (k ~1e160) and |t|^2 (k ~1e-300) overflow

@@ -18,27 +18,6 @@ from .constants import cm1_to_mev, cm1_to_joule, cm1_to_rad_s
 from .errors import DomainError, UltrastrongError, _check_choice, _check_range
 from .tmm import _check_angle
 
-__all__ = [
-    "VibrationalMode",
-    "CavityMode",
-    "CoupledModeResult",
-    "AnticrossingCurve",
-    "vacuum_field",
-    "zero_point_amplitude",
-    "single_coupling",
-    "collective_splitting",
-    "effective_concentration",
-    "bond_density",
-    "thermal_occupation",
-    "quality_factor",
-    "dephasing_time",
-    "is_strong_coupling",
-    "fp_mode_estimate",
-    "coupled_frequencies",
-    "anticrossing_dispersion",
-    "estimate_report",
-]
-
 
 def _in_float_range(estimator):
     """The estimator, raising DomainError that names it when a number in
@@ -115,6 +94,7 @@ class CavityMode:
         return lam_m**3
 
 
+@_in_float_range
 def vacuum_field(omega_cm1, volume_m3):
     """RMS vacuum field sqrt(hbar omega / 2 eps0 V) in V/m."""
     _check_range(omega_cm1, "frequency", gt=0.0, unit="cm^-1")
@@ -173,11 +153,13 @@ def thermal_occupation(omega_cm1, temperature_k):
     """Boltzmann factor exp(-hbar omega / kB T); 0 at T = 0."""
     _check_range(omega_cm1, "frequency", gt=0.0, unit="cm^-1")
     _check_range(temperature_k, "temperature", ge=0.0, unit="K")
-    if temperature_k == 0.0:
+    kt = const.KB_J_K * temperature_k
+    if kt == 0.0:  # T = 0, or kB T below the smallest float: the T -> 0 limit
         return 0.0
-    return math.exp(-cm1_to_joule(omega_cm1) / (const.KB_J_K * temperature_k))
+    return math.exp(-cm1_to_joule(omega_cm1) / kt)
 
 
+@_in_float_range
 def quality_factor(omega, fwhm):
     """Q = omega / FWHM for any shared unit."""
     _check_range(omega, "frequency", gt=0.0)
@@ -185,6 +167,7 @@ def quality_factor(omega, fwhm):
     return omega / fwhm
 
 
+@_in_float_range
 def dephasing_time(fwhm_mev):
     """Lifetime hbar / FWHM in ps, linewidth in meV."""
     _check_range(fwhm_mev, "linewidth", gt=0.0, unit="meV")
@@ -385,6 +368,7 @@ def estimate_report(
             report["effective_concentration_cm3"] = rho_c
             if "bond_density_cm3" in report:
                 report["coupled_fraction"] = rho_c / report["bond_density_cm3"]
+                _check_range(report["coupled_fraction"], "coupled fraction")
         if vibration.damping_fwhm_mev > 0.0 and cavity.kappa_fwhm_mev > 0.0:
             report["strong_coupling"] = is_strong_coupling(
                 observed_splitting_mev, vibration.damping_fwhm_mev, cavity.kappa_fwhm_mev

@@ -16,21 +16,6 @@ import numpy as np
 from .constants import cm1_to_mev
 from .errors import DomainError, FitError, PeakCountError, _check_range
 
-__all__ = [
-    "Peak",
-    "SplittingReport",
-    "DispersionRow",
-    "DispersionTable",
-    "LorentzianBandFit",
-    "CoupledFitResult",
-    "find_peaks",
-    "extract_splitting",
-    "fit_lorentzian_band",
-    "build_dispersion",
-    "fit_coupled_model",
-    "load_measured",
-]
-
 
 @dataclass(frozen=True)
 class Peak:

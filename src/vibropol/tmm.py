@@ -47,17 +47,6 @@ import numpy as np
 from .errors import _MAX_POINTS, DomainError, _check_choice, _check_range
 from .materials import _K_MAX, _K_MIN, ConstantMedium, _check_wavenumbers, _decaying_sqrt
 
-__all__ = [
-    "Layer",
-    "LayerStack",
-    "SpectralGrid",
-    "Spectrum",
-    "stack_response",
-    "spectrum_scan",
-    "angle_scan",
-    "divergence_nodes",
-]
-
 POLARIZATIONS = ("s", "p", "unpolarized")
 CHANNELS = ("T", "R", "A")
 

@@ -759,6 +759,32 @@ class TestEstimateCommand:
         result = runner.invoke(main, ["estimate", "--config", cfg])
         assert result.exit_code == 2
 
+    # each value is checked as the config loads, naming its key, not when
+    # the report runs into it
+    @pytest.mark.parametrize(
+        "keys, value, message",
+        [(("temperature_K",), -5.0,
+          "estimate: temperature_K must be finite and >= 0 K, got -5.0"),
+         (("observed_splitting_mev",), -3.0,
+          "estimate: observed_splitting_mev must be finite and > 0 meV, got -3.0"),
+         (("polariton_fwhm_mev", "lower"), 0.0,
+          "estimate: polariton_fwhm_mev.lower must be finite and > 0 meV, got 0.0"),
+         (("bond_density", "mass_density_g_cm3"), -1.0,
+          "estimate.bond_density: mass_density_g_cm3 must be finite and > 0, got -1.0"),
+         (("bond_density", "monomer_mass_g_mol"), 0.0,
+          "estimate.bond_density: monomer_mass_g_mol must be finite and > 0, got 0.0"),
+         (("bond_density", "bonds_per_monomer"), -2.0,
+          "estimate.bond_density: bonds_per_monomer must be finite and > 0, got -2.0")],
+        ids=["temperature_K", "observed_splitting_mev", "polariton_fwhm_mev", "mass_density",
+             "monomer_mass", "bonds_per_monomer"],
+    )
+    def test_bad_value_exits_2_naming_the_key(self, runner, tmp_path, keys, value, message):
+        raw = with_value(yaml.safe_load(ESTIMATE_CONFIG), ("estimate", *keys), value)
+        cfg = write_config(tmp_path, yaml.safe_dump(raw))
+        result = runner.invoke(main, ["estimate", "--config", cfg])
+        assert result.exit_code == 2, result.output
+        assert f"config error: {message}" in result.output
+
 
 def make_target_csv(tmp_path):
     """Transmission of the reference stack on a coarse grid as measured data."""

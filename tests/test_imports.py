@@ -159,6 +159,12 @@ def test_every_public_name_is_its_defining_modules_object():
         vibropol.no_such_name
 
 
+def test_the_package_table_is_the_one_list_of_public_names():
+    # a submodule's own __all__ would be a second copy that nothing compares
+    for module in vibropol._EXPORTS:
+        assert not hasattr(import_module(f"vibropol.{module}"), "__all__"), module
+
+
 def test_star_import_binds_every_public_name():
     names = run_fresh(
         "ns = {}; exec('from vibropol import *', ns); "

@@ -32,7 +32,7 @@ from vibropol import (
 
 from conftest import CO_BAND, make_stack
 
-BAD = (math.nan, math.inf, -math.inf, 0.0, -1.0, 1e300, -1e300, 1e-300)
+BAD = (math.nan, math.inf, -math.inf, 0.0, -1.0, 1e300, -1e300, 1e-300, 5e-324)
 # an integer argument also meets these
 BAD_INT = (0, -1)
 
