@@ -1,9 +1,12 @@
 """File formats.
 
 CSV files are ``# key = value`` metadata lines, a header row and one row
-per sample, numbers in their shortest round-trip form.  `write_csv`
-writes every table but the field map, from its columns; reports are JSON
-with sorted keys.  Reruns overwrite their outputs byte for byte.
+per sample, numbers in their shortest round-trip form, but for the
+field map's intensities, which are written at 10 significant digits: no
+command reads that file back, and ``%.10g`` writes it in well under half
+the time of ``repr``.  `write_csv` writes every table but the field map,
+from its columns; reports are JSON with sorted keys.  Reruns overwrite
+their outputs byte for byte.
 
 `read_spectrum_csv` reads native (``k_cm1,T,R,A``) and two-column files
 under one set of rules: ``#`` starts a comment anywhere; a line holding
@@ -124,22 +127,20 @@ def _utf8_lines(fh, path):
 
 
 def write_field_map_csv(path, fmap):
-    """Long format, one row per (k, z) cell; each k and z value is
-    formatted once and the file is written one k block at a time."""
+    """Long format, one row per (k, z) cell: k and z in their shortest
+    round-trip form, the intensity at 10 significant digits (``%.10g``).
+    One template per k block, built once from the depth axis, takes each
+    row of intensities in one ``%`` pass; rows convert one at a time."""
     head = _head("k_cm1,z_nm,intensity", {
         "angle_deg": fmap.angle,
         "polarization": fmap.polarization,
         "layer_boundaries_nm": " ".join(_fmt(b) for b in fmap.boundaries),
     })
-    z_cols = [f",{_fmt(z)}," for z in fmap.z]
+    template = "".join(f"\0,{_fmt(z)},%.10g\n" for z in fmap.z)
     with _open_text(path) as fh:
         fh.write(head)
         for k, row in zip(fmap.k, fmap.intensity):
-            k_col = _fmt(k)
-            fh.write("".join(
-                f"{k_col}{z_col}{value!r}\n"
-                for z_col, value in zip(z_cols, np.asarray(row, dtype=float).tolist())
-            ))
+            fh.write(template.replace("\0", _fmt(k)) % tuple(row.tolist()))
 
 
 def write_dispersion_csv(path, table):

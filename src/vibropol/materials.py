@@ -15,6 +15,8 @@ ConstantMedium returns a 0-d eps, as the stack kernel keeps it.
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,6 +41,11 @@ def _check_wavenumbers(k):
     return k
 
 
+# the largest float whose square is finite: the models square omega_p,
+# k0 and omega0 as Python floats, whose ** raises OverflowError beyond it
+_SQUARE_MAX = math.sqrt(sys.float_info.max)
+
+
 @dataclass(frozen=True)
 class LorentzOscillator:
     """One vibrational resonance: strength f (cm^-2), center k0 (cm^-1),
@@ -50,7 +57,7 @@ class LorentzOscillator:
 
     def __post_init__(self):
         _check_range(self.f, "oscillator strength f", ge=0.0, unit="cm^-2")
-        _check_range(self.k0, "oscillator center k0", gt=0.0, unit="cm^-1")
+        _check_range(self.k0, "oscillator center k0", gt=0.0, le=_SQUARE_MAX, unit="cm^-1")
         _check_range(self.gamma, "oscillator damping gamma", gt=0.0, unit="cm^-1")
 
 
@@ -134,7 +141,8 @@ class BoundTransition:
     def __post_init__(self):
         _check_range(self.f, "bound transition strength f", ge=0.0)
         _check_range(self.gamma, "bound transition linewidth gamma", gt=0.0, unit="eV")
-        _check_range(self.omega0, "bound transition center omega0", gt=0.0, unit="eV")
+        _check_range(self.omega0, "bound transition center omega0", gt=0.0, le=_SQUARE_MAX,
+                     unit="eV")
 
 
 # Tabulated Drude-Lorentz parameters for gold (eV).
@@ -166,7 +174,7 @@ class DrudeLorentzMetal:
     damping_multiplier: float = 2.5
 
     def __post_init__(self):
-        _check_range(self.omega_p, "plasma energy omega_p", gt=0.0, unit="eV")
+        _check_range(self.omega_p, "plasma energy omega_p", gt=0.0, le=_SQUARE_MAX, unit="eV")
         _check_range(self.f0, "free-electron strength f0", ge=0.0)
         _check_range(self.gamma0, "free-electron damping gamma0", gt=0.0, unit="eV")
         _check_range(self.damping_multiplier, "damping multiplier", ge=1.0)

@@ -13,7 +13,8 @@ import numpy as np
 import pytest
 import yaml
 
-from vibropol import ConfigError, SpectralGrid, load_config, parse_config, spectrum_scan
+from vibropol import (ConfigError, SpectralGrid, default_z_grid, field_map, load_config,
+                      parse_config, spectrum_scan)
 from vibropol.cli import main
 from vibropol.config import config_to_dict, parse_grid_spec
 
@@ -358,6 +359,26 @@ class TestSimulateCommand:
         second = {p.name: p.read_bytes() for p in out.iterdir()}
         assert first == second
 
+    @pytest.mark.parametrize(
+        "keys, message",
+        [
+            (("materials", "gold", "omega_p"), "materials.gold: plasma energy omega_p"),
+            (("materials", "pvac", "oscillators", 0, "k0"),
+             "materials.pvac.oscillators[0]: oscillator center k0"),
+        ],
+        ids=["omega_p", "k0"],
+    )
+    def test_parameter_whose_square_overflows_exits_2_naming_the_key(self, runner, tmp_path,
+                                                                     keys, message):
+        cfg = write_config(tmp_path, yaml.safe_dump(with_value(yaml.safe_load(BASE_CONFIG),
+                                                               keys, 1e300)))
+        result = runner.invoke(main, ["simulate", "--config", cfg, "--out-dir", str(tmp_path)])
+        assert result.exit_code == 2, result.output
+        assert f"config error: {message} must be finite and > 0 and <= 1.34078e+154" \
+            in result.output
+        assert "Traceback" not in result.output
+        assert not (tmp_path / "summary.json").exists()
+
     def test_divergence_override(self, runner, tmp_path):
         cfg = write_config(tmp_path, BASE_CONFIG)
         out = tmp_path / "out"
@@ -521,6 +542,28 @@ class TestFieldMapCommand:
         assert set(data[:, 0]) == {1700.0, 1740.0, 1780.0}
         assert data[0, 1] == -200.0
         assert np.all(data[:, 2] >= 0.0)
+
+    def test_csv_reads_back_to_the_library_map(self, runner, tmp_path):
+        # k and z are written exact, the intensity at 10 significant digits
+        raw = yaml.safe_load(BASE_CONFIG)
+        raw["field_map"] = {"grid": {"min": 1700.0, "max": 1780.0, "step": 20.0},
+                            "z_step": 50.0, "angle": 20.0, "polarization": "p"}
+        cfg = write_config(tmp_path, yaml.safe_dump(raw))
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["field-map", "--config", cfg, "--out-dir", str(out)])
+        assert result.exit_code == 0, result.output
+        config = parse_config(raw)
+        settings = config.field_map
+        z = default_z_grid(config.stack, z_step=settings.z_step,
+                           margin_ambient=settings.margin_ambient_nm,
+                           margin_substrate=settings.margin_substrate_nm)
+        fmap = field_map(config.stack, settings.grid, z=z, angle=20.0, polarization="p")
+        rows = (out / "field_map.csv").read_text().splitlines()[4:]
+        data = np.array([[float(x) for x in r.split(",")] for r in rows])
+        assert data.shape == (fmap.k.size * fmap.z.size, 3)
+        assert np.array_equal(data[:, 0], np.repeat(fmap.k, fmap.z.size))
+        assert np.array_equal(data[:, 1], np.tile(fmap.z, fmap.k.size))
+        np.testing.assert_allclose(data[:, 2], fmap.intensity.ravel(), rtol=5e-10, atol=0.0)
 
     @pytest.mark.parametrize(
         "raw, message",

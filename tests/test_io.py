@@ -1,7 +1,9 @@
 """Writers and the one spectrum reader: the column-wise table writer and
-the block-wise field-map CSV keep the per-cell bytes, spectra round-trip
-bit for bit, and every defect of an input file names the file and the
-line."""
+the block-wise field-map CSV keep the per-cell bytes, the field-map writer
+holds one row at a time, spectra round-trip bit for bit, and every defect
+of an input file names the file and the line."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -34,7 +36,8 @@ FILE_DEFECTS = {
 
 
 def per_cell_field_map_csv(fmap):
-    """The field-map CSV written cell by cell, one repr per value."""
+    """The field-map CSV written cell by cell: the repr of each k, z and
+    metadata number, each intensity at 10 significant digits."""
     fmt = lambda value: repr(float(value))  # noqa: E731
     lines = [
         f"# angle_deg = {fmt(fmap.angle)}",
@@ -44,7 +47,7 @@ def per_cell_field_map_csv(fmap):
     ]
     for i, k in enumerate(fmap.k):
         for j, z in enumerate(fmap.z):
-            lines.append(f"{fmt(k)},{fmt(z)},{fmt(fmap.intensity[i, j])}")
+            lines.append(f"{fmt(k)},{fmt(z)},{'%.10g' % fmap.intensity[i, j]}")
     return "\n".join(lines) + "\n"
 
 
@@ -69,6 +72,22 @@ def test_field_map_csv_value_edge_cases(tmp_path):
         path = tmp_path / f"map{i}.csv"
         write_field_map_csv(path, fm)
         assert path.read_bytes() == per_cell_field_map_csv(fm).encode("utf-8")
+
+
+def test_field_map_writer_streams_one_row_at_a_time(tmp_path):
+    # the largest map allowed: a writer that converts the whole map at once
+    # would hold ~10^6 Python floats, 24 MB or more
+    side = 1000
+    fmap = FieldMap(k=np.linspace(1000.0, 2000.0, side), z=np.linspace(-200.0, 2200.0, side),
+                    intensity=np.random.default_rng(0).random((side, side)),
+                    angle=0.0, polarization="s", boundaries=(0.0,))
+    tracemalloc.start()
+    try:
+        write_field_map_csv(tmp_path / "map.csv", fmap)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 @pytest.mark.parametrize("content, message", FILE_DEFECTS.values(), ids=FILE_DEFECTS)

@@ -1,4 +1,9 @@
-"""Dielectric models: frozen reference values, passivity, branch choice."""
+"""Dielectric models: frozen reference values, passivity, branch choice,
+and the parameters the models square kept below the square root of the
+largest float."""
+
+import math
+import sys
 
 import numpy as np
 import pytest
@@ -173,6 +178,25 @@ def test_lorentz_passivity(f, k0, gamma, eps_b, k):
     eps = medium.epsilon(k)
     assert eps.imag >= 0.0
     assert refractive_index(eps).imag >= 0.0
+
+
+@pytest.mark.parametrize(
+    "build, name",
+    [
+        (lambda v: DrudeLorentzMetal(omega_p=v), "plasma energy omega_p"),
+        (lambda v: LorentzMedium(2.0, (LorentzOscillator(1.0, v, 1.0),)),
+         "oscillator center k0"),
+        (lambda v: BoundTransition(1.0, 1.0, v), "bound transition center omega0"),
+    ],
+    ids=["omega_p", "k0", "omega0"],
+)
+def test_a_parameter_whose_square_overflows_is_a_domain_error(build, name):
+    # Python's float ** raises OverflowError where numpy would give inf
+    largest = math.sqrt(sys.float_info.max)
+    build(largest)
+    for value in (math.nextafter(largest, math.inf), 1e300):
+        with pytest.raises(DomainError, match=f"^{name} must be finite and > 0 and <= "):
+            build(value)
 
 
 def test_constant_medium_requires_passive():
