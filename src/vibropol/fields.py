@@ -99,14 +99,13 @@ def _fields(stack, k, z, angle, polarization, flux=True):
 
     intensity = np.zeros((k.size, z.size))
     poynting = np.zeros((k.size, z.size)) if flux else None
-    thickness = [ly.thickness for ly in stack.layers]
 
     def per_k(x):
-        # constant media keep 0-d values
+        # constant media keep scalar values
         return np.broadcast_to(x, k.shape)
 
     for pol in pols:
-        r, t, qz, q, _, steps = _rouard(eps, thickness, k0_rad, sin_amb**2, pol, march=True)
+        r, t, qz, q, _, steps = _rouard(eps, stack.layers, k0_rad, sin_amb**2, pol, march=True)
         # march the amplitudes from the ambient: fwd[j] at each medium's
         # entry face, bwd[j] at its exit face (none in the substrate)
         a, fwd, bwd = 1.0, [1.0], [r]

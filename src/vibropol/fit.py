@@ -270,7 +270,7 @@ class _Plan:
             [None] + [rows.get(name) for name in self.names],
             [rows[j][0] if j in rows else 0.0 for j in range(len(stack.layers))],
         )
-        media = _media(stack, k)
+        media = _media(stack, k, finite=False)
         self.ambient = media[0]
         self.fixed = {n: e for n, e in zip(self.names, media[1:]) if n not in self.groups}
         self.k0 = _K_TO_RAD_NM * k

@@ -10,11 +10,13 @@ field, ("eps_b",), ("f", j), ("k0", j), ("gamma", j), ("omega_p",) and so
 on, all from one evaluation of the model's denominators (all three models
 are rational in their parameters).  epsilon(k) is the same evaluation with
 no fields, so a fit's model values match stack_response's bit for bit.  A
-ConstantMedium returns a 0-d eps, as the stack kernel keeps it.
+ConstantMedium returns its eps as a Python complex, as the stack kernel
+keeps it.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 import sys
 from dataclasses import dataclass
@@ -124,8 +126,8 @@ class ConstantMedium:
         return np.full_like(k, self.eps, dtype=complex)
 
     def _epsilon_and_derivatives(self, k, fields):
-        """The 0-d eps, and d eps / d Re(eps), the one field ("eps",):
-        one at every wavenumber."""
+        """The eps, a Python complex, and d eps / d Re(eps), the one field
+        ("eps",): one at every wavenumber."""
         return self.eps, [1.0 for _ in fields]
 
 
@@ -238,7 +240,13 @@ def refractive_index(model_or_eps, k=None):
 
 def _decaying_sqrt(x):
     """sqrt(x) on the branch Im >= 0, where a wave decays into the medium;
-    on the real axis numpy's principal root, Re >= 0.  0-d for a 0-d x."""
+    on the real axis the principal root, Re >= 0.  A Python complex x (a
+    constant medium in the stack kernel) takes cmath.sqrt and gives a
+    Python complex, so that medium costs scalar arithmetic only; an array
+    takes numpy's root, and a 0-d array gives a 0-d array."""
+    if isinstance(x, complex):
+        root = cmath.sqrt(x)
+        return -root if root.imag < 0.0 else root
     root = np.sqrt(x)
     if np.ndim(root) == 0:
         return np.asarray(-root if root.imag < 0.0 else root)

@@ -11,20 +11,23 @@ factor exp(i k0 d qz).  The media are isotropic, so the response depends
 on the angle only through s^2 = (n_ambient sin(angle))^2: the kernel
 takes s^2, and an angle scan solves each distinct s^2 once.  A constant
 medium (the ambient, and any ConstantMedium layer or substrate) keeps a
-0-d eps, qz and q through the whole pass, the exit factor of an
-incoherent substrate included, so it costs scalar arithmetic only.
-Conventions follow exp(-i omega t).
+Python complex eps, qz and q through the whole pass, the exit factor of
+an incoherent substrate included, so it costs scalar arithmetic only and
+none of numpy's per-call overhead.  Conventions follow exp(-i omega t).
 
 Stacks are solved with Rouard's interface recursion (compared with the
 scattering-matrix form in Li, JOSA A 13, 1024 (1996)): starting at the
-substrate, the reflection coefficient seen from each medium is carried
+substrate, the reflection coefficient g seen from each medium is carried
 back through one layer by the decaying factor exp(2i k0 d qz) and across
-one interface by r = (q - q_next)/(q + q_next).  Only phase factors of
-modulus <= 1 are ever multiplied, so thick lossy or evanescent layers
-underflow to zero transmission instead of overflowing.  The same sweep
-builds t as a product of per-layer factors; on request it keeps them, and
-`fields` marches the wave amplitudes of every medium from them
-(bookkeeping as in Byrnes, arXiv:1603.02720).
+its entry interface, whose Fresnel coefficients are folded into the Airy
+denominator: with S = q + q_next and D = q - q_next,
+g <- (D + S g') / (S + D g'), g' = g exp(2i k0 d qz), one complex
+reciprocal per layer.  Only phase factors of modulus <= 1 are ever
+multiplied, so thick lossy or evanescent layers underflow to zero
+transmission instead of overflowing.  The same sweep builds t as a
+product of per-layer factors; on request it keeps them, and `fields`
+marches the wave amplitudes of every medium from them (bookkeeping as in
+Byrnes, arXiv:1603.02720).
 
 The pass can also carry tangents, forward-mode derivatives in the spirit
 of Luce et al., JOSA A 39, 1007 (2022): one complex direction per
@@ -154,17 +157,28 @@ def _check_polarization(polarization):
     _check_choice(polarization, "polarization", POLARIZATIONS)
 
 
-def _media(stack, k):
+def _media(stack, k, finite=True):
     """Permittivities of the ambient, each layer and the substrate on k.
     A dispersive material is evaluated once, however many layers use it;
-    a constant medium stays a 0-d complex, so k is checked here."""
+    a constant medium stays a Python complex, so k is checked here.  With
+    `finite`, a dispersive eps that overflows raises DomainError naming
+    the material and the first wavenumber where it is not finite, before
+    anything is computed from it; a fit leaves that to its solver, which
+    names the start whose model is not finite."""
     _check_wavenumbers(k)
     eps = {}
     for name in [ly.material for ly in stack.layers] + [stack.substrate]:
         if name not in eps:
             model = stack.materials[name]
-            const = isinstance(model, ConstantMedium)
-            eps[name] = model.eps if const else model.epsilon(k)
+            if isinstance(model, ConstantMedium):
+                eps[name] = model.eps
+                continue
+            # an overflow is reported below, as the material's error
+            with np.errstate(all="ignore"):
+                eps[name] = model.epsilon(k)
+            if finite and not np.isfinite(eps[name]).all():
+                first = float(k[~np.isfinite(eps[name])][0])
+                raise DomainError(f"material {name!r}: eps is not finite at {first} cm^-1")
     return (
         [complex(stack.n_ambient**2)]
         + [eps[ly.material] for ly in stack.layers]
@@ -172,12 +186,14 @@ def _media(stack, k):
     )
 
 
-def _rouard(eps, thickness, k0, sin2, polarization, tangents=None, march=False):
+def _rouard(eps, layers, k0, sin2, polarization, tangents=None, march=False):
     """Rouard's recursion over the media eps = (ambient, layers...,
     substrate), broadcast over k0 (rad/nm); sin2 = (n_ambient sin(angle))^2.
     Media that share one eps object (one material, see `_media`) share
     their qz and q, and layers of one material and thickness their phase
-    factor, so callers must not modify the returned arrays in place.
+    factor, so callers must not modify the returned arrays in place.  A
+    layer with qz = 0 at some wavenumber raises DomainError: its waves
+    exp(+-i k0 qz z) are then one wave, and the recursion divides 0 by 0.
 
     Returns (r, t, qz, q, d, steps) for a unit U amplitude incident from
     the ambient.  r and t are the U-amplitude reflection (at z = 0) and
@@ -187,12 +203,30 @@ def _rouard(eps, thickness, k0, sin2, polarization, tangents=None, march=False):
     exit face and f its entry forward amplitude per unit forward amplitude
     leaving medium j - 1.
 
+    Each layer j, between qa = q[j - 1] and qb = q[j], costs one complex
+    reciprocal: its entry interface's Fresnel coefficients (qa - qb) / S
+    and 2 qa / S, with S = qa + qb and D = qa - qb, are folded into the
+    Airy denominator.  With g_e = g phase^2, the exit face's reflection
+    seen from the entry face,
+
+        inv = 1 / (S + D g_e),  g <- (D + S g_e) inv,
+        f = 2 qa inv,  x = f phase,  t <- t x.
+
     tangents = (deps, dd) sets m directions.  deps[j] is None or a pair
     (row, label): row, shape (m, 1), is the complex change of medium j's
     eps along each direction, and label names the parameters behind it.
     dd[j] is 0.0 or the (m, 1) real change of layer j's thickness.  d is
     then (dr, dt, dq_sub), the tangents of r, t and the substrate's q along
-    the m directions on a leading axis; without tangents it is None.
+    the m directions on a leading axis; without tangents it is None.  They
+    come from the same inv, with w = qb dqa - qa dqb (no product for a
+    medium no direction moves), dg_e = (dg + 2 g dlog) phase^2 and
+    dlog = d(log phase):
+
+        dg <- 2 inv^2 ((1 - g_e^2) w + 2 qa qb dg_e),
+        dx = 2 inv^2 phase ((1 - g_e) w - qa D dg_e) + x dlog,
+        dt <- dt x + t dx,
+
+    starting from dg = dt = 2 w / S^2 at the substrate's face.
     """
     qz, q, shared = [], [], {}
     for e in eps:
@@ -202,12 +236,12 @@ def _rouard(eps, thickness, k0, sin2, polarization, tangents=None, march=False):
         z, qj = shared[id(e)]
         qz.append(z)
         q.append(qj)
-    n = len(thickness)
+    n = len(layers)
     phase = [None]
-    for j in range(1, n + 1):
-        key = id(eps[j]), thickness[j - 1]
+    for j, layer in enumerate(layers, 1):
+        key = id(eps[j]), layer.thickness
         if key not in shared:
-            shared[key] = np.exp(1j * thickness[j - 1] * qz[j] * k0)
+            shared[key] = np.exp(1j * layer.thickness * qz[j] * k0)
         phase.append(shared[key])
 
     if tangents is not None:
@@ -216,10 +250,10 @@ def _rouard(eps, thickness, k0, sin2, polarization, tangents=None, march=False):
         for e, z, qj, de in zip(eps, qz, q, deps):
             if de is None:
                 dqz.append(0.0)
-                dq.append(0.0)
+                dq.append(None)
                 continue
             row, label = de
-            if not z.all():
+            if not np.all(z):
                 raise DomainError(
                     f"the derivative along {label} is singular: a medium it sets has "
                     "eps = (n_ambient sin(angle))^2, so qz = 0"
@@ -228,45 +262,53 @@ def _rouard(eps, thickness, k0, sin2, polarization, tangents=None, march=False):
             dqz.append(dz)
             dq.append(dz if polarization == "s" else (dz - qj * row) / e)
         # d(phase) = phase * dlog
-        dlog = [None] + [1j * k0 * (qz[j] * dd[j - 1] + thickness[j - 1] * dqz[j])
+        dlog = [None] + [1j * k0 * (qz[j] * dd[j - 1] + layers[j - 1].thickness * dqz[j])
                          for j in range(1, n + 1)]
 
-    def interface(i):
-        # r, t and their shared tangent dr between media i and i + 1: t = 1 + r,
-        # but 2 qa / (qa + qb) keeps its digits when qb >> qa (p-polarized ENZ)
-        qa, qb = q[i], q[i + 1]
-        inv = 1.0 / (qa + qb)
-        dr = None if tangents is None else (qb * dq[i] - qa * dq[i + 1]) * (2.0 * inv * inv)
-        return (qa - qb) * inv, 2.0 * qa * inv, dr
+        def cross(i):
+            # w = qb dqa - qa dqb across the interface of media i and i + 1
+            qa, qb, dqa, dqb = q[i], q[i + 1], dq[i], dq[i + 1]
+            if dqb is None:
+                return 0.0 if dqa is None else qb * dqa
+            return -qa * dqb if dqa is None else qb * dqa - qa * dqb
 
     # substrate -> ambient: for a unit forward amplitude at the current
     # medium's exit face, g is the reflected amplitude and t the forward
     # amplitude in the substrate; t is a product of per-layer factors x,
-    # never divided by, since an interface t can be 0
-    g, t, dg = interface(n)
-    dt = dg
+    # never divided by, since an interface t can be 0.  2 qa / S keeps its
+    # digits when qb >> qa (p-polarized ENZ), where 1 + r would not
+    qa, qb = q[n], q[n + 1]
+    inv = 1.0 / (qa + qb)
+    g, t = (qa - qb) * inv, 2.0 * qa * inv
+    if tangents is not None:
+        dg = dt = cross(n) * (2.0 * inv * inv)
     steps = [None] * n if march else None
     for j in range(n, 0, -1):
-        r, t_in, dr = interface(j - 1)
-        p2 = phase[j] ** 2
-        g_entry = g * p2
-        inv = 1.0 / (1.0 + r * g_entry)
-        f = t_in * inv
-        x = f * phase[j]
+        if not np.all(qz[j]):
+            raise DomainError(
+                f"layer {j - 1} ({layers[j - 1].material}) has eps = (n_ambient "
+                "sin(angle))^2, so qz = 0: its two waves coincide and the recursion is singular"
+            )
+        qa, qb, p = q[j - 1], q[j], phase[j]
+        S, D = qa + qb, qa - qb
+        p2 = p * p
+        g_e = g * p2
+        inv = 1.0 / (S + D * g_e)
+        f = 2.0 * qa * inv
+        x = f * p
         if march:
-            steps[j - 1] = g, f, phase[j]
-        g_next = (r + g_entry) * inv
+            steps[j - 1] = g, f, p
         if tangents is not None:
-            dg_entry = (dg + 2.0 * g * dlog[j]) * p2
-            ddenom = dr * g_entry + r * dg_entry
-            dg = (dr + dg_entry - g_next * ddenom) * inv
-            dx = ((dr + t_in * dlog[j]) * phase[j] - x * ddenom) * inv
+            dg_e = (dg + 2.0 * g * dlog[j]) * p2
+            w, inv2 = cross(j - 1), 2.0 * inv * inv
+            dg = inv2 * ((1.0 - g_e * g_e) * w + 2.0 * qa * qb * dg_e)
+            dx = (inv2 * p) * ((1.0 - g_e) * w - qa * D * dg_e) + x * dlog[j]
             dt = dt * x + t * dx
-        g, t = g_next, t * x
+        g, t = (D + S * g_e) * inv, t * x
     if n == 0:
-        # 0-d between two constant media; the results live on k
+        # scalars between two constant media; the results live on k
         g, t = np.broadcast_to(g, np.shape(k0)), np.broadcast_to(t, np.shape(k0))
-    d = None if tangents is None else (dg, dt, dq[-1])
+    d = None if tangents is None else (dg, dt, 0.0 if dq[-1] is None else dq[-1])
     return g, t, qz, q, d, steps
 
 
@@ -286,8 +328,7 @@ def _response(stack, eps, k0, sin2, polarization, tangents=None):
         s = _response(stack, eps, k0, sin2, "s", tangents)
         p = _response(stack, eps, k0, sin2, "p", tangents)
         return tuple(0.5 * (a + b) for a, b in zip(s, p))
-    thickness = [ly.thickness for ly in stack.layers]
-    r, t, _, q, d, _ = _rouard(eps, thickness, k0, sin2, polarization, tangents)
+    r, t, _, q, d, _ = _rouard(eps, stack.layers, k0, sin2, polarization, tangents)
     q_amb, q_sub = q[0], q[-1]
 
     incoherent = stack.substrate_mode == "incoherent_to_air"

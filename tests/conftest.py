@@ -43,7 +43,7 @@ def make_stack(oscillators, thickness=1930.0, substrate_mode="incoherent_to_air"
 def constant_stack(layered, substrate_mode="coherent"):
     """An edge shape of the stack kernel: no layers, or a lossy and a
     lossless layer, on Ge, every medium a ConstantMedium, so r and t stay
-    0-d until a phase or the final broadcast puts them on k."""
+    Python scalars until a phase or the final broadcast puts them on k."""
     materials = {"film": ConstantMedium(eps=complex(2.25, 0.05)),
                  "spacer": ConstantMedium(eps=1.8), "germanium": ConstantMedium(eps=16.0)}
     layers = (Layer("film", 800.0), Layer("spacer", 120.0)) if layered else ()

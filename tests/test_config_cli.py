@@ -379,6 +379,17 @@ class TestSimulateCommand:
         assert "Traceback" not in result.output
         assert not (tmp_path / "summary.json").exists()
 
+    def test_material_whose_eps_overflows_exits_3_before_writing(self, runner, tmp_path):
+        # omega_p passes its square limit, but gold's eps overflows on the grid
+        cfg = write_config(tmp_path, yaml.safe_dump(with_value(
+            yaml.safe_load(BASE_CONFIG), ("materials", "gold", "omega_p"), 1.0e154)))
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["simulate", "--config", cfg, "--out-dir", str(out)])
+        assert result.exit_code == 3, result.output
+        assert result.output == ("physics error: material 'gold': eps is not finite at "
+                                 "1500.0 cm^-1\n")
+        assert not out.exists()
+
     def test_divergence_override(self, runner, tmp_path):
         cfg = write_config(tmp_path, BASE_CONFIG)
         out = tmp_path / "out"

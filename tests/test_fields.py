@@ -200,7 +200,7 @@ def test_field_map_rows_match_profiles(coupled_stack):
 @pytest.mark.parametrize("layered", [False, True], ids=["no-layers", "constant-layers"])
 @pytest.mark.parametrize("pol", ["s", "p", "unpolarized"])
 def test_constant_stack_rows_match_profiles(layered, pol):
-    # the amplitudes of constant media start 0-d in the march
+    # the amplitudes of constant media start as scalars in the march
     stack = constant_stack(layered)
     z = np.linspace(-300.0, 1200.0, 40)
     fmap = field_map(stack, SpectralGrid(1500.0, 2500.0, 250.0), z=z, angle=40.0,

@@ -386,6 +386,30 @@ def cavity_with_spacer(substrate_mode):
                       substrate_mode=substrate_mode)
 
 
+# one free Lorentz film on both sides of a spacer and as the substrate
+BOTH_SIDES = (
+    "materials.film.oscillators[0].f",
+    "materials.film.oscillators[0].k0",
+    "materials.film.oscillators[0].gamma",
+    "materials.film.eps_b",
+    "materials.spacer.eps",
+    "materials.gold.f0",
+    "layers[1].thickness",
+    "layers[2].thickness",
+    "layers[3].thickness",
+)
+
+
+def film_on_itself():
+    base = make_stack([CO_BAND])
+    materials = {"gold": base.materials["gold"], "film": base.materials["pvac"],
+                 "spacer": ConstantMedium(eps=complex(2.25, 0.1))}
+    layers = (Layer("gold", 10.0), Layer("film", 600.0), Layer("spacer", 300.0),
+              Layer("film", 400.0))
+    return LayerStack(materials=materials, layers=layers, substrate="film",
+                      substrate_mode="coherent")
+
+
 def free_parameters(stack):
     """Every fittable field of a stack without Lorentz media, with bounds
     that centre on its value."""
@@ -432,7 +456,7 @@ class TestJacobian:
     def test_constant_stacks_match_central_differences(self, layered, substrate_mode,
                                                        polarization, channel):
         # a free substrate eps, and a free thickness where there is a
-        # layer, on the stacks whose r and t start 0-d in the sweep
+        # layer, on the stacks whose r and t start as scalars in the sweep
         stack = constant_stack(layered, substrate_mode)
         paths = ["materials.germanium.eps"] + (["layers[0].thickness"] if layered else [])
         values = np.array([_locate(stack, path)[0] for path in paths])
@@ -468,6 +492,28 @@ class TestJacobian:
             if np.max(np.abs(coarse[:, i] - fine[:, i])) <= 0.1 * tol:
                 assert np.max(np.abs(exact[:, i] - coarse[:, i])) <= tol, p.path
 
+    @pytest.mark.parametrize("polarization", ["s", "p"])
+    @pytest.mark.parametrize("channel", ["T", "R", "A"])
+    def test_free_media_on_both_sides_and_the_substrate(self, polarization, channel):
+        # film meets spacer (two directions at one interface), meets itself
+        # as the coherent substrate (both terms of w from one direction,
+        # and dq_sub), and gold fronts the stack; central differences step
+        # 1e-5 of each bound width, as acceptance criterion 6e does
+        stack = film_on_itself()
+        values = np.array([_locate(stack, path)[0] for path in BOTH_SIDES])
+        free = tuple(FreeParameter(p, 0.8 * v, 1.2 * v) for p, v in zip(BOTH_SIDES, values))
+        k = np.linspace(1500.0, 2000.0, 60)
+        problem = FitProblem(stack=stack, free=free, k=k, target=np.full_like(k, 0.3),
+                             channel=channel, angle=30.0, polarization=polarization)
+        exact = exact_jacobian(problem, values)
+        for i, p in enumerate(free):
+            h = 1e-5 * (p.upper - p.lower)
+            up, dn = values.copy(), values.copy()
+            up[i] += h
+            dn[i] -= h
+            central = (residual_vector(problem, up) - residual_vector(problem, dn)) / (2.0 * h)
+            assert np.max(np.abs(exact[:, i] - central)) <= RTOL * np.max(np.abs(central)), p.path
+
     def test_singular_tangent_names_the_path(self):
         # qz = sqrt(eps - (n_ambient sin(angle))^2) vanishes in the film
         sin_amb = 2.0 * math.sin(math.radians(40.0))
@@ -482,10 +528,11 @@ class TestJacobian:
         problem = FitProblem(stack=stack, free=free, k=k, target=np.zeros_like(k), angle=40.0)
         with pytest.raises(DomainError, match=r"'materials\.film\.eps'"):
             loss_gradient(problem, np.array([500.0, sin_amb**2]))
-        # a thickness alone stays differentiable there
+        # with a thickness alone, the spectrum itself is singular there
         thickness_only = FitProblem(stack=stack, free=free[:1], k=k, target=np.zeros_like(k),
                                     angle=40.0)
-        assert np.all(np.isfinite(loss_gradient(thickness_only, np.array([500.0]))))
+        with pytest.raises(DomainError, match=r"layer 0 \(film\)"):
+            loss_gradient(thickness_only, np.array([500.0]))
 
 
 # five paths of four keys, a key's paths apart; GROUPED lists each key's

@@ -143,7 +143,7 @@ class TestOracles:
 
 class TestConstantStacks:
     """The sweep's edge shapes: no layers, and a stack of constant media
-    whose r and t stay 0-d inside the sweep."""
+    whose r and t stay Python scalars inside the sweep."""
 
     @pytest.mark.parametrize("layered", [False, True], ids=["no-layers", "constant-layers"])
     @pytest.mark.parametrize("mode", ["coherent", "incoherent_to_air"])
@@ -633,9 +633,51 @@ def test_stack_validation():
         LayerStack(materials={"a": AIR}, layers=(), substrate="a", substrate_mode="magic")
 
 
+def flat_film_stack():
+    """A film whose eps is (n_ambient sin(40 deg))^2 on eps 9, so its qz
+    is 0 at 40 degrees."""
+    s = 2.0 * math.sin(math.radians(40.0))
+    return LayerStack(
+        materials={"film": ConstantMedium(eps=s**2), "sub": ConstantMedium(eps=9.0)},
+        layers=(Layer("film", 500.0),), substrate="sub", n_ambient=2.0,
+    )
+
+
+@pytest.mark.parametrize("pol, T_limit, R_limit", [("s", 0.7609, 0.2391),
+                                                   ("p", 0.9690, 0.0310)])
+def test_layer_with_zero_qz_raises_naming_its_material(pol, T_limit, R_limit):
+    # the layer's two waves coincide at 40 deg, where the recursion would
+    # divide 0 by 0; 1e-6 deg to either side it gives the finite limit
+    stack = flat_film_stack()
+    k = np.array([1500.0])
+    with pytest.raises(DomainError, match=r"layer 0 \(film\).*qz = 0"):
+        stack_response(stack, k, 40.0, pol)
+    with pytest.raises(DomainError, match=r"layer 0 \(film\)"):
+        field_map(stack, k, angle=40.0, polarization=pol)
+    for angle in (40.0 - 1e-6, 40.0 + 1e-6):
+        T, R, _ = stack_response(stack, k, angle, pol)
+        assert T[0] == pytest.approx(T_limit, abs=1e-4)
+        assert R[0] == pytest.approx(R_limit, abs=1e-4)
+
+
+@pytest.mark.parametrize("run", ["stack_response", "angle_scan", "field_map"])
+def test_material_whose_eps_overflows_raises_naming_it(coupled_stack, run):
+    # omega_p^2 is finite, but f0 omega_p^2 / (w (w + i gamma)) is not
+    materials = dict(coupled_stack.materials, gold=DrudeLorentzMetal(omega_p=1.0e154))
+    stack = replace(coupled_stack, materials=materials)
+    k = np.array([1500.0, 1600.0])
+    calls = {
+        "stack_response": lambda: stack_response(stack, k, 10.0, "p"),
+        "angle_scan": lambda: angle_scan(stack, k, [0.0, 20.0], "s"),
+        "field_map": lambda: field_map(stack, k, angle=10.0),
+    }
+    with pytest.raises(DomainError, match=r"material 'gold': eps is not finite at 1500.0 cm\^-1"):
+        calls[run]()
+
+
 class TestWavenumberValidation:
-    """Constant media keep a 0-d eps and never evaluate it on k, so the
-    kernel checks the grid itself."""
+    """Constant media keep a Python complex eps and never evaluate it on
+    k, so the kernel checks the grid itself."""
 
     @pytest.mark.parametrize(
         "k", [[0.0], [1700.0, -5.0], [np.nan], [1700.0, np.inf], []],
