@@ -34,7 +34,8 @@ import numpy as np
 
 from .errors import _MAX_POINTS, DomainError, _check_range
 from .materials import _check_wavenumbers
-from .tmm import _K_TO_RAD_NM, _check_angle, _check_polarization, _media, _points, _rouard
+from .tmm import (_K_TO_RAD_NM, _check_angle, _check_polarization, _media, _names, _points,
+                  _rouard)
 
 # cells of one row block: each per-cell temporary of `_fields` stays a
 # few hundred kB, so a map's working memory stays a small multiple of its
@@ -88,6 +89,7 @@ def _fields(stack, k, z, angle, polarization, flux=True):
     if not np.all(np.isfinite(z)):
         raise DomainError("z samples must be finite (nm)")
     eps = _media(stack, k)
+    names = _names(stack)
     k0_rad = _K_TO_RAD_NM * k
     sin_amb = stack.n_ambient * math.sin(math.radians(angle))
     edges = _boundaries(stack)
@@ -105,7 +107,7 @@ def _fields(stack, k, z, angle, polarization, flux=True):
         return np.broadcast_to(x, k.shape)
 
     for pol in pols:
-        r, t, qz, q, _, steps = _rouard(eps, stack.layers, k0_rad, sin_amb**2, pol, march=True)
+        r, t, qz, q, _, steps = _rouard(stack, eps, k0_rad, sin_amb**2, pol, march=True)
         # march the amplitudes from the ambient: fwd[j] at each medium's
         # entry face, bwd[j] at its exit face (none in the substrate)
         a, fwd, bwd = 1.0, [1.0], [r]
@@ -121,7 +123,7 @@ def _fields(stack, k, z, angle, polarization, flux=True):
                 continue
             zj = z[cols]
             z_entry, z_exit = faces[j]
-            kz, qj, epsj = per_k(k0_rad * qz[j]), per_k(q[j]), per_k(eps[j])
+            kz, qj, epsj = per_k(k0_rad * qz[j]), per_k(q[j]), per_k(eps[names[j]])
             fwd_j, bwd_j = per_k(amp * fwd[j]), per_k(amp * bwd[j])
             step = max(1, _BLOCK_CELLS // cols.size)
             for r0 in range(0, k.size, step):

@@ -27,16 +27,19 @@ its closed-form d eps / d p.  No finite differences are taken.
 Every public call resolves the paths once, for all its kernel passes,
 and groups them by the layer or material they set: that one grouping
 gives each evaluation's writes, each material's requested d eps / d p,
-the kernel's tangent directions and the Jacobian's columns.  The call
-also evaluates the permittivities of the media no parameter touches and
-the grid and angle terms of the kernel once.  Each evaluation then writes
+the kernel's tangent directions, by the same keys, and the Jacobian's
+columns.  The call also evaluates the template's permittivities and the
+grid and angle terms of the kernel once, and refuses a template whose
+eps overflows as `stack_response` does.  Each evaluation then writes
 the values into a working copy, builds each touched layer and material
 and one LayerStack, so every constructor's check still runs, evaluates a
 touched material's eps and d eps / d p from one set of denominators, and
 runs the kernel once.  The template's loss comes from start 0's first
 evaluation, so every kernel pass of a solve is counted in n_evaluations.
-Nothing is cached on a FitProblem, so each call checks a problem changed
-since construction as if it were new.
+A solve takes a non-finite trial point as a rejected step; the public
+evaluators raise DomainError naming the values instead.  Nothing is
+cached on a FitProblem, so each call checks a problem changed since
+construction as if it were new.
 """
 
 from __future__ import annotations
@@ -212,21 +215,33 @@ class FitProblem:
         return {p.path: float(v) for p, v in zip(self.free, values)}
 
 
+def _checked(problem, values, what, result):
+    """result(model, residuals, jacobian) of one `_Plan` pass at values,
+    for the public evaluators: overflow warnings are off, and a result
+    that is not finite raises DomainError naming `what` and the values."""
+    plan = _Plan(problem)
+    with np.errstate(all="ignore"):
+        model, jac = plan.model(values)
+        out = result(model, model - plan.problem.target, jac)
+    if not np.isfinite(out).all():
+        raise DomainError(f"{what} is not finite at {plan.problem.params_dict(values)}")
+    return out
+
+
 def model_values(problem, values):
     """Model channel evaluated on the target grid for the given parameter
     values (physical units, ordered like problem.free)."""
-    return _Plan(problem).model(values)[0]
+    return _checked(problem, values, "the model", lambda model, res, jac: model)
 
 
 def residual_vector(problem, values):
     """(model - target) on the target grid."""
-    return _Plan(problem)(values)[0]
+    return _checked(problem, values, "the residual vector", lambda model, res, jac: res)
 
 
 def loss_value(problem, values):
     """Sum of squared residuals."""
-    r = residual_vector(problem, values)
-    return float(r @ r)
+    return float(_checked(problem, values, "the loss", lambda model, res, jac: res @ res))
 
 
 class _Plan:
@@ -237,13 +252,14 @@ class _Plan:
 
     `groups` maps each key of `_locate` (a layer index or a material
     name) to the (column, field) of its free parameters, keys in order of
-    first appearance.  Each key is one kernel direction, a unit row
-    labelled with its paths.  A pass writes each key's values into a
-    working copy, builds each touched layer and material and one
+    first appearance.  Each key is one kernel direction, a unit row in
+    `directions` under the same key.  A pass writes each key's values into
+    a working copy, builds each touched layer and material and one
     LayerStack, evaluates the eps and the d eps / dp of each free
-    material's fields from one set of denominators (the other media's eps
-    are evaluated here, once), runs the kernel along the directions and
-    fills each parameter's column from its key's sensitivity.
+    material's fields from one set of denominators over the template's
+    `media` (a material no medium is made of is skipped: its column is 0),
+    runs the kernel along the directions and fills each parameter's column
+    from its key's sensitivity.
 
     A FitProblem is mutable, so the plan works from `problem`, a copy
     built through the constructor: a field changed since construction
@@ -258,21 +274,10 @@ class _Plan:
         self.groups = {}
         for column, (_, key, field) in enumerate(located):
             self.groups.setdefault(key, []).append((column, field))
-        # one kernel direction per key: a unit row, labelled with its paths
-        rows = {}
-        for i, (key, group) in enumerate(self.groups.items()):
-            row = np.zeros((len(self.groups), 1), complex if isinstance(key, str) else float)
-            row[i] = 1.0
-            rows[key] = row, ", ".join(repr(problem.free[c].path) for c, _ in group)
-        self.names = [ly.material for ly in stack.layers] + [stack.substrate]
-        # (deps, dd) of `_rouard`: a material's row in every medium made of it
-        self.tangents = (
-            [None] + [rows.get(name) for name in self.names],
-            [rows[j][0] if j in rows else 0.0 for j in range(len(stack.layers))],
-        )
-        media = _media(stack, k, finite=False)
-        self.ambient = media[0]
-        self.fixed = {n: e for n, e in zip(self.names, media[1:]) if n not in self.groups}
+        unit = np.eye(len(self.groups))
+        self.directions = {key: unit[:, [i]].astype(complex if isinstance(key, str) else float)
+                           for i, key in enumerate(self.groups)}
+        self.media = _media(stack, k)
         self.k0 = _K_TO_RAD_NM * k
         self.sin2 = _sin2(stack, problem.angle)
 
@@ -283,15 +288,19 @@ class _Plan:
         values = list(self.problem.params_dict(values).values())
         stack = _build(self.stack, {key: {field: values[c] for c, field in group}
                                     for key, group in self.groups.items()})
-        eps, derivs = dict(self.fixed), {}
+        eps, derivs = dict(self.media), {}
         for key, group in self.groups.items():
-            if isinstance(key, str):
+            if key in self.media:
                 eps[key], derivs[key] = stack.materials[key]._epsilon_and_derivatives(
                     self.k, [field for _, field in group]
                 )
-        media = [self.ambient] + [eps[name] for name in self.names]
+                # the tangent of qz = sqrt(eps - sin2) divides by qz
+                if np.any(eps[key] == self.sin2):
+                    paths = ", ".join(repr(self.problem.free[c].path) for c, _ in group)
+                    raise DomainError(f"the derivative along {paths} is singular: a medium it "
+                                      "sets has eps = (n_ambient sin(angle))^2, so qz = 0")
         T, R, S_T, S_R = _response(
-            stack, media, self.k0, self.sin2, self.problem.polarization, self.tangents
+            stack, eps, self.k0, self.sin2, self.problem.polarization, self.directions
         )
         if self.problem.channel == "T":
             model, sens = T, S_T
@@ -317,8 +326,8 @@ class _Plan:
 def loss_gradient(problem, values):
     """d(loss)/d(values) = 2 J^T r, with the exact residual Jacobian J
     from the same kernel pass as the residuals r."""
-    res, jac = _Plan(problem)(values)
-    return 2.0 * jac.T @ res
+    return _checked(problem, values, "the loss gradient",
+                    lambda model, res, jac: 2.0 * jac.T @ res)
 
 
 @dataclass

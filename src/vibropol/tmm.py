@@ -29,12 +29,14 @@ product of per-layer factors; on request it keeps them, and `fields`
 marches the wave amplitudes of every medium from them (bookkeeping as in
 Byrnes, arXiv:1603.02720).
 
-The pass can also carry tangents, forward-mode derivatives in the spirit
-of Luce et al., JOSA A 39, 1007 (2022): one complex direction per
-material (a unit change of eps in every medium made of it) and one real
-direction per layer thickness.  r and t are holomorphic in eps, so each
-channel gets a complex sensitivity S per direction, and a real material
-parameter p moves the channel by Re(S deps/dp).
+The pass takes its permittivities by material name (`_media`), and can
+carry tangents, forward-mode derivatives in the spirit of Luce et al.,
+JOSA A 39, 1007 (2022), keyed as a fit keys its parameters: a complex
+direction per material name (a unit change of eps in every medium made
+of it) and a real one per layer index (its thickness).  r and t are
+holomorphic in eps, so each channel gets a complex sensitivity S per
+direction, and a real material parameter p moves the channel by
+Re(S deps/dp).
 """
 
 from __future__ import annotations
@@ -157,17 +159,22 @@ def _check_polarization(polarization):
     _check_choice(polarization, "polarization", POLARIZATIONS)
 
 
-def _media(stack, k, finite=True):
-    """Permittivities of the ambient, each layer and the substrate on k.
-    A dispersive material is evaluated once, however many layers use it;
-    a constant medium stays a Python complex, so k is checked here.  With
-    `finite`, a dispersive eps that overflows raises DomainError naming
-    the material and the first wavenumber where it is not finite, before
-    anything is computed from it; a fit leaves that to its solver, which
-    names the start whose model is not finite."""
+def _names(stack):
+    """The material name of each medium: None for the ambient, then each
+    layer's and the substrate's, the keys of `_media`."""
+    return [None] + [ly.material for ly in stack.layers] + [stack.substrate]
+
+
+def _media(stack, k):
+    """Permittivities on k by material name, the ambient's under None.  A
+    dispersive material is evaluated once, however many layers use it; a
+    constant medium stays a Python complex, so k is checked here.  A
+    dispersive eps that overflows raises DomainError naming the material
+    and the first wavenumber where it is not finite, before anything is
+    computed from it."""
     _check_wavenumbers(k)
-    eps = {}
-    for name in [ly.material for ly in stack.layers] + [stack.substrate]:
+    eps = {None: complex(stack.n_ambient**2)}
+    for name in _names(stack):
         if name not in eps:
             model = stack.materials[name]
             if isinstance(model, ConstantMedium):
@@ -176,32 +183,29 @@ def _media(stack, k, finite=True):
             # an overflow is reported below, as the material's error
             with np.errstate(all="ignore"):
                 eps[name] = model.epsilon(k)
-            if finite and not np.isfinite(eps[name]).all():
+            if not np.isfinite(eps[name]).all():
                 first = float(k[~np.isfinite(eps[name])][0])
                 raise DomainError(f"material {name!r}: eps is not finite at {first} cm^-1")
-    return (
-        [complex(stack.n_ambient**2)]
-        + [eps[ly.material] for ly in stack.layers]
-        + [eps[stack.substrate]]
-    )
+    return eps
 
 
-def _rouard(eps, layers, k0, sin2, polarization, tangents=None, march=False):
-    """Rouard's recursion over the media eps = (ambient, layers...,
-    substrate), broadcast over k0 (rad/nm); sin2 = (n_ambient sin(angle))^2.
-    Media that share one eps object (one material, see `_media`) share
-    their qz and q, and layers of one material and thickness their phase
-    factor, so callers must not modify the returned arrays in place.  A
-    layer with qz = 0 at some wavenumber raises DomainError: its waves
-    exp(+-i k0 qz z) are then one wave, and the recursion divides 0 by 0.
+def _rouard(stack, eps, k0, sin2, polarization, directions=None, march=False):
+    """Rouard's recursion over the media of the stack, broadcast over k0
+    (rad/nm); eps maps each material name to its permittivity, the
+    ambient's under None, as `_media` does, and sin2 = (n_ambient
+    sin(angle))^2.  Media of one material share their qz and q, and layers
+    of one material and thickness their phase factor, so callers must not
+    modify the returned arrays in place.  A layer with qz = 0 at some
+    wavenumber raises DomainError: its waves exp(+-i k0 qz z) are then one
+    wave, and the recursion divides 0 by 0.
 
     Returns (r, t, qz, q, d, steps) for a unit U amplitude incident from
     the ambient.  r and t are the U-amplitude reflection (at z = 0) and
     transmission (into the substrate's front face) on k; qz and q list
-    each medium's values.  steps is None unless `march`: then steps[j - 1]
-    = (g, f, phase) of layer j, with g the reflection coefficient at its
-    exit face and f its entry forward amplitude per unit forward amplitude
-    leaving medium j - 1.
+    each medium's values, ambient first.  steps is None unless `march`:
+    then steps[j - 1] = (g, f, phase) of layer j, with g the reflection
+    coefficient at its exit face and f its entry forward amplitude per unit
+    forward amplitude leaving medium j - 1.
 
     Each layer j, between qa = q[j - 1] and qb = q[j], costs one complex
     reciprocal: its entry interface's Fresnel coefficients (qa - qb) / S
@@ -212,15 +216,15 @@ def _rouard(eps, layers, k0, sin2, polarization, tangents=None, march=False):
         inv = 1 / (S + D g_e),  g <- (D + S g_e) inv,
         f = 2 qa inv,  x = f phase,  t <- t x.
 
-    tangents = (deps, dd) sets m directions.  deps[j] is None or a pair
-    (row, label): row, shape (m, 1), is the complex change of medium j's
-    eps along each direction, and label names the parameters behind it.
-    dd[j] is 0.0 or the (m, 1) real change of layer j's thickness.  d is
-    then (dr, dt, dq_sub), the tangents of r, t and the substrate's q along
-    the m directions on a leading axis; without tangents it is None.  They
-    come from the same inv, with w = qb dqa - qa dqb (no product for a
-    medium no direction moves), dg_e = (dg + 2 g dlog) phase^2 and
-    dlog = d(log phase):
+    `directions` sets m tangent directions, keyed as `fit._locate` keys a
+    parameter: a material name maps to the (m, 1) complex change of its
+    eps in every medium made of it, a layer index to the (m, 1) real
+    change of that layer's thickness.  The caller keeps qz != 0 in each
+    medium a direction moves.  d is then (dr, dt, dq_sub), the tangents of
+    r, t and the substrate's q along the m directions on a leading axis;
+    without directions it is None.  They come from the same inv, with
+    w = qb dqa - qa dqb (no product for a medium no direction moves),
+    dg_e = (dg + 2 g dlog) phase^2 and dlog = d(log phase):
 
         dg <- 2 inv^2 ((1 - g_e^2) w + 2 qa qb dg_e),
         dx = 2 inv^2 phase ((1 - g_e) w - qa D dg_e) + x dlog,
@@ -228,41 +232,25 @@ def _rouard(eps, layers, k0, sin2, polarization, tangents=None, march=False):
 
     starting from dg = dt = 2 w / S^2 at the substrate's face.
     """
-    qz, q, shared = [], [], {}
-    for e in eps:
-        if id(e) not in shared:
-            z = _decaying_sqrt(e - sin2)
-            shared[id(e)] = z, (z if polarization == "s" else z / e)
-        z, qj = shared[id(e)]
-        qz.append(z)
-        q.append(qj)
+    names, layers = _names(stack), stack.layers
+    qz_of = {name: _decaying_sqrt(eps[name] - sin2) for name in dict.fromkeys(names)}
+    q_of = qz_of if polarization == "s" else {name: z / eps[name] for name, z in qz_of.items()}
+    qz, q = [qz_of[name] for name in names], [q_of[name] for name in names]
     n = len(layers)
-    phase = [None]
-    for j, layer in enumerate(layers, 1):
-        key = id(eps[j]), layer.thickness
-        if key not in shared:
-            shared[key] = np.exp(1j * layer.thickness * qz[j] * k0)
-        phase.append(shared[key])
+    phases = {(name, d): np.exp(1j * d * qz_of[name] * k0)
+              for name, d in dict.fromkeys((ly.material, ly.thickness) for ly in layers)}
+    phase = [None] + [phases[ly.material, ly.thickness] for ly in layers]
 
-    if tangents is not None:
-        deps, dd = tangents
-        dqz, dq = [], []
-        for e, z, qj, de in zip(eps, qz, q, deps):
-            if de is None:
-                dqz.append(0.0)
-                dq.append(None)
-                continue
-            row, label = de
-            if not np.all(z):
-                raise DomainError(
-                    f"the derivative along {label} is singular: a medium it sets has "
-                    "eps = (n_ambient sin(angle))^2, so qz = 0"
-                )
-            dz = row * (0.5 / z)
-            dqz.append(dz)
-            dq.append(dz if polarization == "s" else (dz - qj * row) / e)
+    if directions is not None:
+        dqz_of = {name: row * (0.5 / qz_of[name])
+                  for name, row in directions.items() if name in qz_of}
+        dq_of = dqz_of if polarization == "s" else {
+            name: (dz - q_of[name] * directions[name]) / eps[name] for name, dz in dqz_of.items()
+        }
+        dqz, dq = [dqz_of.get(name, 0.0) for name in names], [dq_of.get(name) for name in names]
         # d(phase) = phase * dlog
-        dlog = [None] + [1j * k0 * (qz[j] * dd[j - 1] + layers[j - 1].thickness * dqz[j])
+        dlog = [None] + [1j * k0 * (qz[j] * directions.get(j - 1, 0.0)
+                                    + layers[j - 1].thickness * dqz[j])
                          for j in range(1, n + 1)]
 
         def cross(i):
@@ -280,7 +268,7 @@ def _rouard(eps, layers, k0, sin2, polarization, tangents=None, march=False):
     qa, qb = q[n], q[n + 1]
     inv = 1.0 / (qa + qb)
     g, t = (qa - qb) * inv, 2.0 * qa * inv
-    if tangents is not None:
+    if directions is not None:
         dg = dt = cross(n) * (2.0 * inv * inv)
     steps = [None] * n if march else None
     for j in range(n, 0, -1):
@@ -298,7 +286,7 @@ def _rouard(eps, layers, k0, sin2, polarization, tangents=None, march=False):
         x = f * p
         if march:
             steps[j - 1] = g, f, p
-        if tangents is not None:
+        if directions is not None:
             dg_e = (dg + 2.0 * g * dlog[j]) * p2
             w, inv2 = cross(j - 1), 2.0 * inv * inv
             dg = inv2 * ((1.0 - g_e * g_e) * w + 2.0 * qa * qb * dg_e)
@@ -308,27 +296,26 @@ def _rouard(eps, layers, k0, sin2, polarization, tangents=None, march=False):
     if n == 0:
         # scalars between two constant media; the results live on k
         g, t = np.broadcast_to(g, np.shape(k0)), np.broadcast_to(t, np.shape(k0))
-    d = None if tangents is None else (dg, dt, 0.0 if dq[-1] is None else dq[-1])
+    d = None if directions is None else (dg, dt, 0.0 if dq[-1] is None else dq[-1])
     return g, t, qz, q, d, steps
 
 
-def _response(stack, eps, k0, sin2, polarization, tangents=None):
-    """(T, R) of one or both polarizations from precomputed permittivities
-    on k0 = `_K_TO_RAD_NM` k at sin2 = `_sin2(stack, angle)`.
+def _response(stack, eps, k0, sin2, polarization, directions=None):
+    """(T, R) of one or both polarizations from the permittivities of
+    `_media` on k0 = `_K_TO_RAD_NM` k at sin2 = `_sin2(stack, angle)`.
 
-    `tangents` = (deps, dd) sets m tangent directions, as in `_rouard`:
-    deps[j] is None or the ((m, 1) complex row, label) of medium j's eps,
-    the ambient's always None, and dd[j] is 0.0 or the (m, 1) real row of
-    layer j's thickness.  The result then also holds the sensitivities
-    (S_T, S_R), with the directions on a leading axis in their order: a
-    real parameter p of direction i moves T by Re(S_T[i] deps/dp), where
-    deps/dp = 1 for a thickness.
+    `directions` sets m tangent directions, as in `_rouard`: a material
+    name maps to the (m, 1) complex row of its eps, a layer index to the
+    (m, 1) real row of its thickness.  The result then also holds the
+    sensitivities (S_T, S_R), with the directions on a leading axis in row
+    order: a real parameter p of direction i moves T by Re(S_T[i]
+    deps/dp), where deps/dp = 1 for a thickness.
     """
     if polarization == "unpolarized":
-        s = _response(stack, eps, k0, sin2, "s", tangents)
-        p = _response(stack, eps, k0, sin2, "p", tangents)
+        s = _response(stack, eps, k0, sin2, "s", directions)
+        p = _response(stack, eps, k0, sin2, "p", directions)
         return tuple(0.5 * (a + b) for a, b in zip(s, p))
-    r, t, _, q, d, _ = _rouard(eps, stack.layers, k0, sin2, polarization, tangents)
+    r, t, _, q, d, _ = _rouard(stack, eps, k0, sin2, polarization, directions)
     q_amb, q_sub = q[0], q[-1]
 
     incoherent = stack.substrate_mode == "incoherent_to_air"
@@ -360,17 +347,14 @@ def _response(stack, eps, k0, sin2, polarization, tangents=None):
 
 
 def stack_response(stack, k, angle=0.0, polarization="s"):
-    """(T, R, A) of the stack at one incidence angle.
+    """(T, R, A) of the stack at one incidence angle: the arrays of
+    `spectrum_scan`.
 
     k: wavenumbers in cm^-1 (scalar or array).  Unpolarized input averages
     the s and p intensities.  A is defined as 1 - T - R.
     """
-    _check_angle(angle)
-    _check_polarization(polarization)
-    k = _points(k)
-    T, R = _response(stack, _media(stack, k), _K_TO_RAD_NM * k, _sin2(stack, angle),
-                     polarization)
-    return T, R, 1.0 - T - R
+    spectrum = spectrum_scan(stack, k, angle, polarization)
+    return spectrum.T, spectrum.R, spectrum.A
 
 
 def _points(grid):

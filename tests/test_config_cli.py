@@ -949,6 +949,24 @@ class TestFitCommand:
         assert "target.csv: not UTF-8 text" in result.output
         assert "Traceback" not in result.output
 
+    def test_template_whose_eps_overflows_exits_3_before_writing(self, runner, tmp_path):
+        # the fit refuses the template that simulate refuses, fixed material or free
+        target = make_target_csv(tmp_path)
+        raw = with_value(yaml.safe_load(BASE_CONFIG), ("materials", "gold", "omega_p"), 1.0e154)
+        raw["fit"] = {
+            "free": [{"path": "layers[1].thickness", "lower": 1800.0, "upper": 2200.0}]
+        }
+        cfg = write_config(tmp_path, yaml.safe_dump(raw))
+        out = tmp_path / "out"
+        result = runner.invoke(
+            main, ["fit", "--config", cfg, "--out-dir", str(out), "--target", target]
+        )
+        assert result.exit_code == 3, result.output
+        assert result.output == ("physics error: material 'gold': eps is not finite at "
+                                 "1600.0 cm^-1\n")
+        assert not (out / "fit.json").exists()
+        assert not (out / "fit_curve.csv").exists()
+
     def test_config_without_fit_section_exits_2(self, runner, tmp_path):
         target = make_target_csv(tmp_path)
         cfg = write_config(tmp_path, BASE_CONFIG)

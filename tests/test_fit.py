@@ -14,7 +14,6 @@ from vibropol import (
     ConstantMedium,
     DomainError,
     DrudeLorentzMetal,
-    FitError,
     FreeParameter,
     FitProblem,
     Layer,
@@ -333,6 +332,41 @@ class TestResiduals:
             central = (loss_value(problem, up) - loss_value(problem, dn)) / (2.0 * h)
             assert abs(grad[i] - central) / max(abs(central), 1e-12) < 1e-4
 
+    @staticmethod
+    def film_problem(k):
+        stack = load_config(CONFIGS / "film_absorption.yaml").require_stack()
+        free = (FreeParameter("materials.pvac.oscillators[0].f", 1e4, 1e308),
+                FreeParameter("materials.pvac.oscillators[0].gamma", 1e-300, 40.0))
+        return FitProblem(stack=stack, free=free, k=k, target=np.zeros_like(k))
+
+    def test_overflowing_gradient_raises_naming_the_values(self):
+        # at this in-bounds point d eps / d gamma = i k f / denom^2
+        # overflows, and 0 * inf is nan: the gradient is refused, while the
+        # model, residuals and loss are finite and warn of nothing
+        problem = self.film_problem(np.arange(1600.0, 1900.0, 2.0))
+        values = np.array([1e308, 1e-300])
+        with pytest.raises(DomainError, match=re.escape(
+                "the loss gradient is not finite at {'materials.pvac.oscillators[0].f': "
+                "1e+308, 'materials.pvac.oscillators[0].gamma': 1e-300}")):
+            loss_gradient(problem, values)
+        assert np.isfinite(model_values(problem, values)).all()
+        assert np.isfinite(residual_vector(problem, values)).all()
+        assert np.isfinite(loss_value(problem, values))
+
+    @pytest.mark.parametrize("run, what", [
+        (model_values, "the model"),
+        (residual_vector, "the residual vector"),
+        (loss_value, "the loss"),
+        (loss_gradient, "the loss gradient"),
+    ], ids=["model_values", "residual_vector", "loss_value", "loss_gradient"])
+    def test_non_finite_model_raises_naming_the_values(self, run, what):
+        # the grid holds the oscillator's centre, 1739 cm^-1, where eps
+        # overflows at these values; the template is finite
+        problem = self.film_problem(np.arange(1601.0, 1900.0, 2.0))
+        message = f"{what} is not finite at {{'materials.pvac.oscillators[0].f': 1e+308"
+        with pytest.raises(DomainError, match="^" + re.escape(message)):
+            run(problem, np.array([1e308, 1e-300]))
+
 
 def exact_jacobian(problem, values):
     return fit._Plan(problem)(values)[1]
@@ -592,6 +626,32 @@ class TestGrouping:
         np.testing.assert_array_equal(res, res_alone)
         np.testing.assert_array_equal(jac[:, 1:], jac_alone)
 
+    def test_free_material_no_medium_uses_is_not_evaluated(self):
+        # its eps overflows at these values, and its d eps / d gamma times
+        # the zero sensitivity would be 0 * inf = nan
+        stack = load_config(CONFIGS / "film_absorption.yaml").require_stack()
+        stack = dataclasses.replace(stack, materials=dict(stack.materials,
+                                                          unused=stack.materials["pvac"]))
+        free = (FreeParameter("materials.unused.oscillators[0].f", 1e4, 1e308),
+                FreeParameter("materials.unused.oscillators[0].gamma", 1e-300, 40.0),
+                FreeParameter("layers[0].thickness", 1000.0, 3000.0))
+        k = np.arange(1601.0, 1900.0, 2.0)
+        problem = FitProblem(stack=stack, free=free, k=k, target=np.zeros_like(k))
+        grad = loss_gradient(problem, np.array([1e308, 1e-300, 1930.0]))
+        np.testing.assert_array_equal(grad[:2], 0.0)
+        assert np.isfinite(grad[2])
+
+
+# pvac's oscillator on the grid point 1700 cm^-1, far too strong and
+# narrow: each field is in its domain, but eps overflows there
+OVERFLOWING_PVAC = r"^material 'pvac': eps is not finite at 1700.0 cm\^-1$"
+
+
+def overflowing_pvac(stack):
+    return apply_params(stack, {"materials.pvac.oscillators[0].f": 1e308,
+                                "materials.pvac.oscillators[0].k0": 1700.0,
+                                "materials.pvac.oscillators[0].gamma": 1e-300})
+
 
 def count_kernel_passes(monkeypatch):
     """A list that gains one entry per call of the stack kernel."""
@@ -761,7 +821,8 @@ class TestSolve:
     def test_non_finite_template_loss(self, coupled_stack):
         # finite inputs whose model overflows at the template: an
         # oscillator on the grid point 1700 cm^-1, far too strong and
-        # narrow (a non-finite target is rejected by FitProblem itself)
+        # narrow (a non-finite target is rejected by FitProblem itself).
+        # The fit refuses it as stack_response does, naming the material
         stack = apply_params(coupled_stack, {"materials.pvac.oscillators[0].f": 1e308,
                                              "materials.pvac.oscillators[0].k0": 1700.0,
                                              "materials.pvac.oscillators[0].gamma": 1e-300})
@@ -772,8 +833,56 @@ class TestSolve:
             k=k,
             target=np.zeros_like(k),
         )
-        with np.errstate(all="ignore"), pytest.raises(FitError, match="template point"):
+        with pytest.raises(DomainError, match=OVERFLOWING_PVAC):
             solve(problem)
+
+    @pytest.mark.parametrize(
+        "run", ["solve", "model_values", "residual_vector", "loss_value", "loss_gradient"]
+    )
+    def test_free_material_whose_template_eps_overflows(self, coupled_stack, run):
+        # the overflowing material is free, and the values asked for are
+        # finite ones: the template is refused all the same
+        stack = overflowing_pvac(coupled_stack)
+        k = np.arange(1600.0, 1900.0, 2.0)
+        problem = FitProblem(
+            stack=stack,
+            free=(FreeParameter("materials.pvac.oscillators[0].gamma", 1e-300, 40.0),
+                  FreeParameter("layers[1].thickness", 1500.0, 2500.0)),
+            k=k,
+            target=np.zeros_like(k),
+        )
+        values = np.array([13.0, 1930.0])
+        with pytest.raises(DomainError, match=OVERFLOWING_PVAC):
+            stack_response(stack, k)
+        with pytest.raises(DomainError, match=OVERFLOWING_PVAC):
+            if run == "solve":
+                solve(problem)
+            else:
+                getattr(fit, run)(problem, values)
+
+    def test_non_finite_trial_point_is_a_rejected_step(self, coupled_stack, monkeypatch):
+        # the solver sees a non-finite model at its first trial point and
+        # goes on, where the public evaluators would raise
+        base = small_problem(coupled_stack, [])
+        problem = FitProblem(
+            stack=apply_params(coupled_stack, {"layers[1].thickness": 2030.0}),
+            free=(FreeParameter("layers[1].thickness", 1500.0, 2500.0),),
+            k=base.k,
+            target=base.target,
+        )
+        model, calls = fit._Plan.model, []
+
+        def poisoned(plan, values):
+            calls.append(values)
+            out, jac = model(plan, values)
+            return (np.full_like(out, np.nan), jac) if len(calls) == 2 else (out, jac)
+
+        monkeypatch.setattr(fit._Plan, "model", poisoned)
+        result = solve(problem)
+        assert len(calls) > 2
+        assert result.success
+        assert result.params["layers[1].thickness"] == pytest.approx(1930.0, rel=5e-3)
+        assert np.isfinite(result.residuals).all()
 
     def test_n_starts_validation(self, coupled_stack):
         problem = small_problem(coupled_stack, [])

@@ -446,7 +446,10 @@ class TestSpectralGrid:
 
 def node_by_node_scan(stack, k, angles, polarization, divergence=0.0):
     """Oracle for `angle_scan`: one kernel pass per angle or divergence
-    node, summed in node order, whatever angles repeat."""
+    node, summed in node order, whatever angles repeat.  Each pass is a
+    `stack_response`, itself the one-angle `angle_scan`, so this compares
+    passes made node by node with the multi-angle pass, which solves each
+    distinct s^2 once and keeps it in its cache until its last use."""
     scans = []
     for angle in angles:
         if divergence > 0.0:
