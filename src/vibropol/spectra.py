@@ -4,7 +4,8 @@ tables and model fits against them.
 Peak centers are refined off the sample lattice with a three-point
 parabola through the discrete maximum; widths come from the half-maximum
 crossings with linear interpolation between samples, measured from a zero
-baseline.
+baseline.  Prominences take one Python pass from each end over the turning
+points, a few operations per peak.
 """
 
 from __future__ import annotations
@@ -86,37 +87,33 @@ def _half_crossing(k, y, i_peak, half, direction):
     return k[i] + frac * (k[j] - k[i])
 
 
-def _prominences(x, peaks):
-    """Height of each peak above the higher of its two bounding minima.
+def _prominences(y, peaks):
+    """Height of each peak y[i], i in the list peaks, above the higher of
+    its two bounding minima: the lowest values between it and the first
+    strictly higher value on each side, or the end of the list y.
 
-    A bounding minimum is the lowest sample between the peak and the
-    first strictly higher sample on that side (or the end of x).  All
-    peaks walk outwards together by binary lifting over power-of-two
-    blocks: row j of the tables holds the max / min of x[i : i + 2**j],
-    with inf wherever the block runs past the end of x.
+    y lists Python floats, each strictly above or below both neighbours,
+    so one pass from each end over the peaks, each taking in the dip
+    before it, finds their minima on that side.  A pass keeps a stack of
+    (height, lowest value since the entry below), and a peak pops every
+    entry that is not strictly higher: each peak, about every other
+    turning point, is pushed and popped once, a few Python operations.
     """
-    n = x.size
-    levels = n.bit_length()
-    hi_t = np.full((levels, n + 1), np.inf)
-    lo_t = np.full((levels, n + 1), np.inf)
-    hi_t[0, :n] = lo_t[0, :n] = x
-    for j in range(1, levels):
-        w = 1 << (j - 1)
-        hi_t[j, : n + 1 - w] = np.maximum(hi_t[j - 1, : n + 1 - w], hi_t[j - 1, w:])
-        lo_t[j, : n + 1 - w] = np.minimum(lo_t[j - 1, : n + 1 - w], lo_t[j - 1, w:])
-    h = x[peaks]
-    first, last = peaks.copy(), peaks.copy()  # x[first : last + 1] <= h
-    left_min, right_min = h.copy(), h.copy()
-    for j in range(levels - 1, -1, -1):
-        w = 1 << j
-        i = np.maximum(first - w, 0)
-        ok = (first >= w) & (hi_t[j, i] <= h)
-        left_min = np.where(ok, np.minimum(left_min, lo_t[j, i]), left_min)
-        first = np.where(ok, i, first)
-        ok = hi_t[j, last + 1] <= h
-        right_min = np.where(ok, np.minimum(right_min, lo_t[j, last + 1]), right_min)
-        last = np.where(ok, last + w, last)
-    return h - np.maximum(left_min, right_min)
+    sides = []
+    for order, step, top in ((peaks, -1, y[0]), (peaks[::-1], 1, y[-1])):
+        # the top entry is (top, top_low), over a sentinel never popped
+        stack, lows, top_low = [(np.inf, np.inf)], [], top
+        for i in order:
+            h, low = y[i], y[i + step]
+            while top <= h:
+                if top_low < low:
+                    low = top_low
+                top, top_low = stack.pop()
+            stack.append((top, top_low))
+            top, top_low = h, low
+            lows.append(low)
+        sides.append(lows)
+    return np.array([y[i] - max(lo, hi) for i, lo, hi in zip(peaks, sides[0], sides[1][::-1])])
 
 
 def _prominent_peaks(x, min_prominence):
@@ -128,20 +125,22 @@ def _prominent_peaks(x, min_prominence):
     touching either end of x never is one.  Prominences are taken over the
     turning points only (local maxima, local minima and the two end runs):
     the runs in between lie on monotone stretches, and dropping them
-    leaves every bounding minimum unchanged.
+    leaves every bounding minimum unchanged.  The runs come from array
+    operations, the prominences from `_prominences`' Python passes.
     """
     if x.size < 3:
         return np.empty(0, dtype=np.intp), np.empty(0)
-    start = np.flatnonzero(np.r_[True, x[1:] != x[:-1]])
-    end = np.r_[start[1:], x.size] - 1
-    v = x[start]
+    edge = np.ones(x.size + 1, dtype=bool)
+    np.not_equal(x[1:], x[:-1], out=edge[1:-1])
+    bound = np.flatnonzero(edge)  # the first sample of each run, then x.size
+    v = x[bound[:-1]]
     rise = v[1:] > v[:-1]  # rise[r]: run r + 1 is above run r
     is_max = np.zeros(v.size, dtype=bool)
     is_max[1:-1] = rise[:-1] & ~rise[1:]
     turn = np.ones(v.size, dtype=bool)
     turn[1:-1] = rise[:-1] != rise[1:]
-    peaks = (start[is_max] + end[is_max]) // 2
-    prom = _prominences(v[turn], np.flatnonzero(is_max[turn]))
+    peaks = (bound[:-1][is_max] + bound[1:][is_max] - 1) // 2
+    prom = _prominences(v[turn].tolist(), np.flatnonzero(is_max[turn]).tolist())
     keep = prom >= min_prominence
     return peaks[keep], prom[keep]
 

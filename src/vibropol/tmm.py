@@ -196,8 +196,8 @@ def _rouard(stack, eps, k0, sin2, polarization, directions=None, march=False):
     sin(angle))^2.  Media of one material share their qz and q, and layers
     of one material and thickness their phase factor, so callers must not
     modify the returned arrays in place.  A layer with qz = 0 at some
-    wavenumber raises DomainError: its waves exp(+-i k0 qz z) are then one
-    wave, and the recursion divides 0 by 0.
+    wavenumber, tested once per material, raises DomainError: its waves
+    exp(+-i k0 qz z) are then one wave, and the recursion divides 0 by 0.
 
     Returns (r, t, qz, q, d, steps) for a unit U amplitude incident from
     the ambient.  r and t are the U-amplitude reflection (at z = 0) and
@@ -237,6 +237,7 @@ def _rouard(stack, eps, k0, sin2, polarization, directions=None, march=False):
     q_of = qz_of if polarization == "s" else {name: z / eps[name] for name, z in qz_of.items()}
     qz, q = [qz_of[name] for name in names], [q_of[name] for name in names]
     n = len(layers)
+    singular = {m for m in {ly.material for ly in layers} if not np.asarray(qz_of[m]).all()}
     phases = {(name, d): np.exp(1j * d * qz_of[name] * k0)
               for name, d in dict.fromkeys((ly.material, ly.thickness) for ly in layers)}
     phase = [None] + [phases[ly.material, ly.thickness] for ly in layers]
@@ -272,7 +273,7 @@ def _rouard(stack, eps, k0, sin2, polarization, directions=None, march=False):
         dg = dt = cross(n) * (2.0 * inv * inv)
     steps = [None] * n if march else None
     for j in range(n, 0, -1):
-        if not np.all(qz[j]):
+        if layers[j - 1].material in singular:
             raise DomainError(
                 f"layer {j - 1} ({layers[j - 1].material}) has eps = (n_ambient "
                 "sin(angle))^2, so qz = 0: its two waves coincide and the recursion is singular"

@@ -246,6 +246,40 @@ class TestPeakFinderOracle:
             assert_same_as_scipy(values, prominence)
         assert len(_prominent_peaks(values, default)[0]) == 2
 
+    # long fixed-seed inputs, at prominence 0, find_peaks' default and others
+    @pytest.mark.parametrize("n", [1000, 3000, 10000])
+    def test_matches_scipy_on_random_walks(self, n):
+        values = np.cumsum(np.random.default_rng(n).standard_normal(n))
+        for prominence in (0.0, 0.05 * float(np.ptp(values))):
+            assert_same_as_scipy(values, prominence)
+
+    def test_matches_scipy_on_a_noisy_band(self):
+        k = np.linspace(1500.0, 2000.0, 20000)
+        noise = np.random.default_rng(7).normal(0.0, 0.04, k.size)
+        values = lorentz_band(k, 5.0e4, 1739.0, 13.0) + noise
+        for prominence in (0.0, 0.05 * float(np.ptp(values))):
+            assert_same_as_scipy(values, prominence)
+
+    @pytest.mark.parametrize("descending", [True, False])
+    def test_matches_scipy_on_a_staircase(self, descending):
+        # maxima n/2, n/2 - 1, ..., 1 between dips of -3 to 0: each maximum
+        # is below every one before it, so the pass from the high end
+        # stacks all n/2 of them
+        n = 6000
+        values = np.random.default_rng(3).integers(-3, 1, n).astype(float)
+        values[1::2] = np.arange(n // 2, 0, -1)
+        values = values if descending else values[::-1].copy()
+        for prominence in (0.0, 2.0, 0.05 * float(np.ptp(values))):
+            assert_same_as_scipy(values, prominence)
+
+    def test_matches_scipy_on_plateaus_and_ties(self):
+        # runs of 1 to 40 equal small integers: plateau peaks, equal
+        # heights and equal bounding minima
+        rng = np.random.default_rng(5)
+        values = np.repeat(rng.integers(-3, 4, 2000), rng.integers(1, 41, 2000)).astype(float)
+        for prominence in (0.0, 1.0, 2.0, 0.05 * float(np.ptp(values))):
+            assert_same_as_scipy(values, prominence)
+
 
 class TestExtractSplitting:
     def test_transmission_channel(self, coupled_spectrum):

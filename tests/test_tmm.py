@@ -12,6 +12,8 @@ from vibropol import (
     ConstantMedium,
     DomainError,
     DrudeLorentzMetal,
+    FitProblem,
+    FreeParameter,
     Layer,
     LayerStack,
     SpectralGrid,
@@ -21,6 +23,7 @@ from vibropol import (
     find_peaks,
     gold,
     load_config,
+    solve,
     spectrum_scan,
     stack_response,
 )
@@ -661,6 +664,38 @@ def test_layer_with_zero_qz_raises_naming_its_material(pol, T_limit, R_limit):
         T, R, _ = stack_response(stack, k, angle, pol)
         assert T[0] == pytest.approx(T_limit, abs=1e-4)
         assert R[0] == pytest.approx(R_limit, abs=1e-4)
+
+
+class FlatAt1500:
+    """eps = (2 sin(40 deg))^2 at 1500 cm^-1 and 9 elsewhere: a dispersive
+    material whose qz is 0 at one wavenumber at 40 degrees on n_ambient 2."""
+
+    def epsilon(self, k):
+        return np.where(k == 1500.0, (2.0 * math.sin(math.radians(40.0))) ** 2, 9.0) + 0j
+
+
+@pytest.mark.parametrize("film", [flat_film_stack().materials["film"], FlatAt1500()],
+                         ids=["constant", "dispersive"])
+@pytest.mark.parametrize("pol", ["s", "p"])
+@pytest.mark.parametrize("run", ["stack_response", "field_map", "solve"])
+def test_zero_qz_in_two_layers_names_the_one_nearest_the_substrate(film, pol, run):
+    # film / spacer / film: qz = 0 in both films, and the recursion, which
+    # starts at the substrate, reports layer 2
+    stack = LayerStack(
+        materials={"film": film, "spacer": ConstantMedium(eps=4.0), "sub": ConstantMedium(eps=9.0)},
+        layers=(Layer("film", 500.0), Layer("spacer", 300.0), Layer("film", 200.0)),
+        substrate="sub", n_ambient=2.0,
+    )
+    k = np.array([1400.0, 1500.0, 1600.0])
+    problem = FitProblem(stack=stack, free=(FreeParameter("layers[1].thickness", 200.0, 400.0),),
+                         k=k, target=np.zeros_like(k), angle=40.0, polarization=pol)
+    calls = {
+        "stack_response": lambda: stack_response(stack, k, 40.0, pol),
+        "field_map": lambda: field_map(stack, k, angle=40.0, polarization=pol),
+        "solve": lambda: solve(problem),
+    }
+    with pytest.raises(DomainError, match=r"^layer 2 \(film\) has eps .*qz = 0"):
+        calls[run]()
 
 
 @pytest.mark.parametrize("run", ["stack_response", "angle_scan", "field_map"])
