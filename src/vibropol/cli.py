@@ -7,6 +7,8 @@ overwrites its files byte-identically.
 
 Each command imports the package modules it runs inside its own body,
 so a call loads only what its subcommand needs and `--help` loads none.
+A process enters through `run`, which freezes the heap at exit (see
+there); `main` runs a command in the caller's process, heap untouched.
 """
 
 import argparse
@@ -276,5 +278,18 @@ def main(args=None, prog_name=None):
         sys.exit(3)
 
 
+def run():
+    """`main`, then `gc.freeze()` however it ends, so that interpreter
+    shutdown skips its full collections over the imports' objects (about 9 %
+    of a cold call), which would free nothing the OS does not reclaim.
+    Exit code, output and ``atexit`` handlers are those of `main`."""
+    import gc
+
+    try:
+        main()
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    main()
+    run()

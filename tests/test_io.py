@@ -10,8 +10,8 @@ import pytest
 
 from vibropol import (DispersionRow, DispersionTable, DomainError, FieldMap, SpectralGrid,
                       Spectrum, field_map, load_measured)
-from vibropol.io import (NATIVE_HEADER, read_spectrum_csv, write_csv, write_dispersion_csv,
-                         write_field_map_csv, write_spectrum_csv)
+from vibropol.io import (NATIVE_HEADER, _fmt, read_spectrum_csv, write_csv,
+                         write_dispersion_csv, write_field_map_csv, write_spectrum_csv)
 
 NATIVE = "# angle_deg = 0.0\n# polarization = s\nk_cm1,T,R,A\n"
 
@@ -137,6 +137,39 @@ def test_spectrum_writer_keeps_the_per_cell_bytes(tmp_path):
               angle_deg=spectrum.angle, polarization=spectrum.polarization)
     assert by_columns.read_bytes() == per_cell.read_bytes()
     assert "1500.0,-0.0,5e-324,1e+16\n" in by_columns.read_text()
+
+
+SPECIAL = np.array([-0.0, 5e-324, 1e308, np.nan, np.inf, -np.inf])
+TABLES = {
+    "float64-specials": [SPECIAL, SPECIAL[::-1], np.array([0.1, 1e-5, 1e16, 2.0 / 3.0, 1.0, -1.5])],
+    "float32": [np.arange(6.0), np.array([0.1, -0.0, 3.4e38, 1e-45, np.inf, 7.0],
+                                         dtype=np.float32)],
+    "lists-none-strings": [[1.5, None, 2.5, None, -0.0, 5e-324],
+                           ["ok", "peaks=1", "", "ok", "a b", "%s%r"], np.arange(6)],
+    "one-column": [SPECIAL],
+    "zero-rows": [np.empty(0), [], np.empty(0, dtype=np.float32)],
+}
+
+
+def oracle_csv(header, columns, **meta):
+    """The CSV text cell by cell: every cell through `_fmt`, joined by commas."""
+    lines = [f"# {key} = {_fmt(value)}" for key, value in meta.items()] + [header]
+    lines += [",".join(_fmt(cell) for cell in row) for row in zip(*map(list, columns))]
+    return "".join(f"{line}\n" for line in lines)
+
+
+@pytest.mark.parametrize("name", sorted(TABLES))
+@pytest.mark.parametrize("kind", ["list", "generator", "zip"])
+def test_table_writer_matches_the_per_cell_oracle(tmp_path, name, kind):
+    columns = TABLES[name]
+    header = ",".join(f"c{i}" for i in range(len(columns)))
+    expected = oracle_csv(header, columns, angle_deg=-0.0, channel="T")
+    passed = {"list": lambda: columns, "generator": lambda: (c for c in columns),
+              # the dispersion writer's form: rows zipped into columns, one pass
+              "zip": lambda: zip(*zip(*map(list, columns)))}[kind]()
+    path = tmp_path / "table.csv"
+    write_csv(path, header, passed, angle_deg=-0.0, channel="T")
+    assert path.read_bytes() == expected.encode()
 
 
 def test_dispersion_csv_rows_and_empty_table(tmp_path):
