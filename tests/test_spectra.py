@@ -218,6 +218,52 @@ def test_half_crossing_matches_the_walk(values, half):
                 half_crossing_walk(k, values, i_peak, half, direction)
 
 
+def half_crossing_full_scan(k, y, i_peak, half, direction):
+    """`_half_crossing` as one comparison over the whole side of the
+    peak, the reference for its scan in growing windows."""
+    if y[i_peak] <= half:
+        return None
+    below = np.flatnonzero((y[:i_peak] if direction < 0 else y[i_peak + 1:]) <= half)
+    if below.size == 0:
+        return None
+    j = below[-1] if direction < 0 else i_peak + 1 + below[0]
+    i = j - direction
+    frac = (y[i] - half) / (y[i] - y[j])
+    return k[i] + frac * (k[j] - k[i])
+
+
+def long_sides():
+    """Samples whose crossings lie inside the first window, across the
+    window edges (256, 768, 1792, ... samples out) or nowhere."""
+    rng = np.random.default_rng(11)
+    yield "walk", rng.normal(size=3000).cumsum()
+    yield "noise", rng.normal(size=3000)
+    # a plateau of 1 with a 0 at one end: the only crossing from each
+    # peak is at index 0, or at n - 1, up to n - 1 samples away
+    for n in (256, 257, 769, 2000):
+        plateau = np.ones(n)
+        plateau[0] = 0.0
+        yield f"crossing_at_0_of_{n}", plateau
+        yield f"crossing_at_end_of_{n}", plateau[::-1].copy()
+    yield "no_crossing", np.linspace(1.0, 2.0, 500)
+
+
+@pytest.mark.parametrize("name, y", list(long_sides()), ids=[n for n, _ in long_sides()])
+def test_half_crossing_matches_the_full_scan(name, y):
+    k = 1500.0 + 0.3 * np.arange(y.size)
+    rng = np.random.default_rng(5)
+    peaks = np.unique(np.r_[0, 1, 255, 256, 257, 768, 769, y.size - 1,
+                            rng.integers(0, y.size, 60)])
+    peaks = peaks[peaks < y.size]
+    for i_peak in peaks:
+        # halves below, at and above the peak sample, and below every sample
+        for half in (y[i_peak] - 0.3, y[i_peak] - 5.0, y[i_peak], y[i_peak] + 1.0,
+                     0.5, y.min() - 1.0):
+            for direction in (-1, 1):
+                assert _half_crossing(k, y, i_peak, half, direction) == \
+                    half_crossing_full_scan(k, y, i_peak, half, direction)
+
+
 class TestPeakFinderOracle:
     """The in-house finder returns scipy.signal.find_peaks' indices and
     prominences bit for bit on finite data."""
