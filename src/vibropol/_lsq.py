@@ -82,6 +82,8 @@ def least_squares(fun_jac, x0, lower, upper, *, max_nfev, name, ftol=1e-8, xtol=
             f = np.flatnonzero(free)
             step = np.zeros_like(x)
             step[f] = np.linalg.solve(js[:, f].T @ js[:, f] + mu * np.eye(f.size), -gs[f]) / s[f]
+            # the scaled Jacobian is not held across the trial evaluation
+            del js
             x_new = np.clip(x + step, lower, upper)
             step = x_new - x
             r_new, jac_new, loss_new, ok = _evaluate(fun_jac, x_new)

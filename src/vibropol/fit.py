@@ -34,8 +34,14 @@ eps overflows as `stack_response` does.  Each evaluation then writes
 the values into a working copy, builds each touched layer and material
 and one LayerStack, so every constructor's check still runs, evaluates a
 touched material's eps and d eps / d p from one set of denominators, and
-runs the kernel once.  The template's loss comes from start 0's first
-evaluation, so every kernel pass of a solve is counted in n_evaluations.
+runs the kernel once.  That eps and d eps / d p, and every grid-sized
+value of the kernel pass, go into arrays that the call allocates on its
+first evaluation and reuses for all later ones; only the model and the
+Jacobian handed to the solver are new arrays.  An evaluation's working
+memory is then a small multiple of one complex array on the grid, so a
+solve neither grows nor trims the heap from one evaluation to the next.
+The template's loss comes from start 0's first evaluation, so every
+kernel pass of a solve is counted in n_evaluations.
 A solve takes a non-finite trial point as a rejected step; the public
 evaluators raise DomainError naming the values instead.  Nothing is
 cached on a FitProblem, so each call checks a problem changed since
@@ -56,6 +62,7 @@ from .tmm import (
     _K_TO_RAD_NM,
     CHANNELS,
     LayerStack,
+    _Work,
     _check_angle,
     _check_polarization,
     _media,
@@ -261,6 +268,11 @@ class _Plan:
     runs the kernel along the directions and fills each parameter's column
     from its key's sensitivity.
 
+    The plan owns the arrays that every pass rewrites: `work`, the
+    kernel's work arrays (`tmm._Work`), and `eps_out`, the eps and
+    d eps / dp rows of each free dispersive material.  The model and the
+    Jacobian a pass returns are new arrays, which a caller may keep.
+
     A FitProblem is mutable, so the plan works from `problem`, a copy
     built through the constructor: a field changed since construction
     fails here with the constructor's DomainError, once per plan."""
@@ -280,6 +292,12 @@ class _Plan:
         self.media = _media(stack, k)
         self.k0 = _K_TO_RAD_NM * k
         self.sin2 = _sin2(stack, problem.angle)
+        # what every pass rewrites: the kernel's work arrays, and each
+        # free dispersive material's eps and d eps / dp
+        self.work = _Work()
+        self.eps_out = {key: np.empty((1 + len(group), k.size), complex)
+                        for key, group in self.groups.items()
+                        if isinstance(self.media.get(key), np.ndarray)}
 
     def model(self, values):
         """The fitted channel at `values` (physical units, ordered like
@@ -292,7 +310,7 @@ class _Plan:
         for key, group in self.groups.items():
             if key in self.media:
                 eps[key], derivs[key] = stack.materials[key]._epsilon_and_derivatives(
-                    self.k, [field for _, field in group]
+                    self.k, [field for _, field in group], self.eps_out.get(key)
                 )
                 # the tangent of qz = sqrt(eps - sin2) divides by qz
                 if np.any(eps[key] == self.sin2):
@@ -300,27 +318,27 @@ class _Plan:
                     raise DomainError(f"the derivative along {paths} is singular: a medium it "
                                       "sets has eps = (n_ambient sin(angle))^2, so qz = 0")
         T, R, S_T, S_R = _response(
-            stack, eps, self.k0, self.sin2, self.problem.polarization, self.directions
+            stack, eps, self.k0, self.sin2, self.problem.polarization, self.directions, self.work
         )
         if self.problem.channel == "T":
             model, sens = T, S_T
         elif self.problem.channel == "R":
             model, sens = R, S_R
         else:
-            model, sens = 1.0 - T - R, -(S_T + S_R)
-        # sens lacks the direction axis only when no medium uses a
-        # direction; it is zero then
-        sens = np.broadcast_to(sens, (len(self.groups), self.k.size))
+            model = np.subtract(np.subtract(1.0, T, T), R, T)
+            sens = np.negative(np.add(S_T, S_R, S_T), S_T)
         jac = np.empty((self.k.size, len(values)))
+        product = self.work.array("column", self.k.shape)
         for s, (key, group) in zip(sens, self.groups.items()):
             for i, (column, _) in enumerate(group):
-                jac[:, column] = np.real(s * derivs[key][i] if key in derivs else s)
+                jac[:, column] = np.real(np.multiply(s, derivs[key][i], product)
+                                         if key in derivs else s)
         return model, jac
 
     def __call__(self, values):
         """Residuals and their Jacobian, from one kernel pass."""
         model, jac = self.model(values)
-        return model - self.problem.target, jac
+        return np.subtract(model, self.problem.target, model), jac
 
 
 def loss_gradient(problem, values):
@@ -370,7 +388,8 @@ def solve(problem, n_starts=1, seed=0, max_nfev=2000):
 
     def fun_jac(x):
         res, jac = plan(to_physical(x))
-        return res, jac * width
+        jac *= width
+        return res, jac
 
     rng = np.random.default_rng(seed)
     starts = [np.clip((plan.template - lower) / width, 0.0, 1.0)]

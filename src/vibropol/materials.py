@@ -3,15 +3,17 @@
 All models return the complex relative permittivity eps(k) on a wavenumber
 grid in cm^-1 (1e-3 to 1e7).  The time convention is exp(-i omega t), so passive media
 have Im(eps) >= 0 and the physical refractive-index branch has Im(n) >= 0.
-Each model also has _epsilon_and_derivatives(k, fields), which a fit
-pass calls on a wavenumber array it has already checked: it returns eps(k)
-together with the closed-form d eps / d field for each requested real
-field, ("eps_b",), ("f", j), ("k0", j), ("gamma", j), ("omega_p",) and so
-on, all from one evaluation of the model's denominators (all three models
-are rational in their parameters).  epsilon(k) is the same evaluation with
-no fields, so a fit's model values match stack_response's bit for bit.  A
-ConstantMedium returns its eps as a Python complex, as the stack kernel
-keeps it.
+Each model also has _epsilon_and_derivatives(k, fields, out=None), which
+a fit pass calls on a wavenumber array it has already checked: it returns
+eps(k) together with the closed-form d eps / d field for each requested
+real field, ("eps_b",), ("f", j), ("k0", j), ("gamma", j), ("omega_p",)
+and so on, all from one evaluation of the model's denominators (all three
+models are rational in their parameters).  A dispersive model writes eps
+and each array derivative into the complex arrays out[0], out[1], ... on
+k when `out` is given, so a fit reuses them for every evaluation.
+epsilon(k) is the same evaluation with no fields, so a fit's model values
+match stack_response's bit for bit.  A ConstantMedium returns its eps as a
+Python complex, as the stack kernel keeps it.
 """
 
 from __future__ import annotations
@@ -82,28 +84,32 @@ class LorentzMedium:
     def epsilon(self, k):
         return self._epsilon_and_derivatives(_check_wavenumbers(k), ())[0]
 
-    def _epsilon_and_derivatives(self, k, fields):
+    def _epsilon_and_derivatives(self, k, fields, out=None):
         """eps on a checked k, and d eps / d field for each of fields:
         ("eps_b",), or (name, j) for f, k0 or gamma of oscillators[j]."""
-        eps = np.full_like(k, self.eps_b, dtype=complex)
+        if out is None:
+            out, eps = [None] * (len(fields) + 1), np.full_like(k, self.eps_b, dtype=complex)
+        else:
+            eps = out[0]
+            eps[...] = self.eps_b
         denoms = []
         for osc in self.oscillators:
             denom = k**2 - osc.k0**2 + 1j * k * osc.gamma
-            eps = eps - osc.f / denom
+            eps = np.subtract(eps, osc.f / denom, out[0])
             denoms.append(denom)
         derivs = []
-        for field in fields:
+        for field, o in zip(fields, out[1:]):
             if field == ("eps_b",):
                 derivs.append(1.0)
                 continue
             name, j = field
             osc, denom = self.oscillators[j], denoms[j]
             if name == "f":
-                derivs.append(-1.0 / denom)
+                derivs.append(np.divide(-1.0, denom, o))
             elif name == "k0":
-                derivs.append(-2.0 * osc.f * osc.k0 / denom**2)
+                derivs.append(np.divide(-2.0 * osc.f * osc.k0, denom**2, o))
             else:
-                derivs.append(1j * k * osc.f / denom**2)
+                derivs.append(np.divide(1j * k * osc.f, denom**2, o))
         return eps, derivs
 
 
@@ -125,9 +131,9 @@ class ConstantMedium:
         k = _check_wavenumbers(k)
         return np.full_like(k, self.eps, dtype=complex)
 
-    def _epsilon_and_derivatives(self, k, fields):
+    def _epsilon_and_derivatives(self, k, fields, out=None):
         """The eps, a Python complex, and d eps / d Re(eps), the one field
-        ("eps",): one at every wavenumber."""
+        ("eps",): one at every wavenumber.  No array is written."""
         return self.eps, [1.0 for _ in fields]
 
 
@@ -190,28 +196,31 @@ class DrudeLorentzMetal:
     def epsilon(self, k):
         return self._epsilon_and_derivatives(_check_wavenumbers(k), ())[0]
 
-    def _epsilon_and_derivatives(self, k, fields):
+    def _epsilon_and_derivatives(self, k, fields, out=None):
         """eps on a checked k, and d eps / d field for each of fields:
         ("omega_p",), ("f0",), ("gamma0",) or ("damping_multiplier",)."""
+        out = [None] * (len(fields) + 1) if out is None else out
         w = k / EV_TO_CM1
         free = w + 1j * self.gamma_total
         w_free = w * free
-        eps = 1.0 - self.f0 * self.omega_p**2 / w_free
+        eps = np.subtract(1.0, self.f0 * self.omega_p**2 / w_free, out[0])
         for tr in self.bound:
-            eps = eps + tr.f * self.omega_p**2 / (tr.omega0**2 - w**2 - 1j * w * tr.gamma)
+            eps = np.add(eps, tr.f * self.omega_p**2 / (tr.omega0**2 - w**2 - 1j * w * tr.gamma),
+                         out[0])
         derivs = []
-        for (field,) in fields:
+        for (field,), o in zip(fields, out[1:]):
             if field == "omega_p":
                 # every term but the 1 scales with omega_p^2
-                derivs.append(2.0 * (eps - 1.0) / self.omega_p)
+                derivs.append(np.divide(2.0 * (eps - 1.0), self.omega_p, o))
                 continue
             drude = self.omega_p**2 / w_free
             if field == "f0":
-                derivs.append(-drude)
+                derivs.append(np.negative(drude, o))
                 continue
             # d eps / d gamma_total, then the chain rule through the product
             d_total = 1j * self.f0 * drude / free
-            derivs.append(d_total * (self.damping_multiplier if field == "gamma0" else self.gamma0))
+            derivs.append(np.multiply(
+                d_total, self.damping_multiplier if field == "gamma0" else self.gamma0, o))
         return eps, derivs
 
 
@@ -238,16 +247,17 @@ def refractive_index(model_or_eps, k=None):
     return _decaying_sqrt(eps)
 
 
-def _decaying_sqrt(x):
+def _decaying_sqrt(x, out=None):
     """sqrt(x) on the branch Im >= 0, where a wave decays into the medium;
     on the real axis the principal root, Re >= 0.  A Python complex x (a
     constant medium in the stack kernel) takes cmath.sqrt and gives a
     Python complex, so that medium costs scalar arithmetic only; an array
-    takes numpy's root, and a 0-d array gives a 0-d array."""
+    takes numpy's root, written into `out` when given (x itself may be
+    out), and a 0-d array gives a 0-d array."""
     if isinstance(x, complex):
         root = cmath.sqrt(x)
         return -root if root.imag < 0.0 else root
-    root = np.sqrt(x)
+    root = np.sqrt(x, out)
     if np.ndim(root) == 0:
         return np.asarray(-root if root.imag < 0.0 else root)
     # passive media rarely need the flip, so only those elements change

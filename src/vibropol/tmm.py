@@ -46,6 +46,7 @@ Re(S deps/dp).
 from __future__ import annotations
 
 import math
+import operator
 from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass
@@ -192,23 +193,71 @@ def _media(stack, k):
     return eps
 
 
-def _rouard(stack, eps, k0, sin2, polarization, directions=None, march=False):
+class _Work(dict):
+    """The kernel's work arrays, each made by the first pass that needs it
+    and rewritten by every later pass: a caller keeps one for all its
+    passes, and reads what a pass returned in it before the next begins."""
+
+    # Python's arithmetic, for operands that are all numbers
+    _ARITHMETIC = {np.add: operator.add, np.subtract: operator.sub, np.multiply: operator.mul,
+                   np.divide: operator.truediv, np.negative: operator.neg,
+                   np.square: lambda a: a**2}
+    _shapes = staticmethod(lru_cache(maxsize=256)(np.broadcast_shapes))
+
+    def array(self, key, shape, dtype=complex):
+        """The work array `key` of that shape."""
+        out = self.get((key, shape))
+        if out is None:
+            out = self[key, shape] = np.empty(shape, dtype)
+        return out
+
+    def arrays(self, keys, shape):
+        """The complex work arrays of `keys`, all of that shape, from one
+        lookup; `array` and `put` reach each under its own key."""
+        out = self.get((keys, shape))
+        if out is None:
+            out = self[keys, shape] = tuple(self.array(key, shape) for key in keys)
+        return out
+
+    def put(self, key, ufunc, a, b=None):
+        """ufunc(a) or ufunc(a, b) written into the work array `key` of the
+        result's shape; when no operand is an array, the number that
+        Python's arithmetic gives, as a constant medium keeps."""
+        sa, sb = getattr(a, "shape", ()), getattr(b, "shape", ())
+        if not (sa or sb):
+            return self._ARITHMETIC[ufunc](a) if b is None else self._ARITHMETIC[ufunc](a, b)
+        shape = sa if sa == sb or not sb else sb if not sa else self._shapes(sa, sb)
+        out = self.get((key, shape))
+        if out is None:
+            out = self.array(key, shape, np.result_type(a) if b is None else np.result_type(a, b))
+        elif out.size == 1 and (out is a or out is b):
+            # numpy rounds a complex product that overwrites its
+            # one-element operand in another loop than a new one
+            out = None
+        # out is positional: as a keyword it costs more than the call
+        return ufunc(a, out) if b is None else ufunc(a, b, out)
+
+
+def _rouard(stack, eps, k0, sin2, polarization, directions=None, march=False, work=None):
     """Rouard's recursion over the media of the stack, broadcast over k0
     (rad/nm); eps maps each material name to its permittivity, the
     ambient's under None, as `_media` does, and sin2 = (n_ambient
-    sin(angle))^2.  Media of one material share their qz and q, and layers
-    of one material and thickness their phase factor, so callers must not
-    modify the returned arrays in place.  A layer with qz = 0 at some
-    wavenumber, tested once per material, raises DomainError: its waves
-    exp(+-i k0 qz z) are then one wave, and the recursion divides 0 by 0.
+    sin(angle))^2.  The arrays it returns, but those of `steps`, are
+    `work`'s (a `_Work`, new when None), and the next pass through that
+    work rewrites them: a caller copies what it keeps past that pass, and
+    writes into none of them, as media of one material share their qz and
+    q, and layers of one material and thickness their phase factor.  A
+    layer with qz = 0 at some wavenumber, tested once per material, raises
+    DomainError: its waves exp(+-i k0 qz z) are then one wave, and the
+    recursion divides 0 by 0.
 
     Returns (r, t, qz, q, d, steps) for a unit U amplitude incident from
     the ambient.  r and t are the U-amplitude reflection (at z = 0) and
     transmission (into the substrate's front face) on k; qz and q list
     each medium's values, ambient first.  steps is None unless `march`:
-    then steps[j - 1] = (g, f, phase) of layer j, with g the reflection
-    coefficient at its exit face and f its entry forward amplitude per unit
-    forward amplitude leaving medium j - 1.
+    then steps[j - 1] = (g, f, phase) of layer j, new arrays, with g the
+    reflection coefficient at its exit face and f its entry forward
+    amplitude per unit forward amplitude leaving medium j - 1.
 
     Each layer j, between qa = q[j - 1] and qb = q[j], costs one complex
     reciprocal: its entry interface's Fresnel coefficients (qa - qb) / S
@@ -224,10 +273,11 @@ def _rouard(stack, eps, k0, sin2, polarization, directions=None, march=False):
     eps in every medium made of it, a layer index to the (m, 1) real
     change of that layer's thickness.  The caller keeps qz != 0 in each
     medium a direction moves.  d is then (dr, dt, dq_sub), the tangents of
-    r, t and the substrate's q along the m directions on a leading axis;
-    without directions it is None.  They come from the same inv, with
-    w = qb dqa - qa dqb (no product for a medium no direction moves),
-    dg_e = (dg + 2 g dlog) phase^2 and dlog = d(log phase):
+    r, t and the substrate's q along the m directions on a leading axis,
+    dq_sub None when no direction moves the substrate; without directions
+    d is None.  They come from the same inv, with w = qb dqa - qa dqb (no
+    product for a medium no direction moves), dg_e = (dg + 2 g dlog)
+    phase^2 and dlog = d(log phase):
 
         dg <- 2 inv^2 ((1 - g_e^2) w + 2 qa qb dg_e),
         dx = 2 inv^2 phase ((1 - g_e) w - qa D dg_e) + x dlog,
@@ -235,45 +285,76 @@ def _rouard(stack, eps, k0, sin2, polarization, directions=None, march=False):
 
     starting from dg = dt = 2 w / S^2 at the substrate's face.
     """
+    work = _Work() if work is None else work
+    put = work.put
+    add, sub, mul, div = np.add, np.subtract, np.multiply, np.divide
     names, layers = _names(stack), stack.layers
-    qz_of = {name: _decaying_sqrt(eps[name] - sin2) for name in dict.fromkeys(names)}
-    q_of = qz_of if polarization == "s" else {name: z / eps[name] for name, z in qz_of.items()}
+    qz_of = {}
+    for name in dict.fromkeys(names):
+        z = put(("qz", name), sub, eps[name], sin2)
+        qz_of[name] = _decaying_sqrt(z, out=z)
+    q_of = qz_of if polarization == "s" else {
+        name: put(("q", name), div, z, eps[name]) for name, z in qz_of.items()}
     qz, q = [qz_of[name] for name in names], [q_of[name] for name in names]
     n = len(layers)
     singular = {m for m in {ly.material for ly in layers} if not np.asarray(qz_of[m]).all()}
-    phases = {(name, d): np.exp(1j * d * qz_of[name] * k0)
-              for name, d in dict.fromkeys((ly.material, ly.thickness) for ly in layers)}
+    phases = {}
+    # keyed by position: a fit moves the thickness from pass to pass
+    for i, (name, d) in enumerate(dict.fromkeys((ly.material, ly.thickness) for ly in layers)):
+        z = put(("phase", i), mul, put(("phase", i), mul, 1j * d, qz_of[name]), k0)
+        phases[name, d] = np.exp(z, z)
     phase = [None] + [phases[ly.material, ly.thickness] for ly in layers]
 
     if directions is not None:
-        dqz_of = {name: row * (0.5 / qz_of[name])
-                  for name, row in directions.items() if name in qz_of}
-        dq_of = dqz_of if polarization == "s" else {
-            name: (dz - q_of[name] * directions[name]) / eps[name] for name, dz in dqz_of.items()
-        }
+        # every tangent is an (m, k) array of `work`, and no product is
+        # written over one of its own operands (see `_Work.put`)
+        shape = (len(next(iter(directions.values()), ())),) + np.shape(k0)
+        DG_E, H, V, W, DX, DT, DG = work.arrays(("dg_e", "dh", "dv", "dw", "dx", "dt", "dg"),
+                                                shape)
+        dqz_of, dq_of = {}, {}
+        for name, row in directions.items():
+            if name in qz_of:
+                dz = mul(row, put("u", div, 0.5, qz_of[name]), work.array(("dqz", name), shape))
+                dqz_of[name] = dq_of[name] = dz
+                if polarization != "s":
+                    o = work.array(("dq", name), shape)
+                    dq_of[name] = div(sub(dz, mul(q_of[name], row, o), o), eps[name], o)
         dqz, dq = [dqz_of.get(name, 0.0) for name in names], [dq_of.get(name) for name in names]
         # d(phase) = phase * dlog
-        dlog = [None] + [1j * k0 * (qz[j] * directions.get(j - 1, 0.0)
-                                    + layers[j - 1].thickness * dqz[j])
-                         for j in range(1, n + 1)]
+        ik0, dlog = put("ik0", mul, 1j, k0), [None]
+        for j in range(1, n + 1):
+            z = put("u", add, put("u", mul, qz[j], directions.get(j - 1, 0.0)),
+                    put("v", mul, layers[j - 1].thickness, dqz[j]))
+            dlog.append(mul(ik0, z, work.array(("dlog", j), shape)))
 
         def cross(i):
             # w = qb dqa - qa dqb across the interface of media i and i + 1
             qa, qb, dqa, dqb = q[i], q[i + 1], dq[i], dq[i + 1]
             if dqb is None:
-                return 0.0 if dqa is None else qb * dqa
-            return -qa * dqb if dqa is None else qb * dqa - qa * dqb
+                return 0.0 if dqa is None else mul(qb, dqa, W)
+            if dqa is None:
+                return mul(put("w", np.negative, qa), dqb, W)
+            return sub(mul(qb, dqa, W), mul(qa, dqb, V), W)
 
     # substrate -> ambient: for a unit forward amplitude at the current
     # medium's exit face, g is the reflected amplitude and t the forward
     # amplitude in the substrate; t is a product of per-layer factors x,
     # never divided by, since an interface t can be 0.  2 qa / S keeps its
     # digits when qb >> qa (p-polarized ENZ), where 1 + r would not
+    # in the loop every value but S, D and 2 qa is on k, as the phase is:
+    # each has its array, and t alternates between two, as no product is
+    # written over one of its own operands.  The substrate's face starts
+    # inv, g and t in those arrays, t in the one layer n does not write
+    tkeys = ("t0", "t1")
+    P2, G_E, INV, F, X, G, *T = work.arrays(("p2", "g_e", "inv", "f", "x", "g") + tkeys,
+                                           np.shape(k0))
     qa, qb = q[n], q[n + 1]
-    inv = 1.0 / (qa + qb)
-    g, t = (qa - qb) * inv, 2.0 * qa * inv
+    inv = put("inv", div, 1.0, put("inv", add, qa, qb))
+    g = put("g", mul, put("g", sub, qa, qb), inv)
+    t = put(tkeys[(n + 1) % 2], mul, put(tkeys[(n + 1) % 2], mul, 2.0, qa), inv)
     if directions is not None:
-        dg = dt = cross(n) * (2.0 * inv * inv)
+        w, inv2 = cross(n), put("inv2", mul, put("inv2", mul, 2.0, inv), inv)
+        dg = dt = mul(w, inv2, DG)
     steps = [None] * n if march else None
     for j in range(n, 0, -1):
         if layers[j - 1].material in singular:
@@ -282,44 +363,57 @@ def _rouard(stack, eps, k0, sin2, polarization, directions=None, march=False):
                 "sin(angle))^2, so qz = 0: its two waves coincide and the recursion is singular"
             )
         qa, qb, p = q[j - 1], q[j], phase[j]
-        S, D = qa + qb, qa - qb
-        p2 = p * p
-        g_e = g * p2
-        inv = 1.0 / (S + D * g_e)
-        f = 2.0 * qa * inv
-        x = f * p
+        S, D = put("S", add, qa, qb), put("D", sub, qa, qb)
+        p2 = mul(p, p, P2)
+        g_e = mul(g, p2, G_E)
+        inv = div(1.0, add(S, mul(D, g_e, INV), INV), INV)
+        f = mul(put("2qa", mul, 2.0, qa), inv, F)
         if march:
-            steps[j - 1] = g, f, p
+            steps[j - 1] = tuple(np.array(v) if isinstance(v, np.ndarray) else v
+                                 for v in (g, f, p))
+        x = mul(f, p, X)
         if directions is not None:
-            dg_e = (dg + 2.0 * g * dlog[j]) * p2
-            w, inv2 = cross(j - 1), 2.0 * inv * inv
-            dg = inv2 * ((1.0 - g_e * g_e) * w + 2.0 * qa * qb * dg_e)
-            dx = (inv2 * p) * ((1.0 - g_e) * w - qa * D * dg_e) + x * dlog[j]
-            dt = dt * x + t * dx
-        g, t = (D + S * g_e) * inv, t * x
+            mul(add(dg, mul(put("u", mul, 2.0, g), dlog[j], H), H), p2, DG_E)
+            w = cross(j - 1)
+            inv2 = put("inv2", mul, put("inv2", mul, 2.0, inv), inv)
+            sub(mul(put("h", sub, 1.0, g_e), w, H), mul(put("v", mul, qa, D), DG_E, V), H)
+            add(mul(put("u", mul, inv2, p), H, DX), mul(x, dlog[j], V), DX)
+            # dt before dg: at the substrate's face they are one array
+            dt = add(mul(dt, x, V), mul(t, DX, H), DT)
+            h = put("h", sub, 1.0, put("h", mul, g_e, g_e))
+            qq = put("v", mul, put("v", mul, 2.0, qa), qb)
+            dg = mul(inv2, add(mul(h, w, H), mul(qq, DG_E, V), H), DG)
+        g = mul(add(D, mul(S, g_e, F), F), inv, G)
+        t = mul(t, x, T[j % 2])
     if n == 0:
         # scalars between two constant media; the results live on k
         g, t = np.broadcast_to(g, np.shape(k0)), np.broadcast_to(t, np.shape(k0))
-    d = None if directions is None else (dg, dt, 0.0 if dq[-1] is None else dq[-1])
+    d = None if directions is None else (dg, dt, dq[-1])
     return g, t, qz, q, d, steps
 
 
-def _response(stack, eps, k0, sin2, polarization, directions=None):
+def _response(stack, eps, k0, sin2, polarization, directions=None, work=None):
     """(T, R) of one or both polarizations from the permittivities of
-    `_media` on k0 = `_K_TO_RAD_NM` k at sin2 = `_sin2(stack, angle)`.
+    `_media` on k0 = `_K_TO_RAD_NM` k at sin2 = `_sin2(stack, angle)`,
+    through the kernel's work arrays `work` (a `_Work`, new when None).
+    T and R are new arrays.
 
     `directions` sets m tangent directions, as in `_rouard`: a material
     name maps to the (m, 1) complex row of its eps, a layer index to the
     (m, 1) real row of its thickness.  The result then also holds the
     sensitivities (S_T, S_R), with the directions on a leading axis in row
     order: a real parameter p of direction i moves T by Re(S_T[i]
-    deps/dp), where deps/dp = 1 for a thickness.
+    deps/dp), where deps/dp = 1 for a thickness.  They live in `work`,
+    one pair per polarization, until the next pass.
     """
+    work = _Work() if work is None else work
     if polarization == "unpolarized":
-        s = _response(stack, eps, k0, sin2, "s", directions)
-        p = _response(stack, eps, k0, sin2, "p", directions)
-        return tuple(0.5 * (a + b) for a, b in zip(s, p))
-    r, t, _, q, d, _ = _rouard(stack, eps, k0, sin2, polarization, directions)
+        s = _response(stack, eps, k0, sin2, "s", directions, work)
+        p = _response(stack, eps, k0, sin2, "p", directions, work)
+        # the product overwrites no operand of its own (see `_Work.put`)
+        return tuple(np.multiply(0.5, np.add(a, b, b), a) for a, b in zip(s, p))
+    put, mul = work.put, np.multiply
+    r, t, _, q, d, _ = _rouard(stack, eps, k0, sin2, polarization, directions, work=work)
     q_amb, q_sub = q[0], q[-1]
 
     incoherent = stack.substrate_mode == "incoherent_to_air"
@@ -329,25 +423,40 @@ def _response(stack, eps, k0, sin2, polarization, directions=None):
         # (total internal reflection inside the stack) never reaches the
         # rear face, so T stays 0
         q_air = _decaying_sqrt(1.0 + 0j - sin2)
-        t_exit = 2.0 * q_sub / (q_sub + q_air)
-        t_out = t * t_exit
+        t_exit = put("exit", np.divide, put("exit", mul, 2.0, q_sub),
+                     put("exit_d", np.add, q_sub, q_air))
+        # into the array of x, which the recursion has spent
+        t_out = mul(t, t_exit, work.array("x", np.shape(t)))
         scale = np.real(q_air) * (np.real(q_sub) > 0.0) / np.real(q_amb)
     else:
         t_out = t
         scale = np.real(q_sub) / np.real(q_amb)
-    R = np.abs(r) ** 2
-    T = scale * np.abs(t_out) ** 2
+    R = np.abs(r)
+    R **= 2
+    T = np.abs(t_out)
+    T **= 2
+    T = np.multiply(scale, T, T)
     if d is None:
         return T, R
 
     dr, dt, dq_sub = d
+    S_T, S_R = (work.array((key, polarization), dt.shape) for key in ("S_T", "S_R"))
+    c = put("c", mul, 2.0 * scale, put("c", np.conjugate, t_out))
     if incoherent:
-        dt_out = dt * t_exit + t * (2.0 * q_air * dq_sub / (q_sub + q_air) ** 2)
-        S_T = 2.0 * scale * np.conj(t_out) * dt_out
+        dt_out = mul(dt, t_exit, work.array("dt_out", dt.shape))
+        if dq_sub is not None:
+            # the exit factor moves with a free substrate
+            np.add(dt_out, put("u", mul, t, put(
+                "u", np.divide, put("u", mul, 2.0 * q_air, dq_sub),
+                put("exit_d", np.square, put("exit_d", np.add, q_sub, q_air)))), dt_out)
+        mul(c, dt_out, S_T)
     else:
-        # Re(q_sub) moves too when the substrate's eps is free
-        S_T = 2.0 * scale * np.conj(t) * dt + np.abs(t) ** 2 * dq_sub / np.real(q_amb)
-    return T, R, S_T, 2.0 * np.conj(r) * dr
+        mul(c, dt, S_T)
+        if dq_sub is not None:
+            # Re(q_sub) moves too when the substrate's eps is free
+            np.add(S_T, np.abs(t) ** 2 * dq_sub / np.real(q_amb), S_T)
+    mul(put("c", mul, 2.0, put("c", np.conjugate, r)), dr, S_R)
+    return T, R, S_T, S_R
 
 
 def stack_response(stack, k, angle=0.0, polarization="s"):
@@ -493,19 +602,20 @@ def angle_scan(stack, grid, angles, polarization="s", divergence=0.0):
 
     # in order of |angle| the nodes of a and -a are solved together, so
     # the cache holds about one angle's nodes; an entry leaves with its
-    # last use
-    cache = {}
+    # last use.  Every pass runs through the scan's one set of work arrays
+    cache, work, term = {}, _Work(), np.empty_like(k)
     scans = [None] * len(angles)
     for i in sorted(range(len(angles)), key=lambda i: abs(angles[i])):
         T = np.zeros_like(k)
         R = np.zeros_like(k)
         for s2, w in zip(*nodes[i]):
             if s2 not in cache:
-                cache[s2] = _response(stack, eps, k0, s2, polarization)
+                cache[s2] = _response(stack, eps, k0, s2, polarization, work=work)
             uses[s2] -= 1
             Ti, Ri = cache[s2] if uses[s2] else cache.pop(s2)
-            T += w * Ti
-            R += w * Ri
-        scans[i] = Spectrum(k=k, T=T, R=R, A=1.0 - T - R, angle=float(angles[i]),
+            T += np.multiply(w, Ti, term)
+            R += np.multiply(w, Ri, term)
+        A = np.subtract(1.0, T)
+        scans[i] = Spectrum(k=k, T=T, R=R, A=np.subtract(A, R, A), angle=float(angles[i]),
                             polarization=polarization)
     return scans

@@ -23,7 +23,7 @@ from vibropol import (
     spectrum_scan,
     stack_response,
 )
-from vibropol import fields
+from vibropol import fields, tmm
 
 from conftest import THICK_GOLD_NM, constant_stack, hard_stacks, local_maxima
 
@@ -234,6 +234,26 @@ def test_field_map_working_memory_is_bounded(pol):
         tracemalloc.stop()
     assert fmap.intensity.shape == (385, 784)
     assert peak < 3 * fmap.intensity.nbytes
+
+
+@pytest.mark.parametrize("pol", ["s", "p", "unpolarized"])
+def test_march_steps_outlive_the_next_pass(coupled_stack, pol):
+    # both mirrors are one material and thickness, so the recursion shares
+    # their phase factor, and it writes its values into work arrays that
+    # the next pass rewrites; the per-layer steps of the march are new
+    # arrays, one set per layer.  Unpolarized light marches s, then p
+    k = np.linspace(1600.0, 1900.0, 31)
+    eps, k0, work = tmm._media(coupled_stack, k), tmm._K_TO_RAD_NM * k, tmm._Work()
+    first, second = ("s", "p") if pol == "unpolarized" else (pol, pol)
+    *_, steps = tmm._rouard(coupled_stack, eps, k0, 0.1, first, march=True, work=work)
+    kept = [[np.copy(v) for v in step] for step in steps]
+    tmm._rouard(coupled_stack, eps, k0, 0.6, second, march=True, work=work)
+    arrays = [v for step in steps for v in step]
+    assert len(arrays) == 9
+    assert not any(np.shares_memory(a, b) for i, a in enumerate(arrays) for b in arrays[i + 1:])
+    for step, copies in zip(steps, kept):
+        for v, c in zip(step, copies):
+            assert np.array_equal(v, c)
 
 
 def test_field_map_cell_limit(coupled_stack):

@@ -1,6 +1,7 @@
 """Transfer-matrix solver against closed-form optics oracles."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -791,6 +792,59 @@ def test_material_whose_eps_overflows_raises_naming_it(coupled_stack, run):
     }
     with pytest.raises(DomainError, match=r"material 'gold': eps is not finite at 1500.0 cm\^-1"):
         calls[run]()
+
+
+class TestWorkArrays:
+    """A scan runs every kernel pass through one set of work arrays; the
+    T and R it caches, and the spectra it returns, are new arrays that no
+    later pass writes."""
+
+    @pytest.mark.parametrize("pol", ["s", "p", "unpolarized"])
+    def test_scan_results_outlive_later_passes(self, coupled_stack, pol):
+        # with 1 deg divergence the nodes of a and -a share each s^2, so
+        # one cached pass serves both angles, across the passes between
+        k = SpectralGrid(1600.0, 1900.0, 5.0).points
+        angles = [20.0, -20.0, 0.0, 35.0, -35.0]
+        scan = angle_scan(coupled_stack, k, angles, pol, divergence=1.0)
+        for angle, sp in zip(angles, scan):
+            alone = angle_scan(coupled_stack, k, [angle], pol, divergence=1.0)[0]
+            for channel in ("T", "R", "A"):
+                assert np.array_equal(sp.channel(channel), alone.channel(channel))
+        arrays = [sp.channel(channel) for sp in scan for channel in ("T", "R", "A")]
+        assert not any(np.shares_memory(a, b) for i, a in enumerate(arrays)
+                       for b in arrays[i + 1:])
+
+    @pytest.mark.parametrize("pol", ["s", "p", "unpolarized"])
+    def test_one_point_gives_the_bits_of_a_longer_grid(self, coupled_stack, pol):
+        # numpy rounds a complex product written over its one-element
+        # operand in another loop than a new one, so no work array takes a
+        # one-element product in place
+        k = np.linspace(1500.0, 2000.0, 41)
+        spectra = stack_response(coupled_stack, k, 35.0, pol)
+        for i in range(k.size):
+            for one, full in zip(stack_response(coupled_stack, k[i:i + 1], 35.0, pol), spectra):
+                assert np.array_equal(one, full[i:i + 1])
+
+    @pytest.mark.parametrize("pol", ["s", "p", "unpolarized"])
+    def test_kernel_pass_working_memory_is_bounded(self, pol):
+        # 1801 points through a gold / polymer / gold cavity: allocating
+        # each grid-sized value took 425 (s), 482 (p) and 511 kB
+        # (unpolarized) per pass, and pushed the heap past glibc's 128 kB
+        # trim threshold and back
+        cfg = load_config(DISPERSION_CONFIG)
+        stack, k = cfg.require_stack(), cfg.grid.points
+        eps, k0, work = tmm._media(stack, k), tmm._K_TO_RAD_NM * k, tmm._Work()
+        sin2 = tmm._sin2(stack, 20.0)
+        T, R = tmm._response(stack, eps, k0, sin2, pol, work=work)
+        tracemalloc.start()
+        try:
+            tmm._response(stack, eps, k0, sin2, pol, work=work)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # unpolarized light holds the s pass's T and R through the p pass
+        held = T.nbytes + R.nbytes if pol == "unpolarized" else 0
+        assert peak < 128 * 1024 + held
 
 
 class TestWavenumberValidation:
