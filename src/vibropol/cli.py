@@ -1,9 +1,9 @@
 """Command-line interface.
 
-Exit codes: 0 on success, 2 for usage errors (argparse's own) and
-configuration problems, 3 for physics domain errors raised while
-running.  All outputs are deterministic, so re-running a command
-overwrites its files byte-identically.
+Exit codes: 0 on success, 2 for usage errors (argparse's own),
+configuration problems and files the OS refuses, 3 for physics domain
+errors raised while running.  All outputs are deterministic, so
+re-running a command overwrites its files byte-identically.
 
 Each command imports the package modules it runs inside its own body,
 so a call loads only what its subcommand needs and `--help` loads none.
@@ -276,6 +276,10 @@ def main(args=None, prog_name=None):
     except VibropolError as err:
         print(f"physics error: {err}", file=sys.stderr)
         sys.exit(3)
+    except OSError as err:
+        # a file the OS refuses, such as an --out-dir below a file
+        print(f"file error: {err}", file=sys.stderr)
+        sys.exit(2)
 
 
 def run():

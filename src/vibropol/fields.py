@@ -15,14 +15,16 @@ The intensity |E(z)|^2 / |E_inc|^2 follows directly (for p polarization
 from E_x = V and E_z = -kx U / (k0 eps)).  z = 0 is the front face of
 the first layer and grows toward the substrate.
 
-The recursion runs once over the whole wavenumber grid, but each medium's
-z columns are filled over blocks of k rows of about `_BLOCK_CELLS`
-cells.  The per-cell arithmetic is that of a whole-map pass, so every
-row is bit-identical to `field_profile` at its wavenumber, while the
-complex temporaries stay a few hundred kB instead of several times the
-map: a map's working memory is then little more than its output.  V is
-formed only where it is used, for p polarization and for the flux.  A
-map holds at most 10^6 cells (`_check_cells`).
+The recursion runs once over the whole wavenumber grid per polarization,
+s then p through one set of work arrays (`tmm._Work`), and a pass's
+per-layer factors are read before the next pass rewrites them.  Each
+medium's z columns are filled over blocks of k rows of about
+`_BLOCK_CELLS` cells.  The per-cell arithmetic is that of a whole-map
+pass, so every row is bit-identical to `field_profile` at its
+wavenumber, while the complex temporaries stay a few hundred kB instead
+of several times the map: a map's working memory is then little more
+than its output.  V is formed only where it is used, for p polarization
+and for the flux.  A map holds at most 10^6 cells (`_check_cells`).
 """
 
 from __future__ import annotations
@@ -34,8 +36,8 @@ import numpy as np
 
 from .errors import _MAX_POINTS, DomainError, _check_range
 from .materials import _check_wavenumbers
-from .tmm import (_K_TO_RAD_NM, _check_angle, _check_polarization, _media, _names, _points,
-                  _rouard)
+from .tmm import (_K_TO_RAD_NM, _Work, _check_angle, _check_polarization, _media, _names,
+                  _points, _rouard)
 
 # cells of one row block: each per-cell temporary of `_fields` stays a
 # few hundred kB, so a map's working memory stays a small multiple of its
@@ -106,8 +108,9 @@ def _fields(stack, k, z, angle, polarization, flux=True):
         # constant media keep scalar values
         return np.broadcast_to(x, k.shape)
 
+    work = _Work()
     for pol in pols:
-        r, t, qz, q, _, steps = _rouard(stack, eps, k0_rad, sin_amb**2, pol, march=True)
+        r, t, qz, q, _, steps = _rouard(stack, eps, k0_rad, sin_amb**2, pol, work)
         # march the amplitudes from the ambient: fwd[j] at each medium's
         # entry face, bwd[j] at its exit face (none in the substrate)
         a, fwd, bwd = 1.0, [1.0], [r]

@@ -318,7 +318,7 @@ class _Plan:
                     raise DomainError(f"the derivative along {paths} is singular: a medium it "
                                       "sets has eps = (n_ambient sin(angle))^2, so qz = 0")
         T, R, S_T, S_R = _response(
-            stack, eps, self.k0, self.sin2, self.problem.polarization, self.directions, self.work
+            stack, eps, self.k0, self.sin2, self.problem.polarization, self.work, self.directions
         )
         if self.problem.channel == "T":
             model, sens = T, S_T

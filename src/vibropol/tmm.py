@@ -29,9 +29,11 @@ g <- (D + S g') / (S + D g'), g' = g exp(2i k0 d qz), one complex
 reciprocal per layer.  Only phase factors of modulus <= 1 are ever
 multiplied, so thick lossy or evanescent layers underflow to zero
 transmission instead of overflowing.  The same sweep builds t as a
-product of per-layer factors; on request it keeps them, and `fields`
+product of per-layer factors and returns each layer's, and `fields`
 marches the wave amplitudes of every medium from them (bookkeeping as in
-Byrnes, arXiv:1603.02720).
+Byrnes, arXiv:1603.02720).  Each pass writes into the caller's work
+arrays (`_Work`), which own everything it returns but T and R until the
+next pass through them.
 
 The pass takes its permittivities by material name (`_media`), and can
 carry tangents, forward-mode derivatives in the spirit of Luce et al.,
@@ -194,9 +196,11 @@ def _media(stack, k):
 
 
 class _Work(dict):
-    """The kernel's work arrays, each made by the first pass that needs it
-    and rewritten by every later pass: a caller keeps one for all its
-    passes, and reads what a pass returned in it before the next begins."""
+    """The kernel's complex work arrays, each made by the first pass that
+    needs it and rewritten by every later pass.  Every array a pass
+    returns, but T and R, is the work's until the next pass through it: a
+    caller keeps one work for all its passes, copies what it keeps past
+    the next and writes into none."""
 
     # Python's arithmetic, for operands that are all numbers
     _ARITHMETIC = {np.add: operator.add, np.subtract: operator.sub, np.multiply: operator.mul,
@@ -204,19 +208,11 @@ class _Work(dict):
                    np.square: lambda a: a**2}
     _shapes = staticmethod(lru_cache(maxsize=256)(np.broadcast_shapes))
 
-    def array(self, key, shape, dtype=complex):
-        """The work array `key` of that shape."""
+    def array(self, key, shape):
+        """The complex work array `key` of that shape."""
         out = self.get((key, shape))
         if out is None:
-            out = self[key, shape] = np.empty(shape, dtype)
-        return out
-
-    def arrays(self, keys, shape):
-        """The complex work arrays of `keys`, all of that shape, from one
-        lookup; `array` and `put` reach each under its own key."""
-        out = self.get((keys, shape))
-        if out is None:
-            out = self[keys, shape] = tuple(self.array(key, shape) for key in keys)
+            out = self[key, shape] = np.empty(shape, complex)
         return out
 
     def put(self, key, ufunc, a, b=None):
@@ -227,10 +223,8 @@ class _Work(dict):
         if not (sa or sb):
             return self._ARITHMETIC[ufunc](a) if b is None else self._ARITHMETIC[ufunc](a, b)
         shape = sa if sa == sb or not sb else sb if not sa else self._shapes(sa, sb)
-        out = self.get((key, shape))
-        if out is None:
-            out = self.array(key, shape, np.result_type(a) if b is None else np.result_type(a, b))
-        elif out.size == 1 and (out is a or out is b):
+        out = self.array(key, shape)
+        if out.size == 1 and (out is a or out is b):
             # numpy rounds a complex product that overwrites its
             # one-element operand in another loop than a new one
             out = None
@@ -238,26 +232,24 @@ class _Work(dict):
         return ufunc(a, out) if b is None else ufunc(a, b, out)
 
 
-def _rouard(stack, eps, k0, sin2, polarization, directions=None, march=False, work=None):
+def _rouard(stack, eps, k0, sin2, polarization, work, directions=None):
     """Rouard's recursion over the media of the stack, broadcast over k0
     (rad/nm); eps maps each material name to its permittivity, the
     ambient's under None, as `_media` does, and sin2 = (n_ambient
-    sin(angle))^2.  The arrays it returns, but those of `steps`, are
-    `work`'s (a `_Work`, new when None), and the next pass through that
-    work rewrites them: a caller copies what it keeps past that pass, and
-    writes into none of them, as media of one material share their qz and
-    q, and layers of one material and thickness their phase factor.  A
-    layer with qz = 0 at some wavenumber, tested once per material, raises
-    DomainError: its waves exp(+-i k0 qz z) are then one wave, and the
-    recursion divides 0 by 0.
+    sin(angle))^2.  Every array it returns is `work`'s (a `_Work`) until
+    the next pass through that work rewrites it, as `_Work` states; media
+    of one material share their qz and q, and layers of one material and
+    thickness their phase factor.  A layer with qz = 0 at some wavenumber,
+    tested once per material, raises DomainError: its waves
+    exp(+-i k0 qz z) are then one wave, and the recursion divides 0 by 0.
 
     Returns (r, t, qz, q, d, steps) for a unit U amplitude incident from
     the ambient.  r and t are the U-amplitude reflection (at z = 0) and
     transmission (into the substrate's front face) on k; qz and q list
-    each medium's values, ambient first.  steps is None unless `march`:
-    then steps[j - 1] = (g, f, phase) of layer j, new arrays, with g the
-    reflection coefficient at its exit face and f its entry forward
-    amplitude per unit forward amplitude leaving medium j - 1.
+    each medium's values, ambient first.  steps[j - 1] = (g, f, phase) of
+    layer j, with g the reflection coefficient at its exit face and f its
+    entry forward amplitude per unit forward amplitude leaving medium
+    j - 1; each layer's g and f have their own arrays.
 
     Each layer j, between qa = q[j - 1] and qb = q[j], costs one complex
     reciprocal: its entry interface's Fresnel coefficients (qa - qb) / S
@@ -285,7 +277,6 @@ def _rouard(stack, eps, k0, sin2, polarization, directions=None, march=False, wo
 
     starting from dg = dt = 2 w / S^2 at the substrate's face.
     """
-    work = _Work() if work is None else work
     put = work.put
     add, sub, mul, div = np.add, np.subtract, np.multiply, np.divide
     names, layers = _names(stack), stack.layers
@@ -309,8 +300,8 @@ def _rouard(stack, eps, k0, sin2, polarization, directions=None, march=False, wo
         # every tangent is an (m, k) array of `work`, and no product is
         # written over one of its own operands (see `_Work.put`)
         shape = (len(next(iter(directions.values()), ())),) + np.shape(k0)
-        DG_E, H, V, W, DX, DT, DG = work.arrays(("dg_e", "dh", "dv", "dw", "dx", "dt", "dg"),
-                                                shape)
+        DG_E, H, V, W, DX, DT, DG, DLOG = (
+            work.array(key, shape) for key in ("dg_e", "dh", "dv", "dw", "dx", "dt", "dg", "dlog"))
         dqz_of, dq_of = {}, {}
         for name, row in directions.items():
             if name in qz_of:
@@ -320,12 +311,7 @@ def _rouard(stack, eps, k0, sin2, polarization, directions=None, march=False, wo
                     o = work.array(("dq", name), shape)
                     dq_of[name] = div(sub(dz, mul(q_of[name], row, o), o), eps[name], o)
         dqz, dq = [dqz_of.get(name, 0.0) for name in names], [dq_of.get(name) for name in names]
-        # d(phase) = phase * dlog
-        ik0, dlog = put("ik0", mul, 1j, k0), [None]
-        for j in range(1, n + 1):
-            z = put("u", add, put("u", mul, qz[j], directions.get(j - 1, 0.0)),
-                    put("v", mul, layers[j - 1].thickness, dqz[j]))
-            dlog.append(mul(ik0, z, work.array(("dlog", j), shape)))
+        ik0 = put("ik0", mul, 1j, k0)
 
         def cross(i):
             # w = qb dqa - qa dqb across the interface of media i and i + 1
@@ -342,20 +328,20 @@ def _rouard(stack, eps, k0, sin2, polarization, directions=None, march=False, wo
     # never divided by, since an interface t can be 0.  2 qa / S keeps its
     # digits when qb >> qa (p-polarized ENZ), where 1 + r would not
     # in the loop every value but S, D and 2 qa is on k, as the phase is:
-    # each has its array, and t alternates between two, as no product is
-    # written over one of its own operands.  The substrate's face starts
-    # inv, g and t in those arrays, t in the one layer n does not write
-    tkeys = ("t0", "t1")
-    P2, G_E, INV, F, X, G, *T = work.arrays(("p2", "g_e", "inv", "f", "x", "g") + tkeys,
-                                           np.shape(k0))
+    # each has its array, g and f one per layer for the field march, and t
+    # alternates between two, as no product is written over one of its
+    # own operands.  The substrate's face starts inv, g and t in those
+    # arrays, t in the one layer n does not write
+    on_k, tkeys = np.shape(k0), ("t0", "t1")
+    P2, G_E, INV, X, *T = (work.array(key, on_k) for key in ("p2", "g_e", "inv", "x") + tkeys)
     qa, qb = q[n], q[n + 1]
     inv = put("inv", div, 1.0, put("inv", add, qa, qb))
-    g = put("g", mul, put("g", sub, qa, qb), inv)
+    g = put(("g", n), mul, put(("g", n), sub, qa, qb), inv)
     t = put(tkeys[(n + 1) % 2], mul, put(tkeys[(n + 1) % 2], mul, 2.0, qa), inv)
     if directions is not None:
         w, inv2 = cross(n), put("inv2", mul, put("inv2", mul, 2.0, inv), inv)
         dg = dt = mul(w, inv2, DG)
-    steps = [None] * n if march else None
+    steps = [None] * n
     for j in range(n, 0, -1):
         if layers[j - 1].material in singular:
             raise DomainError(
@@ -367,53 +353,55 @@ def _rouard(stack, eps, k0, sin2, polarization, directions=None, march=False, wo
         p2 = mul(p, p, P2)
         g_e = mul(g, p2, G_E)
         inv = div(1.0, add(S, mul(D, g_e, INV), INV), INV)
-        f = mul(put("2qa", mul, 2.0, qa), inv, F)
-        if march:
-            steps[j - 1] = tuple(np.array(v) if isinstance(v, np.ndarray) else v
-                                 for v in (g, f, p))
+        f = mul(put("2qa", mul, 2.0, qa), inv, work.array(("f", j), on_k))
+        steps[j - 1] = g, f, p
         x = mul(f, p, X)
         if directions is not None:
-            mul(add(dg, mul(put("u", mul, 2.0, g), dlog[j], H), H), p2, DG_E)
+            # d(phase) = phase dlog
+            dlog = mul(ik0, put("u", add, put("u", mul, qz[j], directions.get(j - 1, 0.0)),
+                                put("v", mul, layers[j - 1].thickness, dqz[j])), DLOG)
+            mul(add(dg, mul(put("u", mul, 2.0, g), dlog, H), H), p2, DG_E)
             w = cross(j - 1)
             inv2 = put("inv2", mul, put("inv2", mul, 2.0, inv), inv)
             sub(mul(put("h", sub, 1.0, g_e), w, H), mul(put("v", mul, qa, D), DG_E, V), H)
-            add(mul(put("u", mul, inv2, p), H, DX), mul(x, dlog[j], V), DX)
+            add(mul(put("u", mul, inv2, p), H, DX), mul(x, dlog, V), DX)
             # dt before dg: at the substrate's face they are one array
             dt = add(mul(dt, x, V), mul(t, DX, H), DT)
             h = put("h", sub, 1.0, put("h", mul, g_e, g_e))
             qq = put("v", mul, put("v", mul, 2.0, qa), qb)
             dg = mul(inv2, add(mul(h, w, H), mul(qq, DG_E, V), H), DG)
-        g = mul(add(D, mul(S, g_e, F), F), inv, G)
+        # D + S g_e in the spent p2
+        g = mul(add(D, mul(S, g_e, P2), P2), inv, work.array(("g", j - 1), on_k))
         t = mul(t, x, T[j % 2])
     if n == 0:
         # scalars between two constant media; the results live on k
-        g, t = np.broadcast_to(g, np.shape(k0)), np.broadcast_to(t, np.shape(k0))
+        g, t = np.broadcast_to(g, on_k), np.broadcast_to(t, on_k)
     d = None if directions is None else (dg, dt, dq[-1])
     return g, t, qz, q, d, steps
 
 
-def _response(stack, eps, k0, sin2, polarization, directions=None, work=None):
+def _response(stack, eps, k0, sin2, polarization, work, directions=None):
     """(T, R) of one or both polarizations from the permittivities of
     `_media` on k0 = `_K_TO_RAD_NM` k at sin2 = `_sin2(stack, angle)`,
-    through the kernel's work arrays `work` (a `_Work`, new when None).
-    T and R are new arrays.
+    through the kernel's work arrays `work` (a `_Work`).  T and R are new
+    arrays; every other array it returns is the work's until the next
+    pass through it.
 
     `directions` sets m tangent directions, as in `_rouard`: a material
     name maps to the (m, 1) complex row of its eps, a layer index to the
     (m, 1) real row of its thickness.  The result then also holds the
     sensitivities (S_T, S_R), with the directions on a leading axis in row
     order: a real parameter p of direction i moves T by Re(S_T[i]
-    deps/dp), where deps/dp = 1 for a thickness.  They live in `work`,
-    one pair per polarization, until the next pass.
+    deps/dp), where deps/dp = 1 for a thickness.  They are `work`'s, one
+    pair per polarization.
     """
-    work = _Work() if work is None else work
     if polarization == "unpolarized":
-        s = _response(stack, eps, k0, sin2, "s", directions, work)
-        p = _response(stack, eps, k0, sin2, "p", directions, work)
+        s = _response(stack, eps, k0, sin2, "s", work, directions)
+        p = _response(stack, eps, k0, sin2, "p", work, directions)
         # the product overwrites no operand of its own (see `_Work.put`)
         return tuple(np.multiply(0.5, np.add(a, b, b), a) for a, b in zip(s, p))
     put, mul = work.put, np.multiply
-    r, t, _, q, d, _ = _rouard(stack, eps, k0, sin2, polarization, directions, work=work)
+    r, t, _, q, d, _ = _rouard(stack, eps, k0, sin2, polarization, work, directions)
     q_amb, q_sub = q[0], q[-1]
 
     incoherent = stack.substrate_mode == "incoherent_to_air"
@@ -610,7 +598,7 @@ def angle_scan(stack, grid, angles, polarization="s", divergence=0.0):
         R = np.zeros_like(k)
         for s2, w in zip(*nodes[i]):
             if s2 not in cache:
-                cache[s2] = _response(stack, eps, k0, s2, polarization, work=work)
+                cache[s2] = _response(stack, eps, k0, s2, polarization, work)
             uses[s2] -= 1
             Ti, Ri = cache[s2] if uses[s2] else cache.pop(s2)
             T += np.multiply(w, Ti, term)

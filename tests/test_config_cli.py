@@ -1086,6 +1086,17 @@ def test_usage_error_exits_2(runner, tmp_path, monkeypatch, argv, message):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["run.yaml"]
 
 
+@pytest.mark.parametrize("command", ["simulate", "estimate"])
+def test_out_dir_the_os_refuses_exits_2(runner, tmp_path, command):
+    # argparse takes any path but an existing file; one below a file is
+    # refused when the command first writes there
+    cfg = write_config(tmp_path, ESTIMATE_CONFIG if command == "estimate" else BASE_CONFIG)
+    out = tmp_path / "run.yaml" / "out"
+    result = runner.invoke(main, [command, "--config", cfg, "--out-dir", out])
+    assert result.exit_code == 2, result.output
+    assert result.output == f"file error: [Errno 20] Not a directory: '{out}'\n"
+
+
 def test_help_lists_every_command(runner):
     result = runner.invoke(main, ["--help"])
     assert result.exit_code == 0, result.output

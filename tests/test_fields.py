@@ -153,6 +153,14 @@ def test_unpolarized_profile_is_mean(coupled_stack):
     np.testing.assert_allclose(u.intensity, 0.5 * (s.intensity + p.intensity), rtol=1e-12)
 
 
+def test_unpolarized_map_is_mean_bit_for_bit(coupled_stack):
+    # each cell adds its s value, then its p value, to 0 and halves the sum
+    grid = SpectralGrid(1600.0, 1900.0, 10.0)
+    s, p, u = (field_map(coupled_stack, grid, angle=35.0, polarization=pol).intensity
+               for pol in ("s", "p", "unpolarized"))
+    assert np.array_equal(u, (s + p) / 2)
+
+
 def test_field_profile_takes_a_scalar_wavenumber(coupled_stack):
     with pytest.raises(DomainError, match="scalar wavenumber"):
         field_profile(coupled_stack, np.array([1700.0]), z=np.linspace(0.0, 100.0, 5))
@@ -237,23 +245,27 @@ def test_field_map_working_memory_is_bounded(pol):
 
 
 @pytest.mark.parametrize("pol", ["s", "p", "unpolarized"])
-def test_march_steps_outlive_the_next_pass(coupled_stack, pol):
-    # both mirrors are one material and thickness, so the recursion shares
-    # their phase factor, and it writes its values into work arrays that
-    # the next pass rewrites; the per-layer steps of the march are new
-    # arrays, one set per layer.  Unpolarized light marches s, then p
+def test_march_steps_are_the_work_s_until_the_next_pass(coupled_stack, pol):
+    # every layer's g and f has its own work array, the two gold mirrors
+    # (one material and thickness) share one phase array, and the next
+    # pass through the work rewrites every array a pass returned: the
+    # march reads its steps before that pass.  Unpolarized light marches
+    # s, then p, through one work
     k = np.linspace(1600.0, 1900.0, 31)
     eps, k0, work = tmm._media(coupled_stack, k), tmm._K_TO_RAD_NM * k, tmm._Work()
     first, second = ("s", "p") if pol == "unpolarized" else (pol, pol)
-    *_, steps = tmm._rouard(coupled_stack, eps, k0, 0.1, first, march=True, work=work)
-    kept = [[np.copy(v) for v in step] for step in steps]
-    tmm._rouard(coupled_stack, eps, k0, 0.6, second, march=True, work=work)
-    arrays = [v for step in steps for v in step]
-    assert len(arrays) == 9
-    assert not any(np.shares_memory(a, b) for i, a in enumerate(arrays) for b in arrays[i + 1:])
-    for step, copies in zip(steps, kept):
-        for v, c in zip(step, copies):
-            assert np.array_equal(v, c)
+    r, t, qz, q, _, steps = tmm._rouard(coupled_stack, eps, k0, 0.1, first, work)
+    factors = [r, t] + [v for g, f, _ in steps for v in (g, f)]
+    assert len(factors) == 8
+    assert not any(np.shares_memory(a, b) for i, a in enumerate(factors) for b in factors[i + 1:])
+    phases = [p for *_, p in steps]
+    assert phases[0] is phases[2]
+    assert not np.shares_memory(phases[0], phases[1])
+    returned = [v for v in factors + qz + q + phases if isinstance(v, np.ndarray)]
+    kept = [np.copy(v) for v in returned]
+    tmm._rouard(coupled_stack, eps, k0, 0.6, second, work)
+    for v, c in zip(returned, kept):
+        assert not np.array_equal(v, c)
 
 
 def test_field_map_cell_limit(coupled_stack):

@@ -835,16 +835,57 @@ class TestWorkArrays:
         stack, k = cfg.require_stack(), cfg.grid.points
         eps, k0, work = tmm._media(stack, k), tmm._K_TO_RAD_NM * k, tmm._Work()
         sin2 = tmm._sin2(stack, 20.0)
-        T, R = tmm._response(stack, eps, k0, sin2, pol, work=work)
+        T, R = tmm._response(stack, eps, k0, sin2, pol, work)
         tracemalloc.start()
         try:
-            tmm._response(stack, eps, k0, sin2, pol, work=work)
+            tmm._response(stack, eps, k0, sin2, pol, work)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         # unpolarized light holds the s pass's T and R through the p pass
         held = T.nbytes + R.nbytes if pol == "unpolarized" else 0
         assert peak < 128 * 1024 + held
+
+    @pytest.mark.parametrize("tangents", [False, True])
+    @pytest.mark.parametrize("pol", ["s", "p", "unpolarized"])
+    def test_reused_work_gives_the_bits_of_a_fresh_one(self, coupled_stack, pol, tangents):
+        # a work that earlier passes at another s^2, and through the other
+        # kernel entry, wrote keeps nothing of them: each pass gives the
+        # bits of a fresh work's, one-element grids and scalar media included
+        lossy = replace(coupled_stack, materials={**coupled_stack.materials,
+                                                  "germanium": ConstantMedium(eps=16 + 0.5j)})
+        stacks = [s for stack in (coupled_stack, lossy) for s in (stack, replace(stack, layers=()))]
+        directions = None
+        if tangents:
+            keys = ("gold", "pvac", 1, "germanium")
+            unit = np.eye(len(keys))
+            directions = {key: unit[:, [i]].astype(complex if isinstance(key, str) else float)
+                          for i, key in enumerate(keys)}
+        kernels = [tmm._response] + ([] if pol == "unpolarized" else [tmm._rouard])
+
+        def leaves(x):
+            if isinstance(x, (list, tuple)):
+                for v in x:
+                    yield from leaves(v)
+            else:
+                yield x
+
+        for stack in stacks:
+            for k in (np.array([1739.0]), np.linspace(1600.0, 1900.0, 7),
+                      np.linspace(1500.0, 2000.0, 801)):
+                eps, k0, work = tmm._media(stack, k), tmm._K_TO_RAD_NM * k, tmm._Work()
+                for sin2 in (0.6, 0.1):
+                    for kernel in kernels:
+                        reused = list(leaves(kernel(stack, eps, k0, sin2, pol, work, directions)))
+                        fresh = list(leaves(kernel(stack, eps, k0, sin2, pol, tmm._Work(),
+                                                   directions)))
+                        assert len(reused) == len(fresh)
+                        for a, b in zip(reused, fresh):
+                            assert type(a) is type(b)
+                            if a is not None:
+                                a, b = np.asarray(a), np.asarray(b)
+                                assert a.dtype == b.dtype and a.shape == b.shape
+                                assert a.tobytes() == b.tobytes()
 
 
 class TestWavenumberValidation:
