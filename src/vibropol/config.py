@@ -324,7 +324,7 @@ def _value(tp, value, where):
 def _read_material(name, spec):
     where = f"materials.{name}"
     model = _mapping(spec, where).get("model")
-    if model not in _MODELS:
+    if not isinstance(model, str) or model not in _MODELS:
         raise ConfigError(f"{where}.model: expected one of {', '.join(_MODELS)}, got {model!r}")
     mat = _read(_MODELS[model], {k: v for k, v in spec.items() if k != "model"}, where)
     if isinstance(mat, _Constant):

@@ -31,13 +31,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
 from .errors import _MAX_POINTS, DomainError, _check_range
 from .materials import _check_wavenumbers
-from .tmm import (_K_TO_RAD_NM, _Work, _check_angle, _check_polarization, _media, _names,
-                  _points, _rouard)
+from .tmm import (_K_TO_RAD_NM, _Work, _check_angle, _check_polarization, _media, _points,
+                  _rouard, _sequence)
 
 # cells of one row block: each per-cell temporary of `_fields` stays a
 # few hundred kB, so a map's working memory stays a small multiple of its
@@ -91,7 +92,7 @@ def _fields(stack, k, z, angle, polarization, flux=True):
     if not np.all(np.isfinite(z)):
         raise DomainError("z samples must be finite (nm)")
     eps = _media(stack, k)
-    names = _names(stack)
+    names, thicknesses = _sequence(stack)
     k0_rad = _K_TO_RAD_NM * k
     sin_amb = stack.n_ambient * math.sin(math.radians(angle))
     edges = _boundaries(stack)
@@ -110,7 +111,7 @@ def _fields(stack, k, z, angle, polarization, flux=True):
 
     work = _Work()
     for pol in pols:
-        r, t, qz, q, _, steps = _rouard(stack, eps, k0_rad, sin_amb**2, pol, work)
+        r, t, qz, q, _, steps = _rouard(names, thicknesses, eps, k0_rad, sin_amb**2, pol, work)
         # march the amplitudes from the ambient: fwd[j] at each medium's
         # entry face, bwd[j] at its exit face (none in the substrate)
         a, fwd, bwd = 1.0, [1.0], [r]
@@ -174,10 +175,7 @@ def field_profile(stack, k, z, angle=0.0, polarization="s"):
 
 
 def _boundaries(stack):
-    edges = [0.0]
-    for layer in stack.layers:
-        edges.append(edges[-1] + layer.thickness)
-    return tuple(edges)
+    return tuple(accumulate(_sequence(stack)[1], initial=0.0))
 
 
 def default_z_grid(stack, z_step=10.0, margin_ambient=200.0, margin_substrate=200.0):

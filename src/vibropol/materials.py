@@ -46,7 +46,9 @@ def _check_wavenumbers(k):
 
 
 # the largest float whose square is finite: the models square omega_p,
-# k0 and omega0 as Python floats, whose ** raises OverflowError beyond it
+# k0 and omega0 as Python floats, whose ** raises OverflowError beyond it.
+# It bounds the ambient index of a stack too, whose square is the
+# ambient's eps, and a layer's thickness, which multiplies its qz
 _SQUARE_MAX = math.sqrt(sys.float_info.max)
 
 

@@ -79,8 +79,12 @@ class CavityMode:
         _check_range(self.omega_cm1, "cavity frequency", gt=0.0, unit="cm^-1")
         _check_range(self.kappa_fwhm_mev, "cavity linewidth", ge=0.0, unit="meV")
         _check_range(self.background_index, "background index", gt=0.0)
-        if self.mode_volume_m3 is not None:
-            _check_range(self.mode_volume_m3, "mode volume", gt=0.0, unit="m^3")
+        try:
+            volume = self.volume_m3
+        except OverflowError:  # the default's float ** past the largest float
+            volume = math.inf
+        _check_range(volume, "mode volume" if self.mode_volume_m3 is not None else
+                     "mode volume (1e-2 / (omega_cm1 background_index))^3", gt=0.0, unit="m^3")
 
     @property
     def omega_mev(self):

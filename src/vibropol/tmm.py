@@ -35,14 +35,16 @@ Byrnes, arXiv:1603.02720).  Each pass writes into the caller's work
 arrays (`_Work`), which own everything it returns but T and R until the
 next pass through them.
 
-The pass takes its permittivities by material name (`_media`), and can
-carry tangents, forward-mode derivatives in the spirit of Luce et al.,
-JOSA A 39, 1007 (2022), keyed as a fit keys its parameters: a complex
-direction per material name (a unit change of eps in every medium made
-of it) and a real one per layer index (its thickness).  r and t are
-holomorphic in eps, so each channel gets a complex sensitivity S per
-direction, and a real material parameter p moves the channel by
-Re(S deps/dp).
+The pass takes the ordered media, each one's material name and each
+layer's thickness (`_sequence`), and their permittivities by name
+(`_media`); both lists reversed are the stack seen from its substrate,
+layer i then n - 1 - i.  It can carry tangents, forward-mode derivatives
+in the spirit of Luce et al., JOSA A 39, 1007 (2022), keyed as a fit
+keys its parameters: a complex direction per material name (a unit
+change of eps in every medium made of it) and a real one per layer index
+(its thickness).  r and t are holomorphic in eps, so each channel gets a
+complex sensitivity S per direction, and a real material parameter p
+moves the channel by Re(S deps/dp).
 """
 
 from __future__ import annotations
@@ -58,7 +60,8 @@ from types import MappingProxyType
 import numpy as np
 
 from .errors import _MAX_POINTS, DomainError, _check_choice, _check_range
-from .materials import _K_MAX, _K_MIN, ConstantMedium, _check_wavenumbers, _decaying_sqrt
+from .materials import (_K_MAX, _K_MIN, _SQUARE_MAX, ConstantMedium, _check_wavenumbers,
+                        _decaying_sqrt)
 
 POLARIZATIONS = ("s", "p", "unpolarized")
 CHANNELS = ("T", "R", "A")
@@ -78,7 +81,7 @@ class Layer:
     def __post_init__(self):
         if not isinstance(self.material, str) or not self.material:
             raise DomainError("layer material must be a non-empty name")
-        _check_range(self.thickness, "layer thickness", gt=0.0, unit="nm")
+        _check_range(self.thickness, "layer thickness", gt=0.0, le=_SQUARE_MAX, unit="nm")
 
 
 @dataclass(frozen=True)
@@ -103,7 +106,7 @@ class LayerStack:
     def __post_init__(self):
         object.__setattr__(self, "materials", MappingProxyType(dict(self.materials)))
         object.__setattr__(self, "layers", tuple(self.layers))
-        _check_range(self.n_ambient, "ambient index", ge=1.0)
+        _check_range(self.n_ambient, "ambient index", ge=1.0, le=_SQUARE_MAX)
         _check_choice(self.substrate_mode, "substrate_mode", ("coherent", "incoherent_to_air"))
         missing = [ly.material for ly in self.layers if ly.material not in self.materials]
         if self.substrate not in self.materials:
@@ -165,10 +168,11 @@ def _check_polarization(polarization):
     _check_choice(polarization, "polarization", POLARIZATIONS)
 
 
-def _names(stack):
-    """The material name of each medium: None for the ambient, then each
-    layer's and the substrate's, the keys of `_media`."""
-    return [None] + [ly.material for ly in stack.layers] + [stack.substrate]
+def _sequence(stack):
+    """The media as the kernel takes them: each one's material name (None
+    for the ambient, the keys of `_media`) and each layer's thickness."""
+    names = [None] + [ly.material for ly in stack.layers] + [stack.substrate]
+    return names, [ly.thickness for ly in stack.layers]
 
 
 def _media(stack, k):
@@ -180,7 +184,7 @@ def _media(stack, k):
     computed from it."""
     _check_wavenumbers(k)
     eps = {None: complex(stack.n_ambient**2)}
-    for name in _names(stack):
+    for name in _sequence(stack)[0]:
         if name not in eps:
             model = stack.materials[name]
             if isinstance(model, ConstantMedium):
@@ -232,15 +236,17 @@ class _Work(dict):
         return ufunc(a, out) if b is None else ufunc(a, b, out)
 
 
-def _rouard(stack, eps, k0, sin2, polarization, work, directions=None):
-    """Rouard's recursion over the media of the stack, broadcast over k0
-    (rad/nm); eps maps each material name to its permittivity, the
-    ambient's under None, as `_media` does, and sin2 = (n_ambient
-    sin(angle))^2.  Every array it returns is `work`'s (a `_Work`) until
-    the next pass through that work rewrites it, as `_Work` states; media
-    of one material share their qz and q, and layers of one material and
-    thickness their phase factor.  A layer with qz = 0 at some wavenumber,
-    tested once per material, raises DomainError: its waves
+def _rouard(names, thicknesses, eps, k0, sin2, polarization, work, directions=None):
+    """Rouard's recursion over the ordered media of `_sequence`, names from
+    the ambient's None to the substrate's and the layer thicknesses, on
+    k0 (rad/nm); eps maps each name to its permittivity, as `_media` does,
+    and sin2 = (n_ambient sin(angle))^2.  Both lists reversed are the
+    stack seen from its substrate, a direction's layer index i then
+    n - 1 - i, and errors name positions in the lists given.  Every array
+    it returns is `work`'s (a `_Work`) until the next pass through it;
+    media of one material share their qz and q, and layers of one
+    material and thickness their phase factor.  A layer with qz = 0 at
+    some wavenumber, tested once per material, raises DomainError: its waves
     exp(+-i k0 qz z) are then one wave, and the recursion divides 0 by 0.
 
     Returns (r, t, qz, q, d, steps) for a unit U amplitude incident from
@@ -279,7 +285,6 @@ def _rouard(stack, eps, k0, sin2, polarization, work, directions=None):
     """
     put = work.put
     add, sub, mul, div = np.add, np.subtract, np.multiply, np.divide
-    names, layers = _names(stack), stack.layers
     qz_of = {}
     for name in dict.fromkeys(names):
         z = put(("qz", name), sub, eps[name], sin2)
@@ -287,14 +292,14 @@ def _rouard(stack, eps, k0, sin2, polarization, work, directions=None):
     q_of = qz_of if polarization == "s" else {
         name: put(("q", name), div, z, eps[name]) for name, z in qz_of.items()}
     qz, q = [qz_of[name] for name in names], [q_of[name] for name in names]
-    n = len(layers)
-    singular = {m for m in {ly.material for ly in layers} if not np.asarray(qz_of[m]).all()}
+    n, layers = len(thicknesses), list(zip(names[1:-1], thicknesses))
+    singular = {m for m in set(names[1:-1]) if not np.asarray(qz_of[m]).all()}
     phases = {}
     # keyed by position: a fit moves the thickness from pass to pass
-    for i, (name, d) in enumerate(dict.fromkeys((ly.material, ly.thickness) for ly in layers)):
+    for i, (name, d) in enumerate(dict.fromkeys(layers)):
         z = put(("phase", i), mul, put(("phase", i), mul, 1j * d, qz_of[name]), k0)
         phases[name, d] = np.exp(z, z)
-    phase = [None] + [phases[ly.material, ly.thickness] for ly in layers]
+    phase = [None] + [phases[layer] for layer in layers]
 
     if directions is not None:
         # every tangent is an (m, k) array of `work`, and no product is
@@ -343,11 +348,9 @@ def _rouard(stack, eps, k0, sin2, polarization, work, directions=None):
         dg = dt = mul(w, inv2, DG)
     steps = [None] * n
     for j in range(n, 0, -1):
-        if layers[j - 1].material in singular:
-            raise DomainError(
-                f"layer {j - 1} ({layers[j - 1].material}) has eps = (n_ambient "
-                "sin(angle))^2, so qz = 0: its two waves coincide and the recursion is singular"
-            )
+        if names[j] in singular:
+            raise DomainError(f"layer {j - 1} ({names[j]}) has eps = (n_ambient sin(angle))^2, so "
+                              "qz = 0: its two waves coincide and the recursion is singular")
         qa, qb, p = q[j - 1], q[j], phase[j]
         S, D = put("S", add, qa, qb), put("D", sub, qa, qb)
         p2 = mul(p, p, P2)
@@ -359,7 +362,7 @@ def _rouard(stack, eps, k0, sin2, polarization, work, directions=None):
         if directions is not None:
             # d(phase) = phase dlog
             dlog = mul(ik0, put("u", add, put("u", mul, qz[j], directions.get(j - 1, 0.0)),
-                                put("v", mul, layers[j - 1].thickness, dqz[j])), DLOG)
+                                put("v", mul, thicknesses[j - 1], dqz[j])), DLOG)
             mul(add(dg, mul(put("u", mul, 2.0, g), dlog, H), H), p2, DG_E)
             w = cross(j - 1)
             inv2 = put("inv2", mul, put("inv2", mul, 2.0, inv), inv)
@@ -401,7 +404,7 @@ def _response(stack, eps, k0, sin2, polarization, work, directions=None):
         # the product overwrites no operand of its own (see `_Work.put`)
         return tuple(np.multiply(0.5, np.add(a, b, b), a) for a, b in zip(s, p))
     put, mul = work.put, np.multiply
-    r, t, _, q, d, _ = _rouard(stack, eps, k0, sin2, polarization, work, directions)
+    r, t, _, q, d, _ = _rouard(*_sequence(stack), eps, k0, sin2, polarization, work, directions)
     q_amb, q_sub = q[0], q[-1]
 
     incoherent = stack.substrate_mode == "incoherent_to_air"

@@ -390,6 +390,32 @@ class TestSimulateCommand:
                                  "1500.0 cm^-1\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "keys, value, message",
+        [
+            # a list is no model name; looking it up once raised TypeError
+            (("materials", "gold", "model"), ["drude_lorentz"],
+             "materials.gold.model: expected one of constant, lorentz, drude_lorentz, "
+             "got ['drude_lorentz']"),
+            # the ambient's eps is its index squared
+            (("stack", "ambient_index"), 1e308,
+             "stack: ambient index must be between 1 and 1.34078e+154, got 1e+308"),
+            # a layer this thick once filled spectrum.csv with nan
+            (("stack", "layers", 2, "thickness"), 1e308,
+             "stack.layers[2]: layer thickness must be finite and > 0 and <= 1.34078e+154 nm, "
+             "got 1e+308"),
+        ],
+        ids=["model-list", "ambient_index", "thickness"],
+    )
+    def test_config_edge_exits_2_with_one_line(self, runner, tmp_path, keys, value, message):
+        cfg = write_config(tmp_path, yaml.safe_dump(with_value(yaml.safe_load(BASE_CONFIG),
+                                                               keys, value)))
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["simulate", "--config", cfg, "--out-dir", str(out)])
+        assert result.exit_code == 2, result.output
+        assert result.output == f"config error: {message}\n"
+        assert not out.exists()
+
     def test_divergence_override(self, runner, tmp_path):
         cfg = write_config(tmp_path, BASE_CONFIG)
         out = tmp_path / "out"
@@ -838,6 +864,19 @@ class TestEstimateCommand:
         result = runner.invoke(main, ["estimate", "--config", cfg])
         assert result.exit_code == 2, result.output
         assert f"config error: {message}" in result.output
+
+
+    def test_overflowing_default_volume_exits_2_with_one_line(self, runner, tmp_path):
+        # (lambda / n)^3 past the largest float once raised OverflowError
+        raw = with_value(yaml.safe_load(ESTIMATE_CONFIG), ("estimate", "cavity",
+                                                           "background_index"), 1e-300)
+        cfg = write_config(tmp_path, yaml.safe_dump(raw))
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["estimate", "--config", cfg, "--out-dir", str(out)])
+        assert result.exit_code == 2, result.output
+        assert result.output == ("config error: estimate.cavity: mode volume (1e-2 / (omega_cm1 "
+                                 "background_index))^3 must be finite and > 0 m^3, got inf\n")
+        assert not out.exists()
 
 
 def make_target_csv(tmp_path):

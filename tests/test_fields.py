@@ -254,7 +254,7 @@ def test_march_steps_are_the_work_s_until_the_next_pass(coupled_stack, pol):
     k = np.linspace(1600.0, 1900.0, 31)
     eps, k0, work = tmm._media(coupled_stack, k), tmm._K_TO_RAD_NM * k, tmm._Work()
     first, second = ("s", "p") if pol == "unpolarized" else (pol, pol)
-    r, t, qz, q, _, steps = tmm._rouard(coupled_stack, eps, k0, 0.1, first, work)
+    r, t, qz, q, _, steps = tmm._rouard(*tmm._sequence(coupled_stack), eps, k0, 0.1, first, work)
     factors = [r, t] + [v for g, f, _ in steps for v in (g, f)]
     assert len(factors) == 8
     assert not any(np.shares_memory(a, b) for i, a in enumerate(factors) for b in factors[i + 1:])
@@ -263,7 +263,7 @@ def test_march_steps_are_the_work_s_until_the_next_pass(coupled_stack, pol):
     assert not np.shares_memory(phases[0], phases[1])
     returned = [v for v in factors + qz + q + phases if isinstance(v, np.ndarray)]
     kept = [np.copy(v) for v in returned]
-    tmm._rouard(coupled_stack, eps, k0, 0.6, second, work)
+    tmm._rouard(*tmm._sequence(coupled_stack), eps, k0, 0.6, second, work)
     for v, c in zip(returned, kept):
         assert not np.array_equal(v, c)
 

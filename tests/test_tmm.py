@@ -31,7 +31,7 @@ from vibropol import (
 )
 from vibropol import tmm
 from vibropol.io import read_spectrum_csv, write_spectrum_csv
-from vibropol.materials import _decaying_sqrt
+from vibropol.materials import _SQUARE_MAX, _decaying_sqrt
 
 from conftest import THICK_GOLD_NM, constant_stack, hard_stacks, random_passive_stack
 from matrix_oracle import layer_matrix, matrix_response, reversed_stack
@@ -40,6 +40,7 @@ AIR = ConstantMedium(eps=1.0)
 GERMANIUM = ConstantMedium(eps=16.0)
 SLAB = ConstantMedium(eps=1.41**2)
 DISPERSION_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "cavity_dispersion.yaml"
+COUPLED_CONFIG = DISPERSION_CONFIG.with_name("cavity_coupled.yaml")
 
 
 def bare_interface(substrate_eps=16.0):
@@ -861,7 +862,10 @@ class TestWorkArrays:
             unit = np.eye(len(keys))
             directions = {key: unit[:, [i]].astype(complex if isinstance(key, str) else float)
                           for i, key in enumerate(keys)}
-        kernels = [tmm._response] + ([] if pol == "unpolarized" else [tmm._rouard])
+        def rouard(stack, *args):
+            return tmm._rouard(*tmm._sequence(stack), *args)
+
+        kernels = [tmm._response] + ([] if pol == "unpolarized" else [rouard])
 
         def leaves(x):
             if isinstance(x, (list, tuple)):
@@ -886,6 +890,122 @@ class TestWorkArrays:
                                 a, b = np.asarray(a), np.asarray(b)
                                 assert a.dtype == b.dtype and a.shape == b.shape
                                 assert a.tobytes() == b.tobytes()
+
+
+class TestReversedSequence:
+    """The kernel takes the ordered media, so the stack seen from its
+    substrate is the same call on both lists reversed, at the same s^2,
+    with a direction's layer index i then n - 1 - i."""
+
+    @staticmethod
+    def passes(stack, k, angle, pol, directions=None, reversed_directions=None):
+        """(T, |r|^2, r, t, d) of the forward and of the reversed pass, each
+        through a work of its own, with T = Re(q_exit) / Re(q_entry) |t|^2."""
+        names, thicknesses = tmm._sequence(stack)
+        eps, k0, sin2 = tmm._media(stack, k), tmm._K_TO_RAD_NM * k, tmm._sin2(stack, angle)
+        out = []
+        for seq, dirs in (((names, thicknesses), directions),
+                          ((names[::-1], thicknesses[::-1]), reversed_directions)):
+            r, t, _, q, d, _ = tmm._rouard(*seq, eps, k0, sin2, pol, tmm._Work(), dirs)
+            out.append((np.real(q[-1]) / np.real(q[0]) * np.abs(t) ** 2, np.abs(r) ** 2, r, t, d))
+        return out
+
+    @pytest.mark.parametrize("pol", ["s", "p"])
+    def test_transmission_is_reciprocal_through_lossy_layers(self, pol):
+        # gold and PVAc absorb, so R differs by side, but T does not
+        stack = replace(load_config(COUPLED_CONFIG).require_stack(), substrate_mode="coherent")
+        k = np.linspace(1400.0, 2100.0, 701)
+        (T, R, *_), (T_rev, R_rev, *_) = self.passes(stack, k, 30.0, pol)
+        assert T.max() > 0.04 and np.abs(R - R_rev).max() > 0.01
+        np.testing.assert_allclose(T_rev, T, rtol=0.0, atol=1e-14)
+
+    @pytest.mark.parametrize("pol", ["s", "p"])
+    @pytest.mark.parametrize("angle", [0.0, 30.0, 60.0])
+    def test_lossless_layers_reflect_alike_from_either_side(self, pol, angle):
+        stack = LayerStack(
+            materials={"mirror": ConstantMedium(eps=9.0), "core": SLAB, "ge": GERMANIUM},
+            layers=(Layer("mirror", 150.0), Layer("core", 1930.0), Layer("mirror", 60.0)),
+            substrate="ge",
+        )
+        k = np.linspace(1400.0, 2100.0, 701)
+        (T, R, *_), (T_rev, R_rev, *_) = self.passes(stack, k, angle, pol)
+        np.testing.assert_allclose(R_rev, R, rtol=0.0, atol=1e-14)
+        np.testing.assert_allclose(T + R, 1.0, rtol=0.0, atol=1e-14)
+
+    def test_bare_germanium_incoherent_sum(self):
+        # R'f of the reversed call closes the incoherent sum over a thick
+        # lossless substrate: T = Tf Tb / (1 - R'f Rb) = 8/17 and
+        # R = Rf + Tf^2 Rb / (1 - R'f Rb) = 9/17, T'f = Tf by reciprocity
+        stack = replace(bare_interface(), substrate_mode="incoherent_to_air")
+        (Tf, Rf, *_), (_, Rf_rev, *_) = self.passes(stack, np.array([1500.0]), 0.0, "s")
+        Rb = fresnel_R(4.0, 1.0, 0.0, "s")
+        np.testing.assert_allclose([Tf[0], Rf[0], Rf_rev[0], Rb], [0.64, 0.36, 0.36, 0.36],
+                                   rtol=1e-15)
+        D = 1.0 - Rf_rev * Rb
+        T, R = Tf * (1.0 - Rb) / D, Rf + Tf * Tf * Rb / D
+        np.testing.assert_allclose([T[0], R[0]], [8.0 / 17.0, 9.0 / 17.0], rtol=1e-15)
+
+    @pytest.mark.parametrize("pol", ["s", "p"])
+    def test_reversed_tangents_match_central_differences(self, coupled_stack, pol):
+        # directions of the forward stack's layers 0 and 1 are layers 2 and
+        # 1 of the reversed sequence; the materials keep their names
+        stack = replace(coupled_stack, substrate_mode="coherent",
+                        layers=(Layer("gold", 12.0),) + coupled_stack.layers[1:])
+        k, angle = np.linspace(1600.0, 1900.0, 31), 30.0
+        # each step balances truncation against round-off: gold's eps is
+        # about -1e4, PVAc's about 2
+        steps = {"gold": 1e-2, "pvac": 1e-6, "germanium": 1e-4, 0: 1e-4, 1: 1e-4}
+        keys = tuple(steps)
+        unit = np.eye(len(keys))
+        rows = [unit[:, [i]].astype(complex if isinstance(key, str) else float)
+                for i, key in enumerate(keys)]
+        n = len(stack.layers)
+        rdirs = {key if isinstance(key, str) else n - 1 - key: row for key, row in zip(keys, rows)}
+        _, (*_, (dr, dt, dq_sub)) = self.passes(stack, k, angle, pol, None, rdirs)
+        assert dq_sub is None
+        names, thicknesses = tmm._sequence(stack)
+        eps, k0, sin2 = tmm._media(stack, k), tmm._K_TO_RAD_NM * k, tmm._sin2(stack, angle)
+
+        def reversed_pass(key, h):
+            moved_eps, moved = dict(eps), list(thicknesses)
+            if isinstance(key, str):
+                moved_eps[key] = eps[key] + h
+            else:
+                moved[key] += h
+            r, t, *_ = tmm._rouard(names[::-1], moved[::-1], moved_eps, k0, sin2, pol,
+                                   tmm._Work())
+            return np.array(r), np.array(t)
+
+        for i, key in enumerate(keys):
+            h = steps[key]
+            (r_up, t_up), (r_down, t_down) = reversed_pass(key, h), reversed_pass(key, -h)
+            for got, up, down in ((dr[i], r_up, r_down), (dt[i], t_up, t_down)):
+                want = (up - down) / (2 * h)
+                assert np.abs(want).max() > 0.0
+                np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-7 * np.abs(want).max())
+
+
+def stack_at(edge, value):
+    """cavity_coupled.yaml with its ambient index, or cavity_channels.yaml
+    with its rear gold mirror's thickness, set to value."""
+    if edge == "ambient_index":
+        return replace(load_config(COUPLED_CONFIG).require_stack(), n_ambient=value)
+    stack = load_config(COUPLED_CONFIG.with_name("cavity_channels.yaml")).require_stack()
+    return replace(stack, layers=stack.layers[:2] + (Layer("gold", value),))
+
+
+@pytest.mark.parametrize("edge", ["ambient_index", "thickness"])
+def test_stack_at_its_range_bound_gives_finite_spectra(edge):
+    # the largest ambient index, whose square is the ambient's eps, and
+    # the thickest layer that a stack takes
+    with pytest.raises(DomainError, match="1.34078e[+]154( nm)?, got 1.3409"):
+        stack_at(edge, _SQUARE_MAX * 1.0001)
+    stack, k = stack_at(edge, _SQUARE_MAX), np.array([1e-3, 1500.0, 1e7])
+    for pol in ("s", "p", "unpolarized"):
+        for angle in (0.0, 60.0, 89.9):
+            T, R, A = stack_response(stack, k, angle, pol)
+            assert np.all((T >= 0.0) & (T <= 1.0)) and np.all((R >= 0.0) & (R <= 1.0))
+            assert np.all(np.abs(A) <= 1.0)
 
 
 class TestWavenumberValidation:
