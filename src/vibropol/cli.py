@@ -7,8 +7,9 @@ re-running a command overwrites its files byte-identically.
 
 Each command imports the package modules it runs inside its own body,
 so a call loads only what its subcommand needs and `--help` loads none.
-A process enters through `run`, which freezes the heap at exit (see
-there); `main` runs a command in the caller's process, heap untouched.
+A process enters through `run`, which turns the collector off and
+skips interpreter teardown (see there); `main` runs a command in the
+caller's process and leaves its heap and collector alone.
 """
 
 import argparse
@@ -283,16 +284,30 @@ def main(args=None, prog_name=None):
 
 
 def run():
-    """`main`, then `gc.freeze()` however it ends, so that interpreter
-    shutdown skips its full collections over the imports' objects (about 9 %
-    of a cold call), which would free nothing the OS does not reclaim.
-    Exit code, output and ``atexit`` handlers are those of `main`."""
+    """`main` with the collector off, as a command makes no reference
+    cycles.  Once it returns or exits with an int or None code, the
+    ``atexit`` handlers run, stdout and stderr are flushed and the process
+    ends without interpreter teardown; other exits, or a failed flush, keep
+    the interpreter's path.  Exit code, output and handlers are `main`'s."""
+    import atexit
     import gc
 
+    gc.disable()
     try:
         main()
-    finally:
-        gc.freeze()
+        code = 0
+    except SystemExit as exc:
+        code = exc.code
+        if code is not None and not isinstance(code, int):
+            raise
+    # CPython's only way to run the handlers before os._exit, which skips them
+    atexit._run_exitfuncs()
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except (OSError, ValueError):
+        raise SystemExit(code) from None
+    os._exit(code or 0)
 
 
 if __name__ == "__main__":

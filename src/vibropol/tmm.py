@@ -68,6 +68,9 @@ CHANNELS = ("T", "R", "A")
 
 # cm^-1 -> rad/nm
 _K_TO_RAD_NM = 2.0e-7 * math.pi
+# a layer up to this thickness (nm) keeps k0 qz d finite, as |qz| <=
+# _SQUARE_MAX and k0 <= 2 pi rad/nm at _K_MAX; past it see `_thick_phase`
+_THICK = _SQUARE_MAX / 8.0
 
 
 @dataclass(frozen=True)
@@ -236,6 +239,23 @@ class _Work(dict):
         return ufunc(a, out) if b is None else ufunc(a, b, out)
 
 
+def _thick_phase(put, key, name, d, qz, k0):
+    """The phase factor exp(i k0 qz d) of `_rouard`, in its work array
+    `key`, for a layer thicker than `_THICK`, whose product can overflow.
+    The factor is 0 where the wave decays past the smallest double, its
+    phase finite or not; a phase that overflows where the wave does not
+    decay that far raises DomainError."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        z = put(key, np.multiply, put(key, np.multiply, 1j * d, qz), k0)
+        # exp(-746) rounds to 0
+        gone = np.real(z) < -746.0
+        phase = np.exp(z, z)
+        phase[gone] = 0.0
+    if not np.isfinite(phase).all():
+        raise DomainError(f"a layer of {name!r} {d:g} nm thick: its phase k0 qz d overflows")
+    return phase
+
+
 def _rouard(names, thicknesses, eps, k0, sin2, polarization, work, directions=None):
     """Rouard's recursion over the ordered media of `_sequence`, names from
     the ambient's None to the substrate's and the layer thicknesses, on
@@ -297,6 +317,9 @@ def _rouard(names, thicknesses, eps, k0, sin2, polarization, work, directions=No
     phases = {}
     # keyed by position: a fit moves the thickness from pass to pass
     for i, (name, d) in enumerate(dict.fromkeys(layers)):
+        if d > _THICK:
+            phases[name, d] = _thick_phase(put, ("phase", i), name, d, qz_of[name], k0)
+            continue
         z = put(("phase", i), mul, put(("phase", i), mul, 1j * d, qz_of[name]), k0)
         phases[name, d] = np.exp(z, z)
     phase = [None] + [phases[layer] for layer in layers]

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -1006,6 +1007,42 @@ def test_stack_at_its_range_bound_gives_finite_spectra(edge):
             T, R, A = stack_response(stack, k, angle, pol)
             assert np.all((T >= 0.0) & (T <= 1.0)) and np.all((R >= 0.0) & (R <= 1.0))
             assert np.all(np.abs(A) <= 1.0)
+
+
+@pytest.mark.parametrize("pol", ["s", "p", "unpolarized"])
+def test_thickest_layer_behind_the_largest_ambient_index_is_a_silent_mirror(pol):
+    # oblique, the rear gold's evanescent phase k0 qz d overflows to a
+    # factor of 0, which once warned on the way
+    stack = replace(stack_at("thickness", _SQUARE_MAX), n_ambient=_SQUARE_MAX)
+    k = np.array([1e-3, 1500.0, 1e7])
+    for angle in (0.0, 30.0, 89.9):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            T, R, _ = stack_response(stack, k, angle, pol)
+        assert np.array_equal(T, np.zeros(3))
+        np.testing.assert_allclose(R, 1.0, rtol=0.0, atol=1e-15)
+
+
+def overflowing_film(eps):
+    """A film of eps as thick as a layer may be, on Ge: at 1e7 cm^-1 its
+    k0 qz d passes the largest double."""
+    materials = {"film": ConstantMedium(eps=eps), "germanium": ConstantMedium(eps=16.0)}
+    return LayerStack(materials=materials, layers=(Layer("film", _SQUARE_MAX),),
+                      substrate="germanium")
+
+
+def test_wave_that_decays_as_its_phase_overflows_is_gone():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        T, R, _ = stack_response(overflowing_film(complex(1e308, 5e299)), [1e-3, 1500.0, 1e7])
+    assert np.array_equal(T, np.zeros(3))
+    np.testing.assert_allclose(R, 1.0, rtol=0.0, atol=1e-15)
+
+
+def test_phase_that_overflows_in_a_lossless_layer_raises_naming_it():
+    with pytest.raises(DomainError, match="layer of 'film' 1.34078e[+]154 nm thick: "
+                       "its phase k0 qz d overflows"):
+        stack_response(overflowing_film(1e308), [1e-3, 1500.0, 1e7])
 
 
 class TestWavenumberValidation:
