@@ -1,10 +1,15 @@
 """Bounded nonlinear least squares, the one solver behind every fit.
 
 Minimizes ||r(x)||^2 over the box lower <= x <= upper by projected
-Levenberg-Marquardt.  `fun_jac(x)` returns the residuals r and their
-Jacobian J from one evaluation.  Each iteration solves the damped normal
-equations with Marquardt's scaling, the running maximum of J's column
-norms (More, Lecture Notes in Math. 630, 105 (1978)), holding the
+Levenberg-Marquardt.  `fun_jac(x)` returns the residuals r (m) and their
+Jacobian J (m x n) from one evaluation, J in either memory order.  The
+solver works on a C-contiguous J^T, one row per variable, so it is
+fastest when J is the transpose of a C-contiguous (n, m) array: J^T is
+then J's own memory, and each sum over the residuals reads it
+contiguously.  Any other J is copied into that layout, so the steps do
+not depend on J's memory order.  Each iteration solves the damped
+normal equations with Marquardt's scaling, the running maximum of J's
+column norms (More, Lecture Notes in Math. 630, 105 (1978)), holding the
 variables that sit on a bound the gradient pushes against, and clips
 the step into the box (Kanzow, Yamashita & Fukushima, J. Comput. Appl.
 Math. 172, 375 (2004)).  A gain-ratio test accepts the step and sets
@@ -17,6 +22,7 @@ gain ratio above 0.25, 3 when the step is below xtol (xtol + ||x||), 4
 for both 2 and 3, and 0 when max_nfev evaluations ran out.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,7 +53,7 @@ def _evaluate(fun_jac, x):
     """(r, J, loss, ok): ok is False when r, J or the loss is not finite."""
     r, jac = fun_jac(x)
     loss = float(r @ r)
-    return r, jac, loss, bool(np.isfinite(loss) and np.isfinite(jac).all())
+    return r, jac, loss, math.isfinite(loss) and bool(np.isfinite(jac).all())
 
 
 def least_squares(fun_jac, x0, lower, upper, *, max_nfev, name, ftol=1e-8, xtol=1e-8,
@@ -67,11 +73,14 @@ def least_squares(fun_jac, x0, lower, upper, *, max_nfev, name, ftol=1e-8, xtol=
         initial_loss, nfev, status = loss, 1, 0
         scale, mu, nu = np.zeros(x.size), _MU0, 2.0
         while True:
-            # the scaled problem: every column of js has norm <= 1
-            scale = np.maximum(scale, np.linalg.norm(jac, axis=0))
+            # the scaled problem on the rows of J^T, one C-contiguous layout
+            # for either order of J, so both take the same steps: every row
+            # of js has norm <= 1
+            jt = np.ascontiguousarray(jac.T)
+            scale = np.maximum(scale, np.sqrt(np.add.reduce(jt * jt, axis=1)))
             s = np.where(scale > 0.0, scale, 1.0)
-            js = jac / s
-            gs = js.T @ r
+            js = jt / s[:, None]
+            gs = js @ r
             grad = gs * s
             free = ~(((x <= lower) & (grad > 0.0)) | ((x >= upper) & (grad < 0.0)))
             if np.abs(grad[free]).max(initial=0.0) < gtol:
@@ -80,15 +89,18 @@ def least_squares(fun_jac, x0, lower, upper, *, max_nfev, name, ftol=1e-8, xtol=
             if nfev >= max_nfev:
                 break
             f = np.flatnonzero(free)
+            jf = js[f]
+            normal = jf @ jf.T
+            normal.flat[::f.size + 1] += mu
             step = np.zeros_like(x)
-            step[f] = np.linalg.solve(js[:, f].T @ js[:, f] + mu * np.eye(f.size), -gs[f]) / s[f]
+            step[f] = np.linalg.solve(normal, -gs[f]) / s[f]
             # the scaled Jacobian is not held across the trial evaluation
-            del js
-            x_new = np.clip(x + step, lower, upper)
+            del js, jf
+            x_new = np.minimum(np.maximum(x + step, lower), upper)
             step = x_new - x
             r_new, jac_new, loss_new, ok = _evaluate(fun_jac, x_new)
             nfev += 1
-            jstep = jac @ step
+            jstep = step @ jt
             predicted = -(2.0 * (r @ jstep) + jstep @ jstep)
             # ||r||^2 - ||r_new||^2 summed term by term: no cancellation
             # where residuals the step cannot change dominate the loss
@@ -100,7 +112,7 @@ def least_squares(fun_jac, x0, lower, upper, *, max_nfev, name, ftol=1e-8, xtol=
             else:
                 rho = actual / predicted
             ftol_met = actual < ftol * loss and rho > 0.25
-            xtol_met = np.linalg.norm(step) < xtol * (xtol + np.linalg.norm(x))
+            xtol_met = math.sqrt(step @ step) < xtol * (xtol + math.sqrt(x @ x))
             if rho > 0.0:
                 x, r, jac, loss = x_new, r_new, jac_new, loss_new
                 # 1 - (2 rho - 1)^3 <= 0 from rho = 1 on, so rho is capped there

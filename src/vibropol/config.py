@@ -124,6 +124,10 @@ def _read_bond_density(value, where):
 
 @dataclass
 class ScanSettings:
+    """The `scan` section: the incidence angle and polarization of
+    `simulate`, the angle list and beam divergence of `scan-angle`, and
+    the channel, window and prominence its peak finder uses."""
+
     angle: float = 0.0
     polarization: str = "s"
     angles: list[float] = field(default_factory=list, metadata={"read": _read_angles})
@@ -149,6 +153,10 @@ class ScanSettings:
 
 @dataclass
 class FieldMapSettings:
+    """The `field_map` section: its wavenumber grid, angle and
+    polarization, the depth step and the margins (nm) it maps into the
+    ambient and the substrate."""
+
     grid: SpectralGrid
     angle: float = 0.0
     polarization: str = "s"
@@ -166,6 +174,8 @@ class FieldMapSettings:
 
 @dataclass
 class EstimateSettings:
+    """The `estimate` section: the keyword arguments of estimate_report."""
+
     vibration: VibrationalMode
     cavity: CavityMode
     temperature_k: float = 300.0
@@ -183,6 +193,10 @@ class EstimateSettings:
 
 @dataclass
 class FitSettings:
+    """The `fit` section: the free parameters with their bounds, the
+    fitted channel, angle and polarization, and the multi-start count
+    and seed of `solve`."""
+
     free: tuple[FreeParameter, ...]
     channel: str = "T"
     angle: float = 0.0

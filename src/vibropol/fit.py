@@ -37,9 +37,12 @@ touched material's eps and d eps / d p from one set of denominators, and
 runs the kernel once.  That eps and d eps / d p, and every grid-sized
 value of the kernel pass, go into arrays that the call allocates on its
 first evaluation and reuses for all later ones; only the model and the
-Jacobian handed to the solver are new arrays.  An evaluation's working
-memory is then a small multiple of one complex array on the grid, so a
-solve neither grows nor trims the heap from one evaluation to the next.
+Jacobian handed to the solver are new arrays.  The Jacobian, shape
+(nk, n_free), is parameter-major (the transpose of a C-contiguous
+(n_free, nk) array), so the solver's per-parameter sums over the grid
+read contiguous memory.  An evaluation's working memory is then a small
+multiple of one complex array on the grid, so a solve neither grows nor
+trims the heap from one evaluation to the next.
 The template's loss comes from start 0's first evaluation, so every
 kernel pass of a solve is counted in n_evaluations.
 A solve takes a non-finite trial point as a rejected step; the public
@@ -271,7 +274,8 @@ class _Plan:
     The plan owns the arrays that every pass rewrites: `work`, the
     kernel's work arrays (`tmm._Work`), and `eps_out`, the eps and
     d eps / dp rows of each free dispersive material.  The model and the
-    Jacobian a pass returns are new arrays, which a caller may keep.
+    Jacobian a pass returns are new arrays, which a caller may keep.  The
+    Jacobian is parameter-major: each column is contiguous.
 
     A FitProblem is mutable, so the plan works from `problem`, a copy
     built through the constructor: a field changed since construction
@@ -302,7 +306,8 @@ class _Plan:
     def model(self, values):
         """The fitted channel at `values` (physical units, ordered like
         the free parameters) and its exact Jacobian with respect to the
-        values, shape (nk, n_free), from one kernel pass."""
+        values, shape (nk, n_free), from one kernel pass: the transpose
+        of a C-contiguous (n_free, nk) array."""
         values = list(self.problem.params_dict(values).values())
         stack = _build(self.stack, {key: {field: values[c] for c, field in group}
                                     for key, group in self.groups.items()})
@@ -327,7 +332,7 @@ class _Plan:
         else:
             model = np.subtract(np.subtract(1.0, T, T), R, T)
             sens = np.negative(np.add(S_T, S_R, S_T), S_T)
-        jac = np.empty((self.k.size, len(values)))
+        jac = np.empty((len(values), self.k.size)).T
         product = self.work.array("column", self.k.shape)
         for s, (key, group) in zip(sens, self.groups.items()):
             for i, (column, _) in enumerate(group):
@@ -350,6 +355,11 @@ def loss_gradient(problem, values):
 
 @dataclass
 class FitResult:
+    """What `solve` found: the best start's parameters by path, loss and
+    residuals (model - target), the template's loss, whether that start
+    converged, the kernel passes of all starts, and each start's final
+    loss and parameters with the index of the best."""
+
     params: dict
     loss: float
     initial_loss: float

@@ -339,6 +339,7 @@ def estimate_report(
     single_ev = single_coupling(vibration.dipole_debye, cavity.omega_cm1, volume)
     report["single_coupling_ev"] = single_ev
     report["single_coupling_uev"] = single_ev * 1e6
+    _check_range(report["single_coupling_uev"], "single-molecule coupling", unit="ueV")
     if vibration.reduced_mass_amu is not None:
         report["zero_point_amplitude_m"] = zero_point_amplitude(
             vibration.reduced_mass_amu, vibration.omega_cm1
@@ -365,6 +366,8 @@ def estimate_report(
             report["collective_splitting_upper_bound_mev"] = (
                 collective_splitting(single_ev, n_total) * 1e3
             )
+            _check_range(report["collective_splitting_upper_bound_mev"],
+                         "collective splitting upper bound", unit="meV")
     if observed_splitting_mev is not None:
         report["observed_splitting_mev"] = observed_splitting_mev
         if single_ev > 0.0:

@@ -336,6 +336,9 @@ def fit_lorentzian_band(k, values, window=None, p0=None, max_nfev=2000):
 
 @dataclass(frozen=True)
 class DispersionRow:
+    """One angle of a DispersionTable: the lower and upper polariton
+    peaks (cm^-1), None unless exactly two peaks were found."""
+
     angle: float
     omega_lower: float | None
     omega_upper: float | None
@@ -388,6 +391,9 @@ def _coupled_model(p, angles, order, n_ambient):
 
 @dataclass
 class CoupledFitResult:
+    """The coupled-mode parameters fit_coupled_model found (cm^-1, nm),
+    with the residual rms over both branches."""
+
     omega_v: float
     n_eff: float
     thickness_nm: float

@@ -49,6 +49,7 @@ moves the channel by Re(S deps/dp).
 
 from __future__ import annotations
 
+import cmath
 import math
 import operator
 from collections import Counter
@@ -268,6 +269,7 @@ def _rouard(names, thicknesses, eps, k0, sin2, polarization, work, directions=No
     material and thickness their phase factor.  A layer with qz = 0 at
     some wavenumber, tested once per material, raises DomainError: its waves
     exp(+-i k0 qz z) are then one wave, and the recursion divides 0 by 0.
+    So does a constant medium whose eps - sin2 overflows, naming it.
 
     Returns (r, t, qz, q, d, steps) for a unit U amplitude incident from
     the ambient.  r and t are the U-amplitude reflection (at z = 0) and
@@ -308,6 +310,10 @@ def _rouard(names, thicknesses, eps, k0, sin2, polarization, work, directions=No
     qz_of = {}
     for name in dict.fromkeys(names):
         z = put(("qz", name), sub, eps[name], sin2)
+        # a constant medium's Python complex overflows without a warning
+        if isinstance(z, complex) and not cmath.isfinite(z):
+            raise DomainError(f"material {name!r}: eps - (n_ambient sin(angle))^2 is not "
+                              "finite, so its qz overflows")
         qz_of[name] = _decaying_sqrt(z, out=z)
     q_of = qz_of if polarization == "s" else {
         name: put(("q", name), div, z, eps[name]) for name, z in qz_of.items()}

@@ -945,6 +945,17 @@ def test_plan_results_outlive_the_next_pass(angle, pol, channel):
 
 
 @FILM_CASES
+@pytest.mark.parametrize("channel", ["T", "R", "A"])
+def test_plan_jacobian_is_parameter_major(angle, pol, channel):
+    # each parameter's column is contiguous, the row of J^T that the
+    # solver's sums over the grid read without a copy
+    plan = fit._Plan(film_problem(angle, pol, channel))
+    for _, jac in (plan.model(plan.template), plan(plan.template)):
+        assert jac.shape == (plan.k.size, len(plan.template))
+        assert jac.T.flags.c_contiguous
+
+
+@FILM_CASES
 def test_plan_evaluation_working_memory_is_bounded(angle, pol):
     # an evaluation writes every grid-sized value into arrays its plan
     # allocated at the first one; allocating them per evaluation took

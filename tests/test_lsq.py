@@ -22,6 +22,23 @@ def rosenbrock(x):
 TIGHT = dict(ftol=0.0, xtol=1e-15, gtol=1e-13, max_nfev=200, name="test fit")
 
 
+def solve_in_both_orders(fun_jac, *args, **kwargs):
+    """least_squares with fun_jac's C-ordered Jacobian, checked against a
+    solve with the same Jacobian parameter-major, the transpose of a
+    C-contiguous array, as a stack fit hands it over: both take the same
+    steps."""
+
+    def parameter_major(x):
+        r, jac = fun_jac(x)
+        return r, np.ascontiguousarray(jac.T).T
+
+    res = least_squares(fun_jac, *args, **kwargs)
+    major = least_squares(parameter_major, *args, **kwargs)
+    assert (major.nfev, major.status) == (res.nfev, res.status)
+    np.testing.assert_allclose(major.x, res.x, rtol=0.0, atol=1e-12)
+    return res
+
+
 @st.composite
 def bounded_linear_problems(draw):
     """A full-rank A (m x n) with singular values in [0.1, 3], b and a box: each bound is
@@ -48,7 +65,7 @@ def test_linear_problems_match_scipy_lsq_linear(problem):
     import scipy.optimize
 
     a, b, lower, upper, start = problem
-    res = least_squares(linear(a, b), start, lower, upper, **TIGHT)
+    res = solve_in_both_orders(linear(a, b), start, lower, upper, **TIGHT)
     ref = scipy.optimize.lsq_linear(a, b, bounds=(lower, upper), method="bvls", tol=1e-14)
     assert res.status > 0
     np.testing.assert_allclose(res.x, ref.x, rtol=0.0, atol=1e-8)
@@ -62,7 +79,8 @@ def test_linear_problems_match_scipy_lsq_linear(problem):
     ids=["inside", "on-a-bound"],
 )
 def test_rosenbrock_in_a_box(lower, upper, expected):
-    res = least_squares(rosenbrock, [-1.2, 1.0], np.array(lower), np.array(upper), **TIGHT)
+    res = solve_in_both_orders(rosenbrock, [-1.2, 1.0], np.array(lower), np.array(upper),
+                               **TIGHT)
     assert res.status > 0
     np.testing.assert_allclose(res.x, expected, atol=1e-8)
 

@@ -350,6 +350,18 @@ class TestEstimateReport:
         assert report["polariton_lifetimes_ps"]["upper"] == pytest.approx(0.23, abs=0.01)
         assert report["polariton_lifetimes_ps"]["lower"] == pytest.approx(0.44, abs=0.02)
 
+    @pytest.mark.parametrize("volume, density, name", [
+        (1e-19, None, "single-molecule coupling"),
+        (None, {"mass_density_g_cm3": 1.18, "monomer_mass_g_mol": 86.09},
+         "collective splitting upper bound"),
+    ])
+    def test_a_value_that_overflows_in_its_unit_raises_naming_it(self, volume, density, name):
+        # both are finite in eV and overflow in ueV or meV
+        vib = VibrationalMode(omega_cm1=1740.0, dipole_debye=1e308)
+        cav = CavityMode(omega_cm1=1740.0, mode_volume_m3=volume)
+        with pytest.raises(DomainError, match=f"^{name} must be finite"):
+            estimate_report(vib, cav, density=density)
+
     def test_zero_dipole_and_zero_temperature(self):
         vib = VibrationalMode(omega_cm1=1740.0)
         cav = CavityMode(omega_cm1=1740.0)

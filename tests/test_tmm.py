@@ -1063,3 +1063,20 @@ class TestWavenumberValidation:
         }
         with pytest.raises(DomainError, match="wavenumber"):
             calls[run]()
+
+
+@pytest.mark.parametrize("pol", ["s", "p", "unpolarized"])
+def test_constant_medium_whose_qz_overflows_raises_naming_it(pol):
+    # eps - (n_ambient sin(angle))^2 of a Python complex overflows without
+    # a warning; the NaN it made once reached T and R
+    materials = {"film": ConstantMedium(eps=-1.7e308), "germanium": ConstantMedium(eps=16.0)}
+    stack = LayerStack(materials=materials, layers=(Layer("film", 100.0),),
+                       substrate="germanium", n_ambient=_SQUARE_MAX)
+    k = np.array([1e-3, 1500.0, 1e7])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        T, R, _ = stack_response(stack, k, 0.0, pol)
+        assert np.all((T >= 0.0) & (T <= 1.0)) and np.all((R >= 0.0) & (R <= 1.0))
+        with pytest.raises(DomainError, match=r"^material 'film': eps - \(n_ambient "
+                           r"sin\(angle\)\)\^2 is not finite, so its qz overflows$"):
+            stack_response(stack, k, 89.9, pol)
