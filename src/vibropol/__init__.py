@@ -29,8 +29,8 @@ _EXPORTS = {
     ),
     "fields": ("FieldMap", "FieldProfile", "default_z_grid", "field_map", "field_profile"),
     "fit": (
-        "FitProblem", "FitResult", "FreeParameter", "apply_params", "loss_gradient",
-        "loss_value", "model_values", "residual_vector", "solve",
+        "FitProblem", "FitResult", "apply_params", "loss_gradient", "loss_value",
+        "model_values", "residual_vector", "solve",
     ),
     "materials": (
         "BoundTransition", "ConstantMedium", "DrudeLorentzMetal", "LorentzMedium",
@@ -48,10 +48,8 @@ _EXPORTS = {
         "SplittingReport", "build_dispersion", "extract_splitting", "find_peaks",
         "fit_coupled_model", "fit_lorentzian_band", "load_measured",
     ),
-    "tmm": (
-        "Layer", "LayerStack", "SpectralGrid", "Spectrum", "angle_scan", "divergence_nodes",
-        "spectrum_scan", "stack_response",
-    ),
+    "stack": ("FreeParameter", "Layer", "LayerStack", "SpectralGrid", "Spectrum"),
+    "tmm": ("angle_scan", "divergence_nodes", "spectrum_scan", "stack_response"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -6,7 +6,8 @@ errors raised while running.  All outputs are deterministic, so
 re-running a command overwrites its files byte-identically.
 
 Each command imports the package modules it runs inside its own body,
-so a call loads only what its subcommand needs and `--help` loads none.
+so a call loads only what its subcommand needs and `--help` loads none:
+`estimate` loads no numpy, and `analyze` no transfer-matrix kernel.
 A process enters through `run`, which turns the collector off and
 skips interpreter teardown (see there); `main` runs a command in the
 caller's process and leaves its heap and collector alone.
@@ -151,7 +152,7 @@ def analyze(args):
     wavenumber,value file, read under the rules of `vibropol.io`."""
     from . import io as iomod
     from .config import ScanSettings, override, parse_colon_spec
-    from .tmm import Spectrum
+    from .stack import Spectrum
 
     window = None if args.window is None else parse_colon_spec(args.window, "lo:hi", "--window")
     settings = override(ScanSettings(), "analyze", window=window,

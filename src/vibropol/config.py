@@ -36,6 +36,9 @@ every structural problem.  `config_to_dict` is the reader's inverse: it
 returns the canonical mapping of a Config, every default filled in.
 The size of a field map on the stack is checked by the `field-map`
 command alone, so a fine spectrum grid never stops the other commands.
+Reading a config loads no numpy and no kernel: the classes it builds
+come from `vibropol.stack`, `vibropol.materials` and, for an `estimate`
+section, `vibropol.polariton`, which import numpy only to make arrays.
 """
 
 from __future__ import annotations
@@ -49,11 +52,11 @@ from importlib import import_module
 
 from .errors import _MAX_POINTS, ConfigError, DomainError, _check_choice, _check_range
 from .materials import ConstantMedium, DrudeLorentzMetal, LorentzMedium
-from .tmm import CHANNELS, LayerStack, SpectralGrid, _check_angle, _check_polarization, _check_sigma
+from .stack import (CHANNELS, FreeParameter, LayerStack, SpectralGrid, _check_angle,
+                    _check_polarization, _check_sigma)
 
 if typing.TYPE_CHECKING:
     # at run time these resolve through _TYPES_FROM
-    from .fit import FreeParameter
     from .polariton import CavityMode, VibrationalMode
 
 DEFAULT_GRID = SpectralGrid(400.0, 7400.0, 1.0)
@@ -276,7 +279,7 @@ def _non_null(tp):
 
 # section -> the module that defines its field types, imported when the
 # section is first read, so a config without it never loads the module
-_TYPES_FROM = {EstimateSettings: "polariton", FitSettings: "fit"}
+_TYPES_FROM = {EstimateSettings: "polariton"}
 
 
 @functools.cache

@@ -37,8 +37,8 @@ import numpy as np
 
 from .errors import _MAX_POINTS, DomainError, _check_range
 from .materials import _check_wavenumbers
-from .tmm import (_K_TO_RAD_NM, _Work, _check_angle, _check_polarization, _media, _points,
-                  _rouard, _sequence)
+from .stack import _check_angle, _check_polarization
+from .tmm import _K_TO_RAD_NM, _Work, _media, _points, _rouard, _sequence
 
 # cells of one row block: each per-cell temporary of `_fields` stays a
 # few hundred kB, so a map's working memory stays a small multiple of its

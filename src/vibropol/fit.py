@@ -61,17 +61,8 @@ import numpy as np
 from ._lsq import least_squares
 from .errors import DomainError, _check_choice, _check_range
 from .materials import ConstantMedium, DrudeLorentzMetal, LorentzMedium
-from .tmm import (
-    _K_TO_RAD_NM,
-    CHANNELS,
-    LayerStack,
-    _Work,
-    _check_angle,
-    _check_polarization,
-    _media,
-    _response,
-    _sin2,
-)
+from .stack import CHANNELS, FreeParameter, LayerStack, _check_angle, _check_polarization
+from .tmm import _K_TO_RAD_NM, _Work, _media, _response, _sin2
 
 # indices are written without leading zeros, so that equal parameters
 # have equal path strings
@@ -162,19 +153,6 @@ def apply_params(stack, updates):
         _, key, field = _locate(stack, path)
         writes.setdefault(key, {})[field] = float(value)
     return _build(stack, writes)
-
-
-@dataclass(frozen=True)
-class FreeParameter:
-    """A fittable path with box bounds."""
-
-    path: str
-    lower: float
-    upper: float
-
-    def __post_init__(self):
-        _check_range(self.lower, f"lower bound of {self.path!r}")
-        _check_range(self.upper, f"upper bound of {self.path!r}", gt=self.lower)
 
 
 @dataclass
@@ -376,8 +354,10 @@ def solve(problem, n_starts=1, seed=0, max_nfev=2000):
 
     Start 0 uses the template's own parameter values (clipped into the
     bounds); further starts are uniform draws from numpy's
-    default_rng(seed).  The lowest final loss wins, ties broken by start
-    index.  Hitting the iteration cap flags the result non-converged
+    default_rng(seed).  The best start is the first whose final loss lies
+    within the solver's ftol (1e-8, relative) of the lowest, so starts
+    that reach one minimum tie whatever the last bits of their losses
+    read.  Hitting the iteration cap flags the result non-converged
     instead of raising.  initial_loss is the loss at the template point,
     taken from start 0's first evaluation; a non-finite one raises
     FitError.  With no free parameter each start stops at its first
@@ -406,14 +386,16 @@ def solve(problem, n_starts=1, seed=0, max_nfev=2000):
     for _ in range(n_starts - 1):
         starts.append(rng.uniform(0.0, 1.0, size=len(problem.free)))
 
+    ftol = 1e-8
     solutions = [
-        least_squares(fun_jac, x0, 0.0, 1.0, ftol=1e-8, max_nfev=max_nfev,
+        least_squares(fun_jac, x0, 0.0, 1.0, ftol=ftol, max_nfev=max_nfev,
                       name="fit from the template point" if idx == 0 else f"fit from start {idx}")
         for idx, x0 in enumerate(starts)
     ]
     start_losses = [float(res.fun @ res.fun) for res in solutions]
     start_params = [problem.params_dict(to_physical(res.x)) for res in solutions]
-    idx = start_losses.index(min(start_losses))
+    lowest = min(start_losses)
+    idx = next(i for i, loss in enumerate(start_losses) if loss - lowest <= ftol * lowest)
     best = solutions[idx]
     return FitResult(
         params=dict(start_params[idx]),

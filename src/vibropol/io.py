@@ -25,10 +25,8 @@ from __future__ import annotations
 import json
 import os
 
-import numpy as np
-
 from .errors import DomainError
-from .tmm import Spectrum, _check_angle, _check_polarization
+from .stack import Spectrum, _check_angle, _check_polarization
 
 NATIVE_HEADER = "k_cm1,T,R,A"
 
@@ -52,6 +50,8 @@ def write_csv(path, header, columns, **meta):
     with one ``tolist()`` and the repr of each float; any other column (a
     list, strings, None cells) through `_fmt` cell by cell.  Both give the
     shortest round-trip form of a number."""
+    import numpy as np
+
     cells = [map(repr, c.tolist()) if isinstance(c, np.ndarray) and c.dtype == np.float64
              else map(_fmt, c) for c in columns]
     with _open_text(path) as fh:
@@ -68,6 +68,8 @@ def write_spectrum_csv(path, spectrum):
 def read_spectrum_csv(path):
     """A Spectrum from a native ``k_cm1,T,R,A`` file, else (k, values) from
     the first two columns, under the rules of the module docstring."""
+    import numpy as np
+
     def defect(lineno, what):
         return DomainError(f"{path}, line {lineno}: {what}")
 

@@ -13,17 +13,15 @@ and each array derivative into the complex arrays out[0], out[1], ... on
 k when `out` is given, so a fit reuses them for every evaluation.
 epsilon(k) is the same evaluation with no fields, so a fit's model values
 match stack_response's bit for bit.  A ConstantMedium returns its eps as a
-Python complex, as the stack kernel keeps it.
+Python complex, as the stack kernel keeps it.  numpy is imported by the
+functions that make or read arrays, so defining a model loads none.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 import sys
 from dataclasses import dataclass
-
-import numpy as np
 
 from .constants import EV_TO_CM1
 from .errors import DomainError, _check_range
@@ -35,6 +33,8 @@ _K_MIN, _K_MAX = 1e-3, 1e7
 
 
 def _check_wavenumbers(k):
+    import numpy as np
+
     k = np.asarray(k, dtype=float)
     if k.size == 0:
         raise DomainError("empty wavenumber grid")
@@ -89,6 +89,8 @@ class LorentzMedium:
     def _epsilon_and_derivatives(self, k, fields, out=None):
         """eps on a checked k, and d eps / d field for each of fields:
         ("eps_b",), or (name, j) for f, k0 or gamma of oscillators[j]."""
+        import numpy as np
+
         if out is None:
             out, eps = [None] * (len(fields) + 1), np.full_like(k, self.eps_b, dtype=complex)
         else:
@@ -130,6 +132,8 @@ class ConstantMedium:
         object.__setattr__(self, "eps", eps)
 
     def epsilon(self, k):
+        import numpy as np
+
         k = _check_wavenumbers(k)
         return np.full_like(k, self.eps, dtype=complex)
 
@@ -201,6 +205,8 @@ class DrudeLorentzMetal:
     def _epsilon_and_derivatives(self, k, fields, out=None):
         """eps on a checked k, and d eps / d field for each of fields:
         ("omega_p",), ("f0",), ("gamma0",) or ("damping_multiplier",)."""
+        import numpy as np
+
         out = [None] * (len(fields) + 1) if out is None else out
         w = k / EV_TO_CM1
         free = w + 1j * self.gamma_total
@@ -238,6 +244,10 @@ def refractive_index(model_or_eps, k=None):
 
     Pass a dielectric model together with wavenumbers k (cm^-1), or a
     raw permittivity value/array directly."""
+    import numpy as np
+
+    from .tmm import _decaying_sqrt
+
     if hasattr(model_or_eps, "epsilon"):
         if k is None:
             raise DomainError("refractive_index of a model needs wavenumbers k")
@@ -248,20 +258,3 @@ def refractive_index(model_or_eps, k=None):
             raise DomainError("permittivity must be finite")
     return _decaying_sqrt(eps)
 
-
-def _decaying_sqrt(x, out=None):
-    """sqrt(x) on the branch Im >= 0, where a wave decays into the medium;
-    on the real axis the principal root, Re >= 0.  A Python complex x (a
-    constant medium in the stack kernel) takes cmath.sqrt and gives a
-    Python complex, so that medium costs scalar arithmetic only; an array
-    takes numpy's root, written into `out` when given (x itself may be
-    out), and a 0-d array gives a 0-d array."""
-    if isinstance(x, complex):
-        root = cmath.sqrt(x)
-        return -root if root.imag < 0.0 else root
-    root = np.sqrt(x, out)
-    if np.ndim(root) == 0:
-        return np.asarray(-root if root.imag < 0.0 else root)
-    # passive media rarely need the flip, so only those elements change
-    np.negative(root, out=root, where=root.imag < 0.0)
-    return root

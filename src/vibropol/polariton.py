@@ -2,43 +2,61 @@
 strong coupling.
 
 Frequencies are wavenumbers in cm^-1 unless a name says otherwise; energy
-linewidths cross to meV through the fixed eV <-> cm^-1 conversion.
+linewidths cross to meV through the fixed eV <-> cm^-1 conversion.  The
+scalar estimators use `math` alone, so `estimate_report` runs without
+numpy; the functions of cavity modes and branches import it.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
+import sys
+import typing
 from dataclasses import dataclass, fields, is_dataclass
-
-import numpy as np
 
 from . import constants as const
 from .constants import cm1_to_mev, cm1_to_joule, cm1_to_rad_s
 from .errors import DomainError, UltrastrongError, _check_choice, _check_range
-from .tmm import _check_angle
+from .stack import _check_angle
+
+if typing.TYPE_CHECKING:
+    import numpy as np
 
 
-def _in_float_range(estimator):
+def _in_float_range(estimator=None, *, arrays=False):
     """The estimator, raising DomainError that names it when a number in
     its result is not finite (numpy overflows quietly in here), or when a
     step towards the result fails: `**` past the largest float
     (OverflowError) or a divisor that underflowed to 0
-    (ZeroDivisionError)."""
+    (ZeroDivisionError).  An estimator that computes on arrays, as
+    `_in_float_range(arrays=True)` marks it, loads numpy first; any other
+    meets numpy only in its arguments, so with numpy not loaded no numpy
+    value, and no numpy warning, can occur."""
+    if estimator is None:
+        return functools.partial(_in_float_range, arrays=arrays)
 
     @functools.wraps(estimator)
     def checked(*args, **kwargs):
+        quiet = contextlib.nullcontext()
+        if arrays or "numpy" in sys.modules:
+            import numpy as np
+
+            quiet = np.errstate(all="ignore")
         try:
-            with np.errstate(all="ignore"):
+            with quiet:
                 result = estimator(*args, **kwargs)
         except (OverflowError, ZeroDivisionError):
             result = math.inf
         parts = [getattr(result, f.name) for f in fields(result)] if is_dataclass(result) \
             else [result]
-        numbers = np.concatenate([np.ravel(p) for p in parts if not isinstance(p, dict)])
-        bad = numbers[~np.isfinite(numbers)]
-        if bad.size:
-            _check_range(float(bad[0]), f"the result of {estimator.__name__}")
+        # an array or a numpy scalar part gives each element as a Python float
+        bad = [x for p in parts if not isinstance(p, dict)
+               for x in (p.ravel().tolist() if hasattr(p, "ravel") else [p])
+               if not math.isfinite(x)]
+        if bad:
+            _check_range(bad[0], f"the result of {estimator.__name__}")
         return result
 
     return checked
@@ -186,13 +204,15 @@ def is_strong_coupling(splitting_mev, vibration_fwhm_mev, cavity_fwhm_mev):
     return splitting_mev > 0.5 * (vibration_fwhm_mev + cavity_fwhm_mev)
 
 
-@_in_float_range
+@_in_float_range(arrays=True)
 def fp_mode_estimate(n_eff, thickness_nm, order=1, angle=0.0, n_ambient=1.0):
     """Fabry-Perot resonance estimate in cm^-1:
 
         k = order * 1e7 / (2 n d[nm] cos(theta_int)),
 
     with the internal angle from Snell's law out of the ambient."""
+    import numpy as np
+
     angle = np.asarray(angle, dtype=float)
     return float(_cavity_modes(n_eff, thickness_nm, order, angle, n_ambient)[0])
 
@@ -201,6 +221,8 @@ def _cavity_modes(n_eff, thickness_nm, order, angles, n_ambient):
     """fp_mode_estimate at every angle of the array `angles`, and cos^2 of
     the internal angles, with which d omega_c / d n_eff = -omega_c /
     (n_eff cos^2) and d omega_c / d thickness = -omega_c / thickness."""
+    import numpy as np
+
     _check_range(n_eff, "effective index", gt=0.0)
     _check_range(thickness_nm, "thickness", gt=0.0, unit="nm")
     _check_range(order, "mode order", ge=1, integer=True)
@@ -223,6 +245,8 @@ def _branches(omega_c, omega_v, splitting, model="rwa"):
     branch's photon fraction, and d upper / d splitting = sin / 2; at
     delta = splitting = 0, cos = 0 and sin = 1, the derivatives towards
     splitting > 0."""
+    import numpy as np
+
     delta = omega_c - omega_v
     root = np.hypot(delta, splitting)
     safe = np.where(root > 0.0, root, 1.0)
@@ -252,7 +276,7 @@ class CoupledModeResult:
     weights: dict
 
 
-@_in_float_range
+@_in_float_range(arrays=True)
 def coupled_frequencies(omega_c, omega_v, splitting, model="rwa"):
     """Polariton branches of one cavity mode and one vibration.
 
@@ -293,13 +317,15 @@ class AnticrossingCurve:
     omega_vibration: float
 
 
-@_in_float_range
+@_in_float_range(arrays=True)
 def anticrossing_dispersion(
     omega_v, splitting, n_eff, thickness_nm, angles, order=1, n_ambient=1.0, model="rwa"
 ):
     """Polariton branches versus angle for a Fabry-Perot cavity mode
     crossing one vibration: fp_mode_estimate and coupled_frequencies at
     every angle."""
+    import numpy as np
+
     angles = np.asarray(angles, dtype=float)
     omega_c, _ = _cavity_modes(n_eff, thickness_nm, order, angles, n_ambient)
     _check_range(omega_v, "vibration frequency", gt=0.0, unit="cm^-1")

@@ -45,6 +45,10 @@ change of eps in every medium made of it) and a real one per layer index
 (its thickness).  r and t are holomorphic in eps, so each channel gets a
 complex sensitivity S per direction, and a real material parameter p
 moves the channel by Re(S deps/dp).
+
+What a pass takes and returns, the stack, grid and spectrum with the
+checks of their arguments, is described in `vibropol.stack`, which loads
+no numpy; this module re-exports those names.
 """
 
 from __future__ import annotations
@@ -53,19 +57,15 @@ import cmath
 import math
 import operator
 from collections import Counter
-from collections.abc import Mapping
-from dataclasses import dataclass
 from functools import lru_cache
-from types import MappingProxyType
 
 import numpy as np
 
-from .errors import _MAX_POINTS, DomainError, _check_choice, _check_range
-from .materials import (_K_MAX, _K_MIN, _SQUARE_MAX, ConstantMedium, _check_wavenumbers,
-                        _decaying_sqrt)
-
-POLARIZATIONS = ("s", "p", "unpolarized")
-CHANNELS = ("T", "R", "A")
+from .errors import DomainError
+from .materials import _SQUARE_MAX, ConstantMedium, _check_wavenumbers
+# the stack's description, re-exported: `from vibropol.tmm import LayerStack` works
+from .stack import (CHANNELS, POLARIZATIONS, Layer, LayerStack, SpectralGrid,  # noqa: F401
+                    Spectrum, _check_angle, _check_polarization, _check_sigma)
 
 # cm^-1 -> rad/nm
 _K_TO_RAD_NM = 2.0e-7 * math.pi
@@ -74,102 +74,10 @@ _K_TO_RAD_NM = 2.0e-7 * math.pi
 _THICK = _SQUARE_MAX / 8.0
 
 
-@dataclass(frozen=True)
-class Layer:
-    """One finite layer: a material name (resolved against the stack's
-    materials map) and a thickness in nm."""
-
-    material: str
-    thickness: float
-
-    def __post_init__(self):
-        if not isinstance(self.material, str) or not self.material:
-            raise DomainError("layer material must be a non-empty name")
-        _check_range(self.thickness, "layer thickness", gt=0.0, le=_SQUARE_MAX, unit="nm")
-
-
-@dataclass(frozen=True)
-class LayerStack:
-    """Ambient / finite layers / semi-infinite substrate.
-
-    materials maps names to dielectric models; layers and the substrate
-    refer to them by name so a single material edit propagates to every
-    layer that uses it.  substrate_mode selects how the rear side is
-    closed: "coherent" leaves the substrate semi-infinite, while
-    "incoherent_to_air" multiplies the coherent transmittance by the
-    single-pass substrate-to-air Fresnel factor (thick transparent
-    substrate with its back face out of coherence range).
-    """
-
-    materials: Mapping[str, object]
-    layers: tuple[Layer, ...]
-    substrate: str
-    n_ambient: float = 1.0
-    substrate_mode: str = "coherent"
-
-    def __post_init__(self):
-        object.__setattr__(self, "materials", MappingProxyType(dict(self.materials)))
-        object.__setattr__(self, "layers", tuple(self.layers))
-        _check_range(self.n_ambient, "ambient index", ge=1.0, le=_SQUARE_MAX)
-        _check_choice(self.substrate_mode, "substrate_mode", ("coherent", "incoherent_to_air"))
-        missing = [ly.material for ly in self.layers if ly.material not in self.materials]
-        if self.substrate not in self.materials:
-            missing.append(self.substrate)
-        if missing:
-            raise DomainError(f"unknown material name(s): {sorted(set(missing))}")
-
-
-@dataclass(frozen=True)
-class SpectralGrid:
-    """Uniform wavenumber grid, inclusive of k_min; k_max is included when
-    it falls on the lattice.  k_min == k_max yields a single-point grid.
-    Both ends lie in the range of `_check_wavenumbers`."""
-
-    k_min: float
-    k_max: float
-    step: float = 1.0
-
-    def __post_init__(self):
-        _check_range(self.k_min, "grid min", ge=_K_MIN, le=_K_MAX, unit="cm^-1")
-        _check_range(self.k_max, "grid max", ge=self.k_min, le=_K_MAX, unit="cm^-1")
-        _check_range(self.step, "grid step", gt=0.0, unit="cm^-1")
-        _check_range((self.k_max - self.k_min) / self.step, "grid (max - min) / step",
-                     lt=_MAX_POINTS)
-
-    @property
-    def points(self):
-        n = int(math.floor((self.k_max - self.k_min) / self.step + 1e-9)) + 1
-        return self.k_min + self.step * np.arange(n)
-
-
-@dataclass
-class Spectrum:
-    """T/R/A on a wavenumber grid at one (angle, polarization)."""
-
-    k: np.ndarray
-    T: np.ndarray
-    R: np.ndarray
-    A: np.ndarray
-    angle: float = 0.0
-    polarization: str = "s"
-
-    def channel(self, name):
-        _check_choice(name, "channel", CHANNELS)
-        return getattr(self, name)
-
-
 def _sin2(stack, angle):
     """s^2 = (n_ambient sin(angle))^2, the one number through which the
     kernel sees the incidence angle."""
     return (stack.n_ambient * math.sin(math.radians(angle))) ** 2
-
-
-def _check_angle(angle, name="incidence angle"):
-    _check_range(angle, name, gt=-90.0, lt=90.0, unit="degrees")
-
-
-def _check_polarization(polarization):
-    _check_choice(polarization, "polarization", POLARIZATIONS)
 
 
 def _sequence(stack):
@@ -201,6 +109,24 @@ def _media(stack, k):
                 first = float(k[~np.isfinite(eps[name])][0])
                 raise DomainError(f"material {name!r}: eps is not finite at {first} cm^-1")
     return eps
+
+
+def _decaying_sqrt(x, out=None):
+    """sqrt(x) on the branch Im >= 0, where a wave decays into the medium;
+    on the real axis the principal root, Re >= 0.  A Python complex x (a
+    constant medium) takes cmath.sqrt and gives a Python complex, so that
+    medium costs scalar arithmetic only; an array takes numpy's root,
+    written into `out` when given (x itself may be out), and a 0-d array
+    gives a 0-d array."""
+    if isinstance(x, complex):
+        root = cmath.sqrt(x)
+        return -root if root.imag < 0.0 else root
+    root = np.sqrt(x, out)
+    if np.ndim(root) == 0:
+        return np.asarray(-root if root.imag < 0.0 else root)
+    # passive media rarely need the flip, so only those elements change
+    np.negative(root, out=root, where=root.imag < 0.0)
+    return root
 
 
 class _Work(dict):
@@ -450,12 +376,30 @@ def _response(stack, eps, k0, sin2, polarization, work, directions=None):
         scale = np.real(q_air) * (np.real(q_sub) > 0.0) / np.real(q_amb)
     else:
         t_out = t
-        scale = np.real(q_sub) / np.real(q_amb)
+        if q_amb.real >= 1e-150:
+            # Re(q_sub) is below _SQUARE_MAX, so the ratio stays finite
+            scale = np.real(q_sub) / np.real(q_amb)
+        else:
+            # p light, q_amb = cos(angle) / n_ambient, near grazing under
+            # an ambient index near its bound
+            with np.errstate(over="ignore"):
+                scale = np.real(q_sub) / q_amb.real
+            if not np.isfinite(scale).all():
+                raise DomainError(f"ambient index {stack.n_ambient:g}: its p admittance "
+                                  f"{q_amb.real:g} is too small for the flux ratio into "
+                                  f"substrate {stack.substrate!r}, which overflows")
     R = np.abs(r)
     R **= 2
     T = np.abs(t_out)
     T **= 2
     T = np.multiply(scale, T, T)
+    # the exit factor keeps T <= 1 behind a transparent substrate, a real
+    # constant q_sub; an absorbing one can pass 1, and past round-off its
+    # loss is more than the single lossless pass describes
+    if incoherent and not (isinstance(q_sub, complex) and q_sub.imag == 0.0) \
+            and T.max() > 1.0 + 1e-6:
+        raise DomainError(f"substrate {stack.substrate!r} absorbs too strongly for "
+                          "incoherent_to_air: T exceeds 1")
     if d is None:
         return T, R
 
@@ -502,10 +446,6 @@ def spectrum_scan(stack, grid, angle=0.0, polarization="s"):
     """Spectrum over a SpectralGrid, or over given wavenumbers, at a
     fixed angle: the one-angle `angle_scan`."""
     return angle_scan(stack, grid, [angle], polarization)[0]
-
-
-def _check_sigma(sigma):
-    _check_range(sigma, "divergence", ge=0.0, le=30.0, unit="degrees")
 
 
 def _hermite(n, x):

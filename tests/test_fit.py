@@ -30,6 +30,7 @@ from vibropol import (
     stack_response,
 )
 from vibropol import fit, tmm
+from vibropol._lsq import Solution
 from vibropol.fit import _locate
 
 from conftest import make_stack, CO_BAND, constant_stack, hard_stacks
@@ -818,6 +819,28 @@ class TestSolve:
         assert result.loss == min(result.start_losses)
         for params in result.start_params:
             assert 1500.0 <= params["layers[1].thickness"] <= 2500.0
+
+    @pytest.mark.parametrize("losses, best", [
+        # starts that reach one minimum: their losses differ in the last bits
+        ([1.0 + 4e-16, 1.0, 1.0 + 2e-16], 0),
+        ([2.0, 1.0 + 5e-9, 1.0], 1),
+        # distinct minima, and an exact 0 that no other loss ties
+        ([2.0, 1.0, 1.0 - 2e-8], 2),
+        ([1e-20, 0.0, 0.0], 1),
+    ])
+    def test_best_start_is_the_first_within_ftol_of_the_lowest_loss(
+            self, coupled_stack, monkeypatch, losses, best):
+        problem = small_problem(coupled_stack,
+                                [FreeParameter("layers[1].thickness", 1500.0, 2500.0)])
+        ends = iter([Solution(x=np.array([0.1 * i]), fun=np.array([math.sqrt(loss)]),
+                              nfev=1, status=2, initial_loss=3.0)
+                     for i, loss in enumerate(losses)])
+        monkeypatch.setattr(fit, "least_squares", lambda *args, **kwargs: next(ends))
+        result = solve(problem, n_starts=len(losses), seed=0)
+        assert result.best_start == best
+        assert result.loss == result.start_losses[best]
+        assert result.params == result.start_params[best]
+        assert result.params["layers[1].thickness"] == pytest.approx(1500.0 + 100.0 * best)
 
     def test_non_finite_template_loss(self, coupled_stack):
         # finite inputs whose model overflows at the template: an

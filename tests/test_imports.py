@@ -73,17 +73,22 @@ print(json.dumps({"scipy": sorted(m for m in sys.modules if m.split(".")[0] == "
 """
 
 
-def run_fresh(code, *args):
-    """Last stdout line of `code` run with arguments `args` in a fresh
+def run_process(code, *args, check=True):
+    """The finished process of `code` run with arguments `args` in a fresh
     interpreter on this package."""
     src = str(Path(vibropol.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    out = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-c", code, *map(str, args)], env=env, capture_output=True,
-        text=True, check=True,
+        text=True, check=check,
     )
-    return out.stdout.strip().splitlines()[-1]
+
+
+def run_fresh(code, *args):
+    """Last stdout line of `code` run with arguments `args` in a fresh
+    interpreter on this package."""
+    return run_process(code, *args).stdout.strip().splitlines()[-1]
 
 
 def test_no_fit_loads_scipy(tmp_path):
@@ -137,15 +142,83 @@ def test_each_command_loads_only_what_it_runs(tmp_path):
     cases = [
         (["simulate", "--config", coupled, "--out-dir", tmp_path],
          ["vibropol.fit", "vibropol._lsq", "vibropol.fields"]),
-        (["estimate", "--config", coupled], ["vibropol.fit", "vibropol.spectra", "vibropol.fields"]),
+        (["estimate", "--config", coupled],
+         ["numpy", "vibropol.tmm", "vibropol.fit", "vibropol.spectra", "vibropol.fields"]),
         (["field-map", "--config", configs["cavity_uncoupled"], "--out-dir", tmp_path],
          ["vibropol.fit", "vibropol.spectra", "vibropol.polariton"]),
         (["analyze", tmp_path / "spectrum.csv", "--window", "1500:2000"],
-         ["yaml", "vibropol.fit", "vibropol._lsq", "vibropol.fields", "vibropol.polariton"]),
+         ["yaml", "vibropol.tmm", "vibropol.fit", "vibropol._lsq", "vibropol.fields",
+          "vibropol.polariton"]),
     ]
     for argv, forbidden in cases:
         loaded = run_fresh(COMMAND_PROBE.format(forbidden=set(forbidden)), *argv)
         assert json.loads(loaded) == [], argv[0]
+
+
+def test_stack_classes_and_every_config_load_no_numpy():
+    # the description of a run lives outside the kernel, and a grid
+    # makes its array only when asked for its points
+    loaded = run_fresh(
+        "import sys, vibropol; "
+        "vibropol.LayerStack, vibropol.SpectralGrid, vibropol.Spectrum; "
+        "[vibropol.load_config(path) for path in sys.argv[1:]]; "
+        "print(sorted({'numpy', 'vibropol.tmm'} & set(sys.modules)))",
+        *CONFIGS,
+    )
+    assert loaded == "[]"
+
+
+# a CLI call in an interpreter where every import of numpy fails; it
+# prints whether numpy was loaded and exits with the call's code
+REFUSE_NUMPY = """
+import json, sys
+
+
+class RefuseNumpy:
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "numpy":
+            raise ImportError(f"{name} is refused")
+
+
+sys.meta_path.insert(0, RefuseNumpy())
+from vibropol.cli import main
+try:
+    main(args=sys.argv[1:], prog_name="vibropol")
+    code = 0
+except SystemExit as exc:
+    code = exc.code
+print(json.dumps("numpy" in sys.modules))
+sys.exit(code)
+"""
+
+
+def test_estimate_that_overflows_exits_3_with_numpy_refused(tmp_path):
+    # the estimators check their results with math alone
+    coupled = next(path for path in CONFIGS if path.stem == "cavity_coupled")
+    text = coupled.read_text(encoding="utf-8")
+    assert text.count("    dipole_debye: 1.0\n") == 1
+    config = tmp_path / "huge_dipole.yaml"
+    config.write_text(text.replace("    dipole_debye: 1.0\n", "    dipole_debye: 1.0e+308\n"),
+                      encoding="utf-8")
+    out = run_process(REFUSE_NUMPY, "estimate", "--config", config, check=False)
+    assert out.returncode == 3, out.stderr
+    assert out.stderr.startswith("physics error: ") and out.stderr.count("\n") == 1
+    assert out.stdout.splitlines()[-1] == "false"
+
+
+@pytest.mark.parametrize("call", [
+    "fp_mode_estimate(1e-300, 1e-300)", "coupled_frequencies(1.7e308, 1.7e308, 160.0)",
+    "anticrossing_dispersion(1739.0, 160.0, 1e-300, 1e-300, [0.0])",
+])
+def test_array_estimator_called_first_raises_its_domain_error(call):
+    # it loads numpy itself, before its overflow, which stays quiet
+    name = call.partition("(")[0]
+    out = run_process(
+        "import warnings; warnings.simplefilter('error', RuntimeWarning); "
+        f"from vibropol import DomainError, {name}\n"
+        f"try:\n    {call}\nexcept DomainError as err:\n    print(err)"
+    )
+    assert out.stdout.startswith(f"the result of {name} must be finite"), out.stderr
 
 
 def test_every_public_name_is_its_defining_modules_object():

@@ -32,9 +32,11 @@ from vibropol import (
 )
 from vibropol import tmm
 from vibropol.io import read_spectrum_csv, write_spectrum_csv
-from vibropol.materials import _SQUARE_MAX, _decaying_sqrt
+from vibropol.materials import _SQUARE_MAX
+from vibropol.tmm import _decaying_sqrt
 
-from conftest import THICK_GOLD_NM, constant_stack, hard_stacks, random_passive_stack
+from conftest import (CO_BAND, THICK_GOLD_NM, constant_stack, hard_stacks, make_stack,
+                      random_passive_stack)
 from matrix_oracle import layer_matrix, matrix_response, reversed_stack
 
 AIR = ConstantMedium(eps=1.0)
@@ -1021,6 +1023,67 @@ def test_thickest_layer_behind_the_largest_ambient_index_is_a_silent_mirror(pol)
             T, R, _ = stack_response(stack, k, angle, pol)
         assert np.array_equal(T, np.zeros(3))
         np.testing.assert_allclose(R, 1.0, rtol=0.0, atol=1e-15)
+
+
+# media of a stack at its range bounds: the bundled metal and polymer, a
+# lossless low index (evanescent under a dense ambient) and a lossy one
+EDGE_MEDIA = {"gold": gold(), "pvac": make_stack([CO_BAND]).materials["pvac"],
+              "air": ConstantMedium(eps=1.0), "lossy": ConstantMedium(eps=complex(16.0, 0.5))}
+
+
+@settings(max_examples=500, deadline=None)
+@given(n_ambient=st.floats(1.0, _SQUARE_MAX),
+       layers=st.lists(st.tuples(st.sampled_from(sorted(EDGE_MEDIA)),
+                                 st.floats(0.0, _SQUARE_MAX, exclude_min=True)), max_size=3),
+       substrate=st.sampled_from(sorted(EDGE_MEDIA)),
+       mode=st.sampled_from(["coherent", "incoherent_to_air"]),
+       angle=st.floats(-89.9, 89.9), pol=st.sampled_from(["s", "p", "unpolarized"]),
+       k=st.floats(1e-3, 1e7))
+def test_stack_within_its_range_bounds_is_bounded_or_names_the_cause(
+        n_ambient, layers, substrate, mode, angle, pol, k):
+    # thicknesses and ambient indices up to the largest a stack takes
+    stack = LayerStack(materials=EDGE_MEDIA, layers=tuple(Layer(*ly) for ly in layers),
+                       substrate=substrate, n_ambient=n_ambient, substrate_mode=mode)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        try:
+            T, R, _ = stack_response(stack, [1e-3, k, 1e7], angle, pol)
+        except DomainError as err:
+            assert any(repr(name) in str(err) or f"({name})" in str(err) for name in EDGE_MEDIA)
+            return
+    # to round-off: a layer far denser than the ambient, at grazing
+    # incidence, costs digits in proportion to |q_layer / q_ambient|,
+    # about 1e9 for gold at 1e-3 cm^-1 under 89.9 degrees
+    assert np.all((T >= -1e-6) & (T <= 1.0 + 1e-6)), T
+    assert np.all((R >= -1e-6) & (R <= 1.0 + 1e-6)), R
+
+
+@pytest.mark.parametrize("substrate, angle, pol, k", [
+    ("gold", 84.4, "s", 1e6), ("lossy", 76.07242643617676, "p", 1500.0)])
+def test_absorbing_substrate_that_lifts_incoherent_T_past_1_raises_naming_it(
+        substrate, angle, pol, k):
+    # ultraviolet gold near grazing, and a lossy dielectric at its p
+    # Brewster angle, where the single pass gave T = 3.4 and 1.00015
+    stack = LayerStack(materials=EDGE_MEDIA, layers=(), substrate=substrate,
+                       substrate_mode="incoherent_to_air")
+    with pytest.raises(DomainError, match=f"^substrate '{substrate}' absorbs too strongly "
+                       "for incoherent_to_air: T exceeds 1$"):
+        stack_response(stack, [k], angle, pol)
+    # a transparent or barely absorbing substrate stays at most 1 there
+    stack = replace(stack, substrate="air" if substrate == "gold" else "pvac")
+    assert np.all(stack_response(stack, [k], angle, pol)[0] <= 1.0)
+
+
+def test_p_flux_ratio_that_overflows_raises_naming_the_ambient_index():
+    # its admittance cos(angle) / n_ambient is 1.4e-157, and the ratio
+    # Re(q_sub) / Re(q_amb) once made T NaN; s light is finite there
+    stack = LayerStack(materials=EDGE_MEDIA, layers=(), substrate="lossy",
+                       n_ambient=1.2779395687580219e154)
+    with pytest.raises(DomainError, match="^ambient index 1.27794e[+]154: its p admittance "
+                       "1.38708e-157 is too small for the flux ratio into substrate 'lossy'"):
+        stack_response(stack, [1.0], 89.8984375, "p")
+    T, R, _ = stack_response(stack, [1.0], 89.8984375, "s")
+    assert 0.0 <= T[0] <= 1e-300 and R[0] == pytest.approx(1.0, abs=1e-15)
 
 
 def overflowing_film(eps):
